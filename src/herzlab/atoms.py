@@ -17,9 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .dilation import Dilation, annulus_index_map, ball_diameter
+from .dilation import (
+    Dilation,
+    annulus_index_map,
+    ball_diameter,
+    offset_index_map,
+    offset_points,
+)
 from .errors import (
     IllConditioned,
     InvalidAtom,
@@ -30,7 +35,7 @@ from .errors import (
 from .grandseq import Sequence, grand_seq_norm
 from .grid import GridFunction, GridSpec
 from .herz import HerzSpaceParams, default_krange, grand_herz_norm
-from .operators import OperatorSpec, apply_operator
+from .operators import OperatorSpec, apply_operator, fft_convolve_valid
 from .varlebesgue import lux_core
 
 __all__ = [
@@ -82,10 +87,7 @@ def make_mollifier(d: Dilation, spec: GridSpec) -> Mollifier:
     vals = norm_const * raw
 
     # finite-difference seminorm estimates sup rho^m |d^a phi|
-    idx = annulus_index_map(d, spec)
-    rho_vals = np.where(idx > -(2**29),
-                        np.power(d.b, np.maximum(idx, -(2**20)).astype(float)),
-                        0.0)
+    rho_vals = d.rho_of_index(annulus_index_map(d, spec))
     budget = {}
     h = spec.cell_width
     grads = [vals]
@@ -130,13 +132,7 @@ def radial_maximal(f: GridFunction, phi: Mollifier, d: Dilation,
     spec = f.spec
     k_lo, k_hi = krange
     h = spec.cell_width
-    n = spec.resolution
-    offs = h * np.arange(-(n - 1), n)
-    if spec.dim == 1:
-        opts = offs[:, None]
-    else:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        opts = np.stack([ox, oy], axis=-1)
+    opts = offset_points(spec)
 
     best = np.zeros(spec.shape)
     resolvable = False
@@ -146,7 +142,7 @@ def radial_maximal(f: GridFunction, phi: Mollifier, d: Dilation,
         resolvable = True
         mapped = opts.reshape(-1, spec.dim) @ d.inv_power(k).T
         kernel = (phi.profile(mapped) * d.b ** (-k)).reshape(opts.shape[:-1])
-        conv = fftconvolve(f.values, kernel, mode="valid") * spec.cell_volume
+        conv = fft_convolve_valid(f.values, kernel) * spec.cell_volume
         np.maximum(best, np.abs(conv), out=best)
     if not resolvable:
         raise UnresolvableScale("no scale in krange is grid-resolvable")
@@ -363,29 +359,26 @@ def size_condition_check(t_spec: OperatorSpec, a: Atom, d: Dilation) -> dict:
 
     tf = apply_operator(t_spec, f, d)
     idx = annulus_index_map(d, spec)
-    rho_vals = np.where(idx > -(2**29),
-                        np.power(d.b, np.maximum(idx, -(2**20)).astype(float)),
-                        0.0)
+    rho_vals = d.rho_of_index(idx)
 
     supp = np.flatnonzero(f.values.reshape(-1) != 0.0)
     if supp.size == 0:
         raise ZeroFunction("atom has empty support")
-    pts = spec.points().reshape(-1, spec.dim)
-    spts = pts[supp]
 
-    # rho-distance of every x to the support (chunked pairwise mins)
-    m = pts.shape[0]
-    dist = np.full(m, np.inf)
-    chunk = max(1, 2_000_000 // max(1, spts.shape[0]))
-    for start in range(0, m, chunk):
-        block = pts[start:start + chunk]
-        diffs = block[:, None, :] - spts[None, :, :]
-        flat = diffs.reshape(-1, spec.dim)
-        nz = np.any(flat != 0.0, axis=-1)
-        r = np.zeros(flat.shape[0])
-        if np.any(nz):
-            r[nz] = d.rho(flat[nz])
-        dist[start:start + chunk] = np.min(r.reshape(block.shape[0], -1), axis=1)
+    # rho-distance of every x to the support: the smallest offset index
+    # over the pairs (x, y), gathered from the offset map in chunks; the
+    # offset x - y sits at flat position pos[x] - pos[y] + centre
+    n = spec.resolution
+    off = offset_index_map(d, spec).reshape(-1)
+    strides = (2 * n - 1) ** np.arange(spec.dim - 1, -1, -1)
+    pos = np.indices(spec.shape).reshape(spec.dim, -1).T @ strides
+    centre = (n - 1) * int(np.sum(strides))
+    nearest = np.empty(pos.size, dtype=off.dtype)
+    chunk = max(1, 2_000_000 // supp.size)
+    for start in range(0, pos.size, chunk):
+        pairs = pos[start:start + chunk, None] - pos[None, supp] + centre
+        nearest[start:start + chunk] = np.min(off[pairs], axis=1)
+    dist = d.rho_of_index(nearest)
 
     trigger = d.b ** (-d.w) * (1.0 - 1.0 / d.b) * rho_vals.reshape(-1)
     active = (rho_vals.reshape(-1) > 0) & (dist >= trigger) & (trigger > 0)

@@ -11,20 +11,35 @@ The ellipsoid form is ``M = sum_k c^{2k} (A^{-k})^T A^{-k}`` with
 ``c = (1 + lambda_-)/2``, truncated once the term norm drops below 1e-12.
 With this choice ``|A x|_M^2 = |x|^2 + c^2 |x|_M^2``, so every dilation
 step grows the M-norm by at least the factor ``c`` and the balls nest.
+It grows it by at most ``|A|_M``, the operator norm in the M-norm; the
+two factors bracket each point's annulus index from ``|x|_M`` alone
+(Bownik, Anisotropic Hardy spaces and wavelets, Mem. AMS 781, 2003).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDim, EmptySamples, NotExpansive, NotSquare, OriginQuery
+from .errors import (
+    BadDim,
+    EmptySamples,
+    NotExpansive,
+    NotSquare,
+    OriginQuery,
+    UnresolvableScale,
+)
 from .grid import GridSpec
 
 _TERM_TOL = 1e-12
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
+# A^{-k} is only formed while its 2-norm stays below e^600, far from overflow
+_LOG_POWER_LIMIT = 600.0
+# index of the origin in the index maps: rho(0) = 0 and it lies in every ball
+ORIGIN_INDEX = -(2**30)
 
 
 @dataclass(frozen=True)
@@ -40,6 +55,8 @@ class Dilation:
     radius: float          # r0 with Delta = {x : x^T M x < r0^2}
     radius_squared: float  # primitive for membership tests
     c_growth: float
+    max_growth: float      # |A|_M, the largest one-step growth of the M-norm
+    power_window: tuple[int, int]  # the k with A^{-k} safely finite
     w: int
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -75,9 +92,12 @@ class Dilation:
     def annulus_index(self, pts: np.ndarray) -> np.ndarray:
         """The unique j with x in B_{j+1} \\ B_j, vectorized over points.
 
-        Membership in B_k is monotone in k, so j + 1 is the smallest k
-        containing x; the scan brackets all points by expanding until
-        every point is inside (above) and none is inside (below).
+        With t = log(|x|_M / r0), the growth factors c <= |A|_M put the
+        smallest k with x in B_k strictly above min(t/log c, t/log |A|_M)
+        and at most one above max(...); for k < 0 the two bounds swap
+        roles, which min/max absorbs.  Each point is then bisected
+        inside its own bracket with ball tests, so membership is decided
+        by exactly the ``ball_contains`` arithmetic.
         """
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
@@ -85,18 +105,49 @@ class Dilation:
         if np.any(~np.any(pts != 0.0, axis=-1)):
             raise OriginQuery("annulus index undefined at x = 0")
 
-        k_hi = 0
-        while not np.all(self.ball_contains(pts, k_hi)):
-            k_hi += 1
-        k_lo = 0
-        while np.any(self.ball_contains(pts, k_lo)):
-            k_lo -= 1
-        # smallest containing k = k_lo + (# non-memberships in the scan)
-        outside = np.zeros(pts.shape[0], dtype=int)
-        for k in range(k_lo, k_hi + 1):
-            outside += ~self.ball_contains(pts, k)
-        idx = k_lo + outside - 1
-        return int(idx[0]) if single else idx
+        scale = np.max(np.abs(pts), axis=-1)
+        t = (np.log(scale) + 0.5 * np.log(self.m_quadform(pts / scale[:, None]))
+             - math.log(self.radius))
+        t_lo = t / math.log(self.c_growth)
+        t_hi = t / math.log(self.max_growth)
+        # lo is outside its point's ball, hi inside; one step of slack each
+        # way covers rounding in t
+        lo = np.floor(np.minimum(t_lo, t_hi)).astype(np.int64) - 1
+        hi = np.floor(np.maximum(t_lo, t_hi)).astype(np.int64) + 2
+
+        # clip the bracket to powers that stay finite; a point whose index
+        # lies beyond them cannot be classified
+        w_lo, w_hi = self.power_window
+        low, high = lo < w_lo, hi > w_hi
+        lo[low], hi[high] = w_lo, w_hi
+        if (np.any(low) and np.any(self._inside(pts[low], w_lo))) or \
+                (np.any(high) and not np.all(self._inside(pts[high], w_hi))):
+            raise UnresolvableScale("annulus index beyond the representable scales")
+
+        while True:
+            rows = np.flatnonzero(hi - lo > 1)
+            if rows.size == 0:
+                break
+            mid = (lo[rows] + hi[rows]) // 2
+            inside = np.empty(rows.size, dtype=bool)
+            for k in np.unique(mid):
+                sel = mid == k
+                inside[sel] = self._inside(pts[rows[sel]], int(k))
+            hi[rows[inside]] = mid[inside]
+            lo[rows[~inside]] = mid[~inside]
+        return int(lo[0]) if single else lo
+
+    def _inside(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """ball_contains for bracket probes: an M-norm too large to square
+        in floating point is outside every probed ball, so the overflow
+        is expected and silenced."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.ball_contains(pts, k)
+
+    def rho_of_index(self, idx) -> np.ndarray:
+        """b^idx, with rho = 0 at ``ORIGIN_INDEX`` entries of an index map."""
+        idx = np.asarray(idx)
+        return np.power(self.b, np.where(idx == ORIGIN_INDEX, -np.inf, idx))
 
     def rho(self, pts: np.ndarray) -> np.ndarray:
         """Step quasi-norm: b^{annulus_index(x)} for x != 0, rho(0) = 0."""
@@ -156,6 +207,8 @@ def make_dilation(matrix) -> Dilation:
     # smallest w with |2 A^{-w}|_{M->M} <= 1 (operator norm via Cholesky)
     chol = np.linalg.cholesky(m)
     chol_inv_t = np.linalg.inv(chol.T)
+    max_growth = float(np.linalg.norm(chol.T @ a @ chol_inv_t, 2))
+    power_window = (-_power_limit(a), _power_limit(a_inv))
     w = 1
     power = a_inv
     while True:
@@ -177,8 +230,18 @@ def make_dilation(matrix) -> Dilation:
         radius=r0,
         radius_squared=r0_squared,
         c_growth=c,
+        max_growth=max_growth,
+        power_window=power_window,
         w=w,
     )
+
+
+def _power_limit(mat: np.ndarray) -> int:
+    """Largest m with |mat|_2^m <= e^600 (unbounded for |mat|_2 <= 1)."""
+    log_norm = math.log(float(np.linalg.norm(mat, 2)))
+    if log_norm <= 0.0:
+        return 2**40
+    return int(_LOG_POWER_LIMIT / log_norm)
 
 
 # --- module-level conveniences mirroring the public operation names ---
@@ -213,32 +276,67 @@ def check_quasi_triangle(d: Dilation, xs, ys) -> dict:
     }
 
 
-# --- per-grid annulus index maps (cached: every Herz norm needs one) ---
+# --- per-grid index maps (cached: every Herz norm and kernel needs one) ---
 
-_INDEX_MAP_CACHE: dict = {}
+def per_grid(build):
+    """Cache ``build(d, spec)`` per (dilation, grid); results are shared,
+    so ``build`` must return immutable values."""
+    cache: dict = {}
+
+    @functools.wraps(build)
+    def cached(d: Dilation, spec: GridSpec):
+        key = (d.cache_key(), spec)
+        value = cache.get(key)
+        if value is None:
+            if len(cache) > 64:
+                cache.clear()
+            value = cache[key] = build(d, spec)
+        return value
+    return cached
 
 
+def _index_map(d: Dilation, pts: np.ndarray, shape: tuple) -> np.ndarray:
+    flat = pts.reshape(-1, d.dim)
+    nonzero = np.any(flat != 0.0, axis=-1)
+    idx = np.full(flat.shape[0], ORIGIN_INDEX, dtype=int)
+    if np.any(nonzero):
+        idx[nonzero] = d.annulus_index(flat[nonzero])
+    idx = idx.reshape(shape)
+    idx.setflags(write=False)
+    return idx
+
+
+@per_grid
 def annulus_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
     """Annulus index at every cell center of ``spec``.
 
     Cell centers exactly at the origin (odd resolutions) get the sentinel
-    index -2**30; rho there is 0 and every slice excludes them.
+    ``ORIGIN_INDEX``; rho there is 0 and every slice excludes them.
     """
-    key = (d.cache_key(), spec)
-    cached = _INDEX_MAP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    pts = spec.points().reshape(-1, spec.dim)
-    nonzero = np.any(pts != 0.0, axis=-1)
-    idx = np.full(pts.shape[0], -(2**30), dtype=int)
-    if np.any(nonzero):
-        idx[nonzero] = d.annulus_index(pts[nonzero])
-    idx = idx.reshape(spec.shape)
-    idx.setflags(write=False)
-    if len(_INDEX_MAP_CACHE) > 64:
-        _INDEX_MAP_CACHE.clear()
-    _INDEX_MAP_CACHE[key] = idx
-    return idx
+    return _index_map(d, spec.points(), spec.shape)
+
+
+def offset_points(spec: GridSpec) -> np.ndarray:
+    """The offset grid ``h * (-(N-1)..N-1)^dim`` of all differences of
+    cell centers, shape ``(2N-1, ..., dim)``; h is the cell width."""
+    n = spec.resolution
+    offs = spec.cell_width * np.arange(-(n - 1), n)
+    if spec.dim == 1:
+        return offs[:, None]
+    ox, oy = np.meshgrid(offs, offs, indexing="ij")
+    return np.stack([ox, oy], axis=-1)
+
+
+@per_grid
+def offset_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
+    """Annulus index on ``offset_points(spec)``.
+
+    Entry ``m + N - 1`` (per axis) classifies the offset ``m * h``.  The
+    zero offset gets ``ORIGIN_INDEX``, which lies inside every ball
+    (``off <= k - 1``) and below every kernel cutoff.
+    """
+    pts = offset_points(spec)
+    return _index_map(d, pts, pts.shape[:-1])
 
 
 def ball_diameter(d: Dilation, k: int) -> float:

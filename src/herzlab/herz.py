@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dilation import Dilation, annulus_index_map, ball_diameter
+from .dilation import Dilation, annulus_index_map, ball_diameter, per_grid
 from .errors import (
     BadParams,
     GridMismatch,
@@ -111,6 +111,7 @@ def _box_corners(spec: GridSpec) -> np.ndarray:
     return np.array([[-r, -r], [-r, r], [r, -r], [r, r]])
 
 
+@per_grid
 def default_krange(d: Dilation, spec: GridSpec) -> tuple[int, int]:
     """Truncation window: k_max the smallest k with B_k covering the box,
     k_min the largest k whose ball diameter is under 4 grid cells."""

@@ -24,9 +24,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .dilation import Dilation, annulus_index_map
+from .dilation import (
+    Dilation,
+    annulus_index_map,
+    offset_index_map,
+    offset_points,
+)
 from .errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from .grid import GridFunction
 from .herz import HerzSpaceParams, default_krange, grand_herz_norm, herz_morrey_norm
@@ -89,6 +93,46 @@ def hardy_apply(f: GridFunction, d: Dilation) -> GridFunction:
     return GridFunction(spec, out.reshape(spec.shape))
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast ``numpy.fft`` length."""
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
+def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-mode convolution ``out[i] = sum_j f[j] kernel[i + n - 1 - j]``
+    (per axis, n = f.shape) for a kernel at least as large as ``f``.
+
+    The kernel is cropped to the bounding box of its support, so small
+    balls take small FFTs, and the circular FFT only has to be long
+    enough to keep its wrap-around off the outputs that are read.
+    """
+    out = np.zeros([m - n + 1 for n, m in zip(f.shape, kernel.shape)])
+    support = np.nonzero(kernel)
+    if support[0].size == 0:
+        return out
+    box, dst, src, shape = [], [], [], []
+    for n, m_out, ix in zip(f.shape, out.shape, support):
+        a, b = int(ix.min()), int(ix.max()) + 1
+        # output i reads the box convolution at t = i + n - 1 - a
+        i0, i1 = max(0, a - n + 1), min(m_out, b)
+        t0, t1 = i0 + n - 1 - a, i1 + n - 1 - a
+        box.append(slice(a, b))
+        dst.append(slice(i0, i1))
+        src.append(slice(t0, t1))
+        shape.append(_fast_length(max(n, t1, n + b - a - 1 - t0)))
+    axes = tuple(range(f.ndim))
+    spectrum = np.fft.rfftn(f, shape, axes) * np.fft.rfftn(kernel[tuple(box)], shape, axes)
+    out[tuple(dst)] = np.fft.irfftn(spectrum, shape, axes)[tuple(src)]
+    return out
+
+
 def truncated_riesz_apply(f: GridFunction, d: Dilation,
                           cutoff: float) -> GridFunction:
     """Tf(x) = integral over {rho(x-y) >= cutoff} of f(y)/rho(x-y).
@@ -97,28 +141,17 @@ def truncated_riesz_apply(f: GridFunction, d: Dilation,
     that the kernel mass concentrates on unresolvable offsets.
     """
     spec = f.spec
-    h = spec.cell_width
-    probe = np.zeros(spec.dim)
-    probe[0] = h
-    cell_rho = float(d.rho(probe))
+    off = offset_index_map(d, spec)
+    n = spec.resolution
+    # rho of the one-cell offset (h, 0)
+    cell_rho = float(d.rho_of_index(off[(n,) + (n - 1,) * (spec.dim - 1)]))
     if cutoff < cell_rho:
         raise CutoffTooSmall(
             f"cutoff {cutoff:g} below one-cell rho-scale {cell_rho:g}")
 
-    # kernel on the (2N-1)^dim offset grid; offsets are differences of
-    # cell centers, hence exact multiples of the cell width
-    n = spec.resolution
-    offs = h * np.arange(-(n - 1), n)
-    if spec.dim == 1:
-        opts = offs[:, None]
-    else:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        opts = np.stack([ox, oy], axis=-1)
-    rho_off = d.rho(opts.reshape(-1, spec.dim)).reshape(opts.shape[:-1])
-    with np.errstate(divide="ignore"):
-        kernel = np.where(rho_off >= cutoff, 1.0 / np.where(rho_off > 0, rho_off, 1.0), 0.0)
-
-    conv = fftconvolve(f.values, kernel, mode="valid") * spec.cell_volume
+    rho_off = d.rho_of_index(off)
+    kernel = np.divide(1.0, rho_off, out=np.zeros(off.shape), where=rho_off >= cutoff)
+    conv = fft_convolve_valid(f.values, kernel) * spec.cell_volume
     return GridFunction(spec, conv)
 
 
@@ -134,17 +167,14 @@ def maximal_apply(f: GridFunction, d: Dilation,
     """
     spec = f.spec
     k_lo, k_hi = krange
-    n = spec.resolution
-    h = spec.cell_width
-    offs = h * np.arange(-(n - 1), n)
-    if spec.dim == 1:
-        opts = offs[:, None]
+    if balls == "euclidean":
+        opts = offset_points(spec)
+        r2 = np.sum(opts * opts, axis=-1)
     else:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        opts = np.stack([ox, oy], axis=-1)
+        off = offset_index_map(d, spec)
 
     absf = np.abs(f.values)
-    best = np.abs(f.values).copy()  # cell-scale average is |f| itself
+    best = absf.copy()  # cell-scale average is |f| itself
     for k in range(k_lo, k_hi + 1):
         if balls == "euclidean":
             # round ball of volume b^k
@@ -152,15 +182,13 @@ def maximal_apply(f: GridFunction, d: Dilation,
                 radius = d.b ** k / 2.0
             else:
                 radius = math.sqrt(d.b ** k / math.pi)
-            mask = np.sum(opts * opts, axis=-1) < radius * radius
+            mask = r2 < radius * radius
         else:
-            mask = d.ball_contains(opts.reshape(-1, spec.dim), k)
-            mask = mask.reshape(opts.shape[:-1])
+            mask = off <= k - 1  # the origin sentinel is in every ball
         count = int(np.count_nonzero(mask))
         if count == 0:
             continue  # sub-grid ball: clipped
-        kernel = mask.astype(float)
-        conv = fftconvolve(absf, kernel, mode="valid")
+        conv = fft_convolve_valid(absf, mask.astype(float))
         np.maximum(best, conv / count, out=best)
     return GridFunction(spec, best)
 

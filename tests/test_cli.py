@@ -225,3 +225,34 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
     assert fams[1].at_origin == 2.0 and fams[1].at_infinity == 3.0
     assert cfg.alpha_grid == [0.1, 0.3]
     assert cfg.lambda_grid == [0.0, 0.05]
+
+
+def test_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import herzlab
+
+    src = os.path.dirname(os.path.dirname(herzlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, herzlab, herzlab.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_recorder_rows_get_their_own_interval(monkeypatch):
+    from types import SimpleNamespace
+
+    from herzlab import suites
+
+    clock = iter([13.0, 14.0, 16.0, 25.0])
+    monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    rec = suites._Recorder(seed=0)
+    # three rows measured by one block that started at t = 10
+    for name in ("a", "b", "c"):
+        rec.add(name, "", {}, {}, None, True, 10.0)
+    rec.add("d", "", {}, {}, None, True, 20.0)
+    assert [r.runtime_s for r in rec.rows] == [3.0, 1.0, 2.0, 5.0]

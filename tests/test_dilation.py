@@ -1,19 +1,57 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from herzlab import (
+    Dilation,
     annulus_index,
     ball_diameter,
     check_quasi_triangle,
+    default_krange,
     make_dilation,
     parse_matrix,
     rho,
 )
-from herzlab.dilation import annulus_index_map
-from herzlab.errors import BadDim, EmptySamples, NotExpansive, NotSquare, OriginQuery
+from herzlab.dilation import (
+    ORIGIN_INDEX,
+    annulus_index_map,
+    offset_index_map,
+    offset_points,
+)
+from herzlab.errors import (
+    BadDim,
+    EmptySamples,
+    NotExpansive,
+    NotSquare,
+    OriginQuery,
+    UnresolvableScale,
+)
 from herzlab.grid import GridSpec
+
+
+def linear_scan_index(d, pts):
+    """Reference annulus index: expand k until every point is inside (and
+    none is), then count non-memberships over the whole window."""
+    k_hi = 0
+    while not np.all(d.ball_contains(pts, k_hi)):
+        k_hi += 1
+    k_lo = 0
+    while np.any(d.ball_contains(pts, k_lo)):
+        k_lo -= 1
+    outside = np.zeros(pts.shape[0], dtype=int)
+    for k in range(k_lo, k_hi + 1):
+        outside += ~d.ball_contains(pts, k)
+    return k_lo + outside - 1
+
+
+def linear_scan_map(d, pts):
+    flat = pts.reshape(-1, d.dim)
+    nonzero = np.any(flat != 0.0, axis=-1)
+    idx = np.full(flat.shape[0], ORIGIN_INDEX)
+    idx[nonzero] = linear_scan_index(d, flat[nonzero])
+    return idx.reshape(pts.shape[:-1])
 
 
 def test_dyadic_interval_geometry(dyadic):
@@ -191,3 +229,65 @@ def test_ellipsoid_volume_identity(dyadic, iso2, shear):
         det_m = float(np.linalg.det(d.ellipsoid_form))
         vol = omega * d.radius ** d.dim / math.sqrt(det_m)
         assert vol == pytest.approx(1.0, rel=1e-9)
+
+
+def test_annulus_index_matches_linear_scan(dyadic, iso2, shear):
+    for d in (dyadic, iso2, shear):
+        for res in ((64, 511, 1024) if d.dim == 1 else (17, 64, 128)):
+            for radius in (2.0, 3.0):
+                spec = GridSpec(radius=radius, dim=d.dim, resolution=res)
+                assert np.array_equal(annulus_index_map(d, spec),
+                                      linear_scan_map(d, spec.points()))
+                assert np.array_equal(offset_index_map(d, spec),
+                                      linear_scan_map(d, offset_points(spec)))
+
+
+def test_annulus_index_extreme_points_fast_and_quiet(dyadic, iso2, shear,
+                                                     monkeypatch):
+    # a bracketed bisection needs a handful of ball tests even at 1e+-150,
+    # and never forms a power of A that overflows
+    calls = []
+    original = Dilation.ball_contains
+
+    def counting(self, pts, k):
+        calls.append(k)
+        return original(self, pts, k)
+
+    monkeypatch.setattr(Dilation, "ball_contains", counting)
+    tri = make_dilation([[3.0, 1.0], [0.0, 1.5]])
+    for d in (dyadic, iso2, shear, tri):
+        for mag in (1e150, 1e-150):
+            x = mag * np.array([1.0, 0.3][:d.dim])
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                j = d.annulus_index(x)
+                assert len(calls) <= 16, (d.matrix, mag, len(calls))
+                assert all(np.all(np.isfinite(d.inv_power(k))) for k in calls)
+                assert d.ball_contains(x[None], j + 1)[0]
+                assert not d.ball_contains(x[None], j)[0]
+
+
+def test_annulus_index_beyond_power_window_is_typed(shear):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnresolvableScale):
+            shear.annulus_index(np.array([1e-300, 0.0]))
+
+
+def test_offset_map_ball_masks(dyadic, shear):
+    for d, spec in ((dyadic, GridSpec(radius=2.0, dim=1, resolution=512)),
+                    (shear, GridSpec(radius=2.0, dim=2, resolution=64))):
+        off = offset_index_map(d, spec)
+        opts = offset_points(spec)
+        k_lo, k_hi = default_krange(d, spec)
+        for k in range(k_lo, k_hi + 1):
+            mask = d.ball_contains(opts.reshape(-1, d.dim), k)
+            assert np.array_equal(off <= k - 1, mask.reshape(off.shape))
+
+
+def test_default_krange_cached(shear):
+    spec = GridSpec(radius=2.0, dim=2, resolution=96)
+    first = default_krange(shear, spec)
+    assert default_krange(shear, spec) is first
+    assert first == default_krange.__wrapped__(shear, spec)

@@ -15,6 +15,7 @@ from herzlab import (
 from herzlab.dilation import annulus_index_map
 from herzlab.errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from herzlab.grid import GridFunction, zeros
+from herzlab.operators import fft_convolve_valid
 
 from conftest import herz_params, random_function
 
@@ -229,3 +230,34 @@ def test_maximal_euclidean_variant(dyadic, line_spec):
 def test_maximal_krange_validation():
     with pytest.raises(BadParams):
         OperatorSpec(kind="maximal", krange=(3, 1))
+
+
+def direct_valid_convolve(f, kernel):
+    """O(N^2) reference: out[i] = sum_j f[j] kernel[i + n - 1 - j]."""
+    out_shape = tuple(m - n + 1 for n, m in zip(f.shape, kernel.shape))
+    out = np.zeros(out_shape)
+    for i in np.ndindex(out_shape):
+        for j in np.ndindex(f.shape):
+            out[i] += f[j] * kernel[tuple(a + n - 1 - b for a, b, n
+                                          in zip(i, j, f.shape))]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(23,), (9, 7)])
+def test_fft_convolve_valid_matches_direct_sum(shape):
+    rng = np.random.default_rng(4)
+    f = rng.uniform(-1, 1, shape)
+    kshape = tuple(2 * n - 1 for n in shape)
+    full = rng.uniform(0.1, 1, kshape)
+    corner = np.zeros(kshape)
+    corner[(slice(0, 3),) * len(shape)] = 1.0
+    centre = np.zeros(kshape)
+    centre[tuple(slice(n - 2, n + 1) for n in shape)] = rng.uniform(size=(3,) * len(shape))
+    far = np.zeros(kshape)
+    far[tuple(m - 1 for m in kshape)] = 2.0
+    for kernel in (full, corner, centre, far):
+        got = fft_convolve_valid(f, kernel)
+        ref = direct_valid_convolve(f, kernel)
+        assert got.shape == shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(fft_convolve_valid(f, np.zeros(kshape)), np.zeros(shape))
