@@ -34,7 +34,7 @@ from .errors import (
 )
 from .grandseq import Sequence, grand_seq_norm
 from .grid import GridFunction, GridSpec
-from .herz import HerzSpaceParams, default_krange, grand_herz_norm
+from .herz import HerzSpaceParams, central_conditions, default_krange, grand_herz_norm
 from .operators import OperatorSpec, apply_operator, fft_convolve_valid
 from .varlebesgue import lux_core
 
@@ -199,21 +199,14 @@ def atom_validate(a: GridFunction, k: int, d: Dilation,
     up to order s, and (optionally) the restricted-type scale bound."""
     if s < 0:
         raise InvalidAtom("moment order must be nonnegative")
-    idx = annulus_index_map(d, a.spec)
-    support_ok = not np.any(a.values[idx >= k] != 0.0)
-
-    q_norm = lux_core(np.abs(a.values).reshape(-1),
-                      params.q.on_grid(a.spec).reshape(-1),
-                      a.spec.cell_volume, p_min=params.q.p_minus)
-    bound = d.b ** (-k * params.alpha_split(k))
-    norm_ok = q_norm <= bound * (1.0 + 1e-9)
+    support_ok, q_norm, bound, norm_ok, restricted_ok = central_conditions(
+        a, k, d, params, restricted)
 
     l1 = a.l1()
     moments = _moments(a, s)
     moment_tol = 1e-8 * max(l1, 1e-300)
     moments_ok = all(abs(v) <= moment_tol for v in moments.values())
 
-    restricted_ok = (k >= 0) if restricted else True
     s_min = min_moment_order(d, params)
     return {
         "check": "central_atom",

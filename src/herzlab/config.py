@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dilation import parse_matrix
 from .errors import ConfigError
 from .varlebesgue import ExponentFunction
 
@@ -91,16 +90,14 @@ def parse_exponent(text) -> ExponentFunction:
 
 @dataclass
 class SuiteConfig:
-    """Run parameters for the verification suites.
+    """Run parameters for the verification suites (``suite.*`` and
+    ``tolerance.*`` keys).
 
     Every emitted report records the seed; tolerances below their
     machine-epsilon floors are rejected at load time.
     """
 
     seed: int = 7
-    resolutions: list = field(default_factory=lambda: [256, 512, 1024])
-    matrix: np.ndarray = field(default_factory=lambda: np.array([[2.0]]))
-    grid_radius: float = 4.0
     out_dir: str = "reports"
     tolerances: dict = field(default_factory=dict)
     families: list = field(default_factory=lambda: [
@@ -125,13 +122,6 @@ class SuiteConfig:
             cfg.seed = int(raw["suite.seed"])
         if "suite.out" in raw:
             cfg.out_dir = str(raw["suite.out"])
-        if "grid.radius" in raw:
-            cfg.grid_radius = float(raw["grid.radius"])
-        if "grid.resolution" in raw:
-            val = raw["grid.resolution"]
-            cfg.resolutions = [int(v) for v in val] if isinstance(val, list) else [int(val)]
-        if "dilation.matrix" in raw:
-            cfg.matrix = parse_matrix(str(raw["dilation.matrix"]))
         if "suite.families" in raw:
             # ';'-separated so log-family commas survive
             val = raw["suite.families"]

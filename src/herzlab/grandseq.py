@@ -27,6 +27,7 @@ __all__ = [
     "GrandSequenceParams",
     "lp_seq_norm",
     "grand_seq_norm",
+    "partial_sum_sup",
     "nesting_report",
     "eps_factor",
 ]
@@ -128,8 +129,13 @@ class GrandSequenceParams:
 # --- l^p machinery -------------------------------------------------------
 
 def _power_sum_norm(values: np.ndarray, r: float) -> float:
-    """(sum |x_k|^r)^{1/r}; a quasi-norm when 0 < r < 1."""
-    return float(np.sum(np.abs(values) ** r) ** (1.0 / r))
+    """(sum |x_k|^r)^{1/r}; a quasi-norm when 0 < r < 1.  Entries are
+    divided by max |x_k| before the power (homogeneous at any scale)."""
+    a = np.abs(values)
+    top = float(np.max(a, initial=0.0))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((a / top) ** r) ** (1.0 / r))
 
 
 def lp_seq_norm(x: Sequence, p: float) -> float:
@@ -139,14 +145,19 @@ def lp_seq_norm(x: Sequence, p: float) -> float:
     return _power_sum_norm(x.values, p)
 
 
-def _log_lp(log_abs: np.ndarray, big_p) -> np.ndarray:
-    """log |x|_{l^P} for (arrays of) P, computed stably in log space."""
-    big_p = np.asarray(big_p, dtype=float)
-    m = np.max(log_abs)
-    # sum over entries of exp(P (log|x_k| - m)); exponents are <= 0
-    shifted = log_abs - m  # (n,)
-    s = np.sum(np.exp(np.multiply.outer(big_p, shifted)), axis=-1)
-    return m + np.log(s) / big_p
+def _log_partial_norms(log_eps: np.ndarray, log_x: np.ndarray, p: float,
+                       theta: float) -> np.ndarray:
+    """(m, K) table of log eps^{theta/P} (sum_{j<=L} |x_j|^P)^{1/P}.
+
+    Row i is eps = exp(log_eps[i]) with P = p(1+eps), column L the
+    partial sum up to entry L; zero entries enter as log|x_j| = -inf.
+    """
+    big_p = p * (1.0 + np.exp(log_eps))[:, None]
+    table = np.multiply(big_p, log_x)
+    np.logaddexp.accumulate(table, axis=-1, out=table)
+    table += theta * log_eps[:, None]
+    table /= big_p
+    return table
 
 
 def _golden_max(fn: Callable[[float], float], a: float, b: float,
@@ -210,6 +221,56 @@ def sup_over_eps(log_value: Callable, grid: EpsGrid) -> tuple[float, float]:
 
 # --- the grand norm -------------------------------------------------------
 
+def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
+                    log_weight=0.0) -> tuple[float, float, int]:
+    """sup over eps > 0 and positions L of w_L eps^{theta/P} |x|_{l^P, <=L}.
+
+    Here P = p(1+eps), |x|_{l^P, <=L} = (sum_{j<=L} |x_j|^P)^{1/P} and
+    log w_L = ``log_weight`` (a scalar, or one entry per position; -inf
+    drops a position).  The eps grid supremum competes with the
+    eps -> infinity limit max_L w_L max_{j<=L} |x_j|.  Returns
+    (value, arg_eps, arg_pos) with arg_eps = inf when the limit wins;
+    ties go to the smallest eps, then the smallest L.  With equal
+    weights the partial sums grow with L, so the sup is the full l^P sum.
+    """
+    x = np.abs(np.asarray(values, dtype=float))
+    if not np.any(x):
+        return 0.0, math.inf, 0
+    log_w = np.broadcast_to(np.asarray(log_weight, dtype=float), x.shape)
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    p, theta = params.p, params.theta
+
+    def weighted(log_eps: np.ndarray) -> np.ndarray:
+        table = _log_partial_norms(log_eps, log_x, p, theta)
+        table += log_w
+        return table
+
+    if np.all(log_w == log_w[0]):
+        # equal weights: the partial sums grow with L, so the sup over L is
+        # the full l^P sum, and an exp-sum shifted by max log|x| gives it
+        # at a fraction of the cost of the accumulated table
+        top = np.max(log_x)
+        shifted = log_x - top
+
+        def log_value(log_eps: np.ndarray) -> np.ndarray:
+            big_p = p * (1.0 + np.exp(log_eps))
+            s = np.sum(np.exp(np.multiply.outer(big_p, shifted)), axis=-1)
+            return (theta / big_p) * log_eps + (top + np.log(s) / big_p) + log_w[0]
+    else:
+        def log_value(log_eps: np.ndarray) -> np.ndarray:
+            return np.max(weighted(log_eps), axis=-1)
+
+    log_sup, arg_eps = sup_over_eps(log_value, params.eps_grid)
+    value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
+    limit = np.exp(log_w) * np.maximum.accumulate(x)
+    arg_pos = int(np.argmax(limit))
+    if limit[arg_pos] > value:
+        return float(limit[arg_pos]), math.inf, arg_pos
+    row = weighted(np.array([math.log(arg_eps)]))[0]
+    return value, arg_eps, int(np.argmax(row))
+
+
 def grand_seq_norm(x: Sequence, params: GrandSequenceParams,
                    *, with_argmax: bool = False):
     """Grand Lebesgue sequence norm (Sequence variant of the definition).
@@ -218,22 +279,7 @@ def grand_seq_norm(x: Sequence, params: GrandSequenceParams,
     over the eps grid with golden refinement, then takes the max with the
     analytic eps -> infinity limit |x|_inf.
     """
-    nz = np.abs(x.values[x.values != 0.0])
-    if nz.size == 0:
-        return (0.0, math.inf) if with_argmax else 0.0
-    log_abs = np.log(nz)
-    p, theta = params.p, params.theta
-
-    def log_value(log_eps: np.ndarray) -> np.ndarray:
-        eps = np.exp(log_eps)
-        big_p = p * (1.0 + eps)
-        return (theta / big_p) * log_eps + _log_lp(log_abs, big_p)
-
-    log_sup, arg_eps = sup_over_eps(log_value, params.eps_grid)
-    value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
-    limit = x.sup_norm()
-    if limit > value:
-        value, arg_eps = limit, math.inf
+    value, arg_eps, _ = partial_sum_sup(x.values, params)
     return (value, arg_eps) if with_argmax else value
 
 

@@ -3,9 +3,9 @@
 A Herz-type norm is assembled from annulus slices: on each annulus
 ``C_k = B_k \\ B_{k-1}`` the function is weighted by ``b^{k alpha(.)}``,
 measured in ``L^{q(.)}``, and the resulting scale sequence ``{t_k}`` is
-fed to the grand sequence norm (homogeneous case) or to a double
-supremum over eps and the truncation level L weighted by ``b^{-L lam}``
-(Morrey case).  Truncation to a finite k-range is honest: a geometric
+fed to one supremum over eps and the truncation level L of partial sums
+weighted by ``b^{-L lam}`` (``grandseq.partial_sum_sup``; lam = 0 gives
+the grand Herz norm).  Truncation to a finite k-range is honest: a geometric
 tail bound is always reported next to the norm.
 
 The canonical central-block decomposition divides each slice by its
@@ -32,7 +32,8 @@ from .errors import (
     TailUnbounded,
     ZeroFunction,
 )
-from .grandseq import EpsGrid, GrandSequenceParams, Sequence, grand_seq_norm, sup_over_eps
+from .grandseq import (EpsGrid, GrandSequenceParams, Sequence, _log_partial_norms,
+                       grand_seq_norm, partial_sum_sup, sup_over_eps)
 from .grid import GridFunction, GridSpec
 from .varlebesgue import ExponentFunction, derived_reciprocal, lux_core, subset_ratio_fit
 
@@ -194,10 +195,17 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     t = np.zeros(len(ks))
     if q_constant:
         qc = params.q.p_minus
-        sums = np.bincount((cell_k[in_range] - k_min),
-                           weights=wvals[in_range] ** qc,
-                           minlength=len(ks))
-        t = (sums * h) ** (1.0 / qc)
+        ann = cell_k[in_range] - k_min
+        w_in = wvals[in_range]
+        # divide each annulus by its own max before the power and multiply
+        # back after the root, so no power overflows at any float scale
+        peak = np.zeros(len(ks))
+        np.maximum.at(peak, ann, w_in)
+        powers = np.take(np.where(peak > 0, peak, 1.0), ann)
+        np.divide(w_in, powers, out=powers)
+        np.power(powers, qc, out=powers)
+        sums = np.bincount(ann, weights=powers, minlength=len(ks))
+        t = peak * (sums * h) ** (1.0 / qc)
     else:
         for i, k in enumerate(ks):
             sel = cell_k == k
@@ -275,101 +283,36 @@ def split_norm(f: GridFunction, d: Dilation, params: HerzSpaceParams) -> float:
 def _split_morrey_sup(ks: np.ndarray, t: np.ndarray,
                       params: HerzSpaceParams, b: float) -> float:
     """max of the L <= 0 Morrey branch and the L > 0 two-piece branch."""
-    lam = params.lambda_morrey
-    if not np.any(t > 0):
-        return 0.0
-    p, theta = params.p, params.theta
-    log_t = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-    lvals = ks.astype(float)
-    log_b = math.log(b)
-    neg = ks < 0
-
-    def log_value(log_eps: np.ndarray) -> np.ndarray:
-        eps = np.exp(log_eps)
-        big_p = p * (1.0 + eps)
-        arr = np.multiply.outer(big_p, log_t)  # (m, K)
-        lse = np.logaddexp.accumulate(arr, axis=-1)
-        scaled = (theta * log_eps[:, None] + lse) / big_p[:, None]
-
-        # branch 1: sup over L <= 0 of b^{-L lam} (partial sums)^{1/P}
-        mask1 = lvals <= 0
-        branch1 = np.where(mask1[None, :],
-                           -lam * lvals[None, :] * log_b + scaled, -np.inf)
-        v1 = np.max(branch1, axis=-1)
-
-        # branch 2: sup over L > 0 of b^{-L lam} (A_neg + B_{[0,L]})
-        if np.any(neg):
-            a_neg = scaled[:, np.flatnonzero(neg)[-1]]
-        else:
-            a_neg = np.full(len(log_eps), -np.inf)
-        arr_pos = np.where(neg[None, :], -np.inf, arr)
-        lse_pos = np.logaddexp.accumulate(arr_pos, axis=-1)
-        b_part = (theta * log_eps[:, None] + lse_pos) / big_p[:, None]
-        total = np.logaddexp(a_neg[:, None], b_part)
-        mask2 = lvals > 0
-        branch2 = np.where(mask2[None, :],
-                           -lam * lvals[None, :] * log_b + total, -np.inf)
-        v2 = np.max(branch2, axis=-1) if np.any(mask2) else \
-            np.full(len(log_eps), -np.inf)
-        return np.maximum(v1, v2)
-
-    log_sup, _ = sup_over_eps(log_value, params.eps_grid)
-    value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
-    # eps -> infinity limits: per-term sup norms in each branch
-    limit_terms = np.where((t > 0) & (ks <= 0), b ** (-lam * lvals) * t, 0.0)
-    limit = float(np.max(limit_terms, initial=0.0))
+    log_w = -params.lambda_morrey * math.log(b) * ks  # log b^{-L lam}
+    seq_params = params.seq_params()
+    # the sup of a max is the max of the sups: the L <= 0 branch is the
+    # plain partial-sum supremum with every L > 0 dropped
+    value = partial_sum_sup(t, seq_params, np.where(ks <= 0, log_w, -np.inf))[0]
     pos = ks > 0
-    if np.any(pos):
-        m_neg = float(np.max(np.where(ks < 0, t, 0.0), initial=0.0))
-        prefmax = np.maximum.accumulate(np.where(ks < 0, 0.0, t))
-        cand = b ** (-lam * lvals[pos]) * (m_neg + prefmax[pos])
-        limit = max(limit, float(np.max(cand)))
-    return max(value, limit)
-
-
-def _morrey_sup(ks: np.ndarray, t: np.ndarray, params: HerzSpaceParams,
-                b: float, with_argmax: bool = False):
-    """Double supremum over (eps, L) of b^{-L lam} (eps^th sum_{k<=L} t^P)^{1/P}.
-
-    Partial sums are nondecreasing in L, so the truncated L window is
-    exact once it covers the support.  Ties break to the smallest eps,
-    then the smallest L.
-    """
-    lam = params.lambda_morrey
-    log_t = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-    if not np.any(t > 0):
-        return (0.0, math.inf, int(ks[0])) if with_argmax else 0.0
+    if not np.any(pos):
+        return value
+    # branch 2: sup over L > 0 of b^{-L lam} (A_neg + B_{[0,L]})
+    neg = ks < 0
     p, theta = params.p, params.theta
-    lvals = ks.astype(float)
+    with np.errstate(divide="ignore"):
+        log_t = np.log(t)
+    log_t_nonneg = np.where(neg, -np.inf, log_t)
 
     def log_value(log_eps: np.ndarray) -> np.ndarray:
-        eps = np.exp(log_eps)
-        big_p = p * (1.0 + eps)
-        arr = np.multiply.outer(big_p, log_t)  # (m, K)
-        lse = np.logaddexp.accumulate(arr, axis=-1)
-        vals = (-lam * lvals * math.log(b)
-                + (theta * log_eps[:, None] + lse) / big_p[:, None])
-        return np.max(vals, axis=-1)
+        total = _log_partial_norms(log_eps, log_t_nonneg, p, theta)[:, pos]
+        if np.any(neg):
+            a_neg = _log_partial_norms(log_eps, log_t[neg], p, theta)[:, -1:]
+            total = np.logaddexp(a_neg, total)
+        return np.max(log_w[pos] + total, axis=-1)
 
-    log_sup, arg_eps = sup_over_eps(log_value, params.eps_grid)
-    value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
-
-    # analytic eps -> infinity limit: max_k b^{-k lam} t_k
-    limit_terms = np.where(t > 0, b ** (-lam * lvals) * t, 0.0)
-    limit = float(np.max(limit_terms))
-    if limit > value:
-        value, arg_eps = limit, math.inf
-
-    if not with_argmax:
-        return value
-    if math.isfinite(arg_eps):
-        big_p = p * (1.0 + arg_eps)
-        lse = np.logaddexp.accumulate(big_p * log_t)
-        vals = -lam * lvals * math.log(b) + (theta * math.log(arg_eps) + lse) / big_p
-        arg_l = int(ks[np.argmax(vals)])
-    else:
-        arg_l = int(ks[np.argmax(limit_terms)])
-    return value, arg_eps, arg_l
+    log_sup, _ = sup_over_eps(log_value, seq_params.eps_grid)
+    if math.isfinite(log_sup):
+        value = max(value, math.exp(log_sup))
+    # eps -> infinity limit of branch 2: per-piece sup norms
+    m_neg = float(np.max(t[neg], initial=0.0))
+    prefmax = np.maximum.accumulate(np.where(neg, 0.0, t))
+    limit = float(np.max(np.exp(log_w[pos]) * (m_neg + prefmax[pos])))
+    return max(value, limit)
 
 
 def herz_morrey_norm(f: GridFunction, d: Dilation,
@@ -377,7 +320,8 @@ def herz_morrey_norm(f: GridFunction, d: Dilation,
     """Grand Herz-Morrey norm; lambda_morrey = 0 reduces exactly to the
     grand Herz norm."""
     ks, t = slice_norms(f, d, params)
-    return _morrey_sup(ks, t, params, d.b)
+    log_w = -params.lambda_morrey * math.log(d.b) * ks  # log b^{-L lam}
+    return partial_sum_sup(t, params.seq_params(), log_w)[0]
 
 
 def herz_norm_report(f: GridFunction, d: Dilation, params: HerzSpaceParams,
@@ -386,14 +330,10 @@ def herz_norm_report(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     if space == "nonhomog" and params.homogeneous:
         params = replace(params, homogeneous=False)
     ks, t = slice_norms(f, d, params)
-    seq = Sequence(t, offset=int(ks[0]))
-    if space == "herz-morrey":
-        norm, arg_eps, arg_l = _morrey_sup(ks, t, params, d.b,
-                                           with_argmax=True)
-    else:
-        norm, arg_eps = grand_seq_norm(seq, params.seq_params(),
-                                       with_argmax=True)
-        arg_l = None
+    lam = params.lambda_morrey if space == "herz-morrey" else 0.0
+    norm, arg_eps, arg_pos = partial_sum_sup(
+        t, params.seq_params(), -lam * math.log(d.b) * ks)
+    arg_l = int(ks[arg_pos]) if space == "herz-morrey" else None
     tail = _tail_bound(f, d, params, int(ks[0])) if params.homogeneous else 0.0
     return {
         "space": space,
@@ -463,6 +403,25 @@ def block_reconstruct(dec: BlockDecomposition) -> GridFunction:
     return GridFunction(spec, total)
 
 
+def central_conditions(g: GridFunction, k: int, d: Dilation,
+                       params: HerzSpaceParams, restricted: bool = False):
+    """Conditions shared by central blocks and atoms.
+
+    Returns (support_ok, q_norm, bound, norm_ok, restricted_ok): support
+    in B_k, ||g||_{q(.)} <= bound = b^{-k alpha_k} (alpha(0) below scale
+    0, alpha_inf above) and, for restricted type, k >= 0.
+    """
+    idx = annulus_index_map(d, g.spec)
+    support_ok = not np.any(g.values[idx >= k] != 0.0)  # idx >= k: outside B_k
+    q_norm = lux_core(np.abs(g.values).reshape(-1),
+                      params.q.on_grid(g.spec).reshape(-1),
+                      g.spec.cell_volume, p_min=params.q.p_minus)
+    bound = d.b ** (-k * params.alpha_split(k))
+    norm_ok = q_norm <= bound * (1.0 + 1e-9)
+    restricted_ok = (k >= 0) if restricted else True
+    return support_ok, q_norm, bound, norm_ok, restricted_ok
+
+
 def block_validate(b: GridFunction, k: int, d: Dilation,
                    params: HerzSpaceParams, restricted: bool = False) -> dict:
     """Central-block conditions: support in B_k and the norm bound
@@ -470,15 +429,8 @@ def block_validate(b: GridFunction, k: int, d: Dilation,
     above); restricted type additionally requires k >= 0."""
     if not (params.alpha.at_origin > 0 and params.alpha.at_infinity > 0):
         raise BadParams("block bounds need 0 < alpha(0), alpha_inf")
-    idx = annulus_index_map(d, b.spec)
-    outside = idx >= k  # x outside B_k
-    support_ok = not np.any(b.values[outside] != 0.0)
-    q_norm = lux_core(np.abs(b.values).reshape(-1),
-                      params.q.on_grid(b.spec).reshape(-1),
-                      b.spec.cell_volume, p_min=params.q.p_minus)
-    bound = d.b ** (-k * params.alpha_split(k))
-    norm_ok = q_norm <= bound * (1.0 + 1e-9)
-    restricted_ok = (k >= 0) if restricted else True
+    support_ok, q_norm, bound, norm_ok, restricted_ok = central_conditions(
+        b, k, d, params, restricted)
     return {
         "check": "central_block",
         "k": k,

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .dilation import (
+    ORIGIN_INDEX,
     Dilation,
     annulus_index_map,
     offset_index_map,
@@ -77,7 +78,7 @@ def hardy_apply(f: GridFunction, d: Dilation) -> GridFunction:
     vals = f.values.reshape(-1)
     h = spec.cell_volume
 
-    nonzero = idx > -(2**29)
+    nonzero = idx != ORIGIN_INDEX
     if not np.any(nonzero):
         return GridFunction(spec, np.zeros(spec.shape))
     k_lo = int(np.min(idx[nonzero]))

@@ -19,7 +19,7 @@ from . import atoms as at
 from . import operators as ops
 from . import oracles
 from .config import SuiteConfig
-from .dilation import annulus_index_map, check_quasi_triangle, make_dilation
+from .dilation import ORIGIN_INDEX, annulus_index_map, check_quasi_triangle, make_dilation
 from .errors import ConfigError, NotExpansive, ReciprocalMismatch
 from .grandseq import GrandSequenceParams, Sequence, grand_seq_norm, nesting_report
 from .grid import GridFunction, GridSpec, indicator
@@ -739,8 +739,8 @@ def operators_suite(cfg: SuiteConfig) -> list[VerificationReport]:
 
     t0 = time.monotonic()
     idx = annulus_index_map(d, spec)
-    nz = idx > -(2**29)
-    rho_vals = np.where(nz, d.b ** np.maximum(idx, -100).astype(float), 0.0)
+    nz = idx != ORIGIN_INDEX
+    rho_vals = d.rho_of_index(idx)
     worst_h = 0.0
     for _ in range(10):
         f = _random_function(spec, rng)

@@ -127,6 +127,8 @@ class ExponentFunction:
         return np.asarray(self.fn(pts), dtype=float)
 
     def on_grid(self, spec: GridSpec) -> np.ndarray:
+        if self.kind == "constant":  # no need to build the cell centers
+            return np.full(spec.shape, self.value)
         return self(spec.points())
 
 
@@ -162,14 +164,12 @@ def modular(f: GridFunction, lam: float, p: ExponentFunction,
     if region is not None:
         vals = vals[region]
         pv = pv[region]
-    ratio = vals / lam
-    with np.errstate(over="ignore"):
-        total = np.sum(np.power(ratio, pv, where=ratio > 0, out=np.zeros_like(ratio)))
-    return float(total * f.spec.cell_volume)
+    return _modular_flat(vals, pv, f.spec.cell_volume, lam)
 
 
 def _modular_flat(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
                   lam: float) -> float:
+    """The modular on flat samples; ``modular`` and ``lux_core`` share it."""
     ratio = abs_vals / lam
     with np.errstate(over="ignore"):
         total = np.sum(np.power(ratio, p_vals, where=ratio > 0,
@@ -182,7 +182,9 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float, *,
              rel_tol: float = 1e-10, max_iter: int = 200) -> float:
     """Luxemburg norm of a flat nonnegative sample vector.
 
-    Shared by the public norm and the per-annulus slice norms.  With
+    Shared by the public norm and the per-annulus slice norms.  The
+    samples are divided by their max before any power and the result is
+    multiplied back, so the norm is homogeneous at any float scale.  With
     method="auto" a constant exponent short-circuits to the closed form
     (sum v^p h)^{1/p}; otherwise the modular equation is solved by
     bisection on a bracket grown/shrunk by powers of 2 from the p^-
@@ -190,10 +192,12 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float, *,
     """
     if abs_vals.size == 0 or not np.any(abs_vals):
         return 0.0
+    top = float(np.max(abs_vals))
+    abs_vals = abs_vals / top
     p_lo = float(np.min(p_vals)) if p_min is None else p_min
     p_hi = float(np.max(p_vals))
     if method == "auto" and p_lo == p_hi:
-        return float(np.sum(abs_vals ** p_lo) * h) ** (1.0 / p_lo)
+        return top * float(np.sum(abs_vals ** p_lo) * h) ** (1.0 / p_lo)
 
     seed = float(np.sum(abs_vals ** p_lo) * h) ** (1.0 / p_lo)
     if not (seed > 0) or not math.isfinite(seed):
@@ -217,7 +221,7 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float, *,
             hi = mid
         if hi - lo <= rel_tol * hi:
             break
-    return 0.5 * (lo + hi)
+    return top * (0.5 * (lo + hi))
 
 
 def luxemburg_norm(f: GridFunction, p: ExponentFunction, *,

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from herzlab import ExponentFunction, HerzSpaceParams, make_dilation
-from herzlab.dilation import annulus_index_map
-from herzlab.grid import GridFunction, GridSpec
+from herzlab.grid import GridSpec
+# the verification suites' seeded generators, shared so tests and suites
+# draw the same functions from the same RNG calls
+from herzlab.suites import _random_function as random_function
+from herzlab.suites import _seeded_herz_function as annulus_supported_function
 
 
 @pytest.fixture(scope="session")
@@ -29,38 +32,6 @@ def line_spec():
 @pytest.fixture
 def plane_spec():
     return GridSpec(radius=2.0, dim=2, resolution=64)
-
-
-def random_function(spec, rng):
-    """Mixed random test function: noise, bump or shell indicator."""
-    choice = rng.integers(0, 3)
-    if choice == 0:
-        return GridFunction(spec, rng.uniform(-1, 1, spec.shape))
-    r = spec.radii()
-    if choice == 1:
-        c = rng.uniform(-spec.radius / 2, spec.radius / 2, size=spec.dim)
-        w = rng.uniform(spec.radius / 8, spec.radius / 2)
-        t2 = np.sum((spec.points() - c) ** 2, axis=-1) / w**2
-        vals = np.where(t2 < 1, np.exp(-1 / np.maximum(1e-300, 1 - t2)), 0.0)
-        return GridFunction(spec, vals)
-    lo = rng.uniform(0, spec.radius / 2)
-    hi = lo + rng.uniform(spec.radius / 16, spec.radius / 2)
-    return GridFunction(spec, ((r >= lo) & (r < hi)).astype(float))
-
-
-def annulus_supported_function(spec, d, rng, krange):
-    """Random function supported on resolvable annuli of the window."""
-    idx = annulus_index_map(d, spec)
-    kmin, kmax = krange
-    vals = np.zeros(spec.shape)
-    for k in range(kmin + 2, kmax + 1):
-        if rng.uniform() < 0.6:
-            amp = float(rng.uniform(-2, 2))
-            vals = np.where(idx == k - 1,
-                            amp * rng.uniform(0.5, 1.0, spec.shape), vals)
-    if not np.any(vals):
-        vals = np.where(idx == kmax - 1, 1.0, vals)
-    return GridFunction(spec, vals)
 
 
 def herz_params(alpha=0.3, p=1.5, q=2.0, theta=1.0, lam=0.0, **kw):

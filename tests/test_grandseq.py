@@ -14,7 +14,12 @@ from herzlab import (
     nesting_report,
 )
 from herzlab.errors import BadExponent, BadParams
-from herzlab.oracles import delta_sequence_value, grand_seq_dense
+from herzlab.grandseq import partial_sum_sup
+from herzlab.oracles import (
+    delta_sequence_value,
+    grand_seq_dense,
+    morrey_double_sup_reference,
+)
 
 
 def test_lp_basics():
@@ -146,3 +151,35 @@ def test_eps_grid_validation():
         EpsGrid(points=100)
     with pytest.raises(BadParams):
         EpsGrid(lo=1.0, hi=0.5)
+
+
+def test_partial_sum_sup_against_dense_oracles():
+    # leading, inner and trailing zeros; levels L = -3 .. K-4, b = 2
+    b = 2.0
+    cases = [
+        (np.array([0.0, 0.0, 0.7, 1.3, 0.0, 0.4, 2.0, 0.0, 0.0]), 1.0, 1.0),
+        (np.array([0.0, 1.5, 0.2, 0.0, 0.0, 3.0, 0.1]), 2.0, 0.5),
+        (np.array([0.3, 0.0, 0.9, 0.05, 0.0]), 1.5, 2.0),
+    ]
+    for t, p, theta in cases:
+        ks = np.arange(len(t)) - 3
+        params = GrandSequenceParams(p=p, theta=theta)
+        # sup over L of the weighted per-level sups: the dense oracle on
+        # each truncation t_{k <= L}, independent of the main path
+        per_level = np.array([grand_seq_dense(t[:i + 1], p, theta)
+                              for i in range(len(t))])
+        assert partial_sum_sup(t, params)[0] == pytest.approx(
+            grand_seq_dense(t, p, theta), rel=1e-6)
+        for lam in (0.0, 0.1, 0.4):
+            log_w = -lam * math.log(b) * ks
+            value, _, arg_pos = partial_sum_sup(t, params, log_w)
+            ref = morrey_double_sup_reference(
+                {int(k): float(v) for k, v in zip(ks, t)}, b, p, theta, lam)
+            assert value == pytest.approx(ref, rel=1e-6)
+            dense = np.exp(log_w) * per_level
+            assert value == pytest.approx(float(np.max(dense)), rel=1e-6)
+            near = np.flatnonzero(dense >= np.max(dense) * (1 - 1e-6))
+            if np.all(dense[near] == dense[near[0]]):
+                # unique dense maximum, or exact ties (trailing zeros at
+                # lam = 0), which go to the smallest L
+                assert arg_pos == near[0]

@@ -1,7 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from herzlab import (
     ExponentFunction,
@@ -456,3 +458,25 @@ def test_canonical_coefficients_closed_form(dyadic):
         expect = dyadic.b ** (k * alpha) * \
             (dyadic.b ** k - dyadic.b ** (k - 1)) ** (1.0 / q)
         assert lam == pytest.approx(expect, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(log10_c=st.floats(min_value=-250, max_value=250),
+       negative=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_herz_norms_homogeneous_at_extreme_scales(shear, log10_c, negative, seed):
+    # ||c f|| = |c| ||f|| for the grand Herz and Herz-Morrey norms on the
+    # shear plane, constant and log q, with no numpy warning
+    spec = GridSpec(radius=2.0, dim=2, resolution=32)
+    f = random_function(spec, np.random.default_rng(seed))
+    c = (-1.0 if negative else 1.0) * 10.0 ** log10_c
+    for q in (2.0, ExponentFunction.log_family(2.0, 3.0)):
+        params = herz_params(alpha=0.3, p=1.0, q=q, lam=0.1)
+        n, _ = grand_herz_norm(f, shear, params)
+        m = herz_morrey_norm(f, shear, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n_c, _ = grand_herz_norm(f * c, shear, params)
+            m_c = herz_morrey_norm(f * c, shear, params)
+        assert n_c == pytest.approx(abs(c) * n, rel=1e-9)
+        assert m_c == pytest.approx(abs(c) * m, rel=1e-9)

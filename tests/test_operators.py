@@ -12,7 +12,7 @@ from herzlab import (
     scale_translate_family,
     truncated_riesz_apply,
 )
-from herzlab.dilation import annulus_index_map
+from herzlab.dilation import ORIGIN_INDEX, annulus_index_map
 from herzlab.errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from herzlab.grid import GridFunction, zeros
 from herzlab.operators import fft_convolve_valid
@@ -27,7 +27,7 @@ def ball_indicator(spec, d, k=0):
 
 def rho_map(d, spec):
     idx = annulus_index_map(d, spec)
-    return np.where(idx > -(2**29),
+    return np.where(idx != ORIGIN_INDEX,
                     d.b ** np.maximum(idx, -100).astype(float), 0.0), idx
 
 
@@ -63,7 +63,7 @@ def test_hardy_mean_zero_capture(dyadic, line_spec):
 def test_hardy_size_bound(dyadic, line_spec):
     rng = np.random.default_rng(0)
     rho, idx = rho_map(dyadic, line_spec)
-    nz = idx > -(2**29)
+    nz = idx != ORIGIN_INDEX
     for _ in range(5):
         f = random_function(line_spec, rng)
         hf = hardy_apply(f, dyadic)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,27 @@ def test_luxemburg_homogeneity(c, seed):
     n = luxemburg_norm(f, p)
     assert luxemburg_norm(f * c, p) == pytest.approx(c * n, rel=1e-9)
 
+
+
+@settings(max_examples=30, deadline=None)
+@given(log10_c=st.floats(min_value=-250, max_value=250),
+       negative=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_luxemburg_homogeneity_extreme_scales(log10_c, negative, seed):
+    # ||c f|| = |c| ||f|| at any float scale, with no numpy warning
+    spec = GridSpec(radius=2.0, dim=1, resolution=128)
+    f = random_function(spec, np.random.default_rng(seed))
+    c = (-1.0 if negative else 1.0) * 10.0 ** log10_c
+    two_piece = ExponentFunction.custom(
+        fn=lambda pts: np.where(pts[..., 0] < 1.0, 2.0, 4.0),
+        p_minus=2.0, p_plus=4.0, at_origin=2.0, at_infinity=4.0)
+    for p in (ExponentFunction.constant(4.0), ExponentFunction.log_family(2.0, 3.0),
+              two_piece):
+        n = luxemburg_norm(f, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = luxemburg_norm(f * c, p)
+        assert scaled == pytest.approx(abs(c) * n, rel=1e-9)
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
