@@ -36,7 +36,7 @@ from .grandseq import Sequence, grand_seq_norm
 from .grid import GridFunction, GridSpec
 from .herz import HerzSpaceParams, central_conditions, default_krange, grand_herz_norm
 from .operators import OperatorSpec, apply_operator, fft_convolve_valid
-from .varlebesgue import lux_core
+from .varlebesgue import luxemburg_norm
 
 __all__ = [
     "Mollifier",
@@ -50,6 +50,12 @@ __all__ = [
     "atomic_sum_check",
     "size_condition_check",
 ]
+
+
+def _bump(t2: np.ndarray) -> np.ndarray:
+    """The profile exp(-1/(1 - t^2)) on t^2 < 1, zero outside."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(t2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - t2)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,17 +75,13 @@ class Mollifier:
 
     def profile(self, pts: np.ndarray) -> np.ndarray:
         t2 = self.dilation.m_quadform(pts) / self.dilation.radius_squared
-        with np.errstate(divide="ignore", over="ignore"):
-            raw = np.where(t2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - t2)), 0.0)
-        return self.normalization * raw
+        return self.normalization * _bump(t2)
 
 
 def make_mollifier(d: Dilation, spec: GridSpec) -> Mollifier:
     """Build the canonical bump, normalized to unit grid integral."""
     pts = spec.points()
-    t2 = d.m_quadform(pts) / d.radius_squared
-    with np.errstate(divide="ignore", over="ignore"):
-        raw = np.where(t2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - t2)), 0.0)
+    raw = _bump(d.m_quadform(pts) / d.radius_squared)
     mass = float(np.sum(raw) * spec.cell_volume)
     if mass <= 0:
         raise UnresolvableScale("B_0 has no interior cells on this grid")
@@ -168,28 +170,25 @@ def min_moment_order(d: Dilation, params: HerzSpaceParams) -> int:
     return max(0, math.floor(raw))
 
 
-def _monomial_exponents(dim: int, s: int) -> list[tuple[int, ...]]:
-    out = []
+def _monomials(pts: np.ndarray, s: int) -> dict:
+    """x^beta at points of shape (..., dim) for every multi-index |beta| <= s."""
+    out = {}
     for total in range(s + 1):
-        if dim == 1:
-            out.append((total,))
-        else:
-            for i in range(total + 1):
-                out.append((i, total - i))
+        betas = ([(total,)] if pts.shape[-1] == 1
+                 else [(i, total - i) for i in range(total + 1)])
+        for beta in betas:
+            mono = np.ones(pts.shape[:-1])
+            for axis, e in enumerate(beta):
+                if e:
+                    mono = mono * pts[..., axis] ** e
+            out[beta] = mono
     return out
 
 
 def _moments(a: GridFunction, s: int) -> dict:
-    pts = a.spec.points()
     h = a.spec.cell_volume
-    vals = {}
-    for beta in _monomial_exponents(a.spec.dim, s):
-        mono = np.ones(a.spec.shape)
-        for axis, e in enumerate(beta):
-            if e:
-                mono = mono * pts[..., axis] ** e
-        vals[beta] = float(np.sum(a.values * mono) * h)
-    return vals
+    return {beta: float(np.sum(a.values * mono) * h)
+            for beta, mono in _monomials(a.spec.points(), s).items()}
 
 
 def atom_validate(a: GridFunction, k: int, d: Dilation,
@@ -250,21 +249,11 @@ def atom_make(kind: str, k: int, s: int, d: Dilation,
         raw = np.where(inside, sign, 0.0)
     elif kind == "bump_corrected":
         mapped = pts.reshape(-1, spec.dim) @ d.inv_power(k).T
-        t2 = d.m_quadform(mapped).reshape(spec.shape) / d.radius_squared
-        with np.errstate(divide="ignore", over="ignore"):
-            bump = np.where(t2 < 1.0,
-                            np.exp(-1.0 / np.maximum(1e-300, 1.0 - t2)), 0.0)
+        bump = _bump(d.m_quadform(mapped).reshape(spec.shape) / d.radius_squared)
         bump = np.where(inside, bump, 0.0)
         cells = np.flatnonzero(inside.reshape(-1))
-        basis = []
         flat_pts = pts.reshape(-1, spec.dim)[cells]
-        for beta in _monomial_exponents(spec.dim, s):
-            mono = np.ones(len(cells))
-            for axis, e in enumerate(beta):
-                if e:
-                    mono = mono * flat_pts[:, axis] ** e
-            basis.append(mono)
-        v = np.stack(basis, axis=1)
+        v = np.stack(list(_monomials(flat_pts, s).values()), axis=1)
         qmat, _ = np.linalg.qr(v)
         cond = np.linalg.cond(v)
         if not np.isfinite(cond) or cond > 1e12:
@@ -278,9 +267,7 @@ def atom_make(kind: str, k: int, s: int, d: Dilation,
     else:
         raise InvalidAtom(f"unknown atom kind {kind!r}")
 
-    raw_norm = lux_core(np.abs(raw).reshape(-1),
-                        params.q.on_grid(spec).reshape(-1),
-                        spec.cell_volume, p_min=params.q.p_minus)
+    raw_norm = luxemburg_norm(GridFunction(spec, raw), params.q)
     if raw_norm == 0.0:
         raise ZeroFunction("atom template vanished on the grid")
     bound = d.b ** (-k * params.alpha_split(k))

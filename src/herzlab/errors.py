@@ -57,6 +57,10 @@ class ReciprocalMismatch(HerzlabError):
     """Derived exponent from a reciprocal relation leaves class P."""
 
 
+class NormOverflow(HerzlabError):
+    """A norm or a weighted sample exceeds the float range."""
+
+
 # --- sequences ---
 
 class BadExponent(HerzlabError):

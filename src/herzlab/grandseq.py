@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadExponent, BadParams
+from .errors import BadExponent, BadParams, NormOverflow
 
 __all__ = [
     "Sequence",
@@ -78,9 +78,6 @@ class Sequence:
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self.values))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
-
     def scale(self, c: float) -> "Sequence":
         return Sequence(self.values * c, self.offset, self.index_set)
 
@@ -135,7 +132,10 @@ def _power_sum_norm(values: np.ndarray, r: float) -> float:
     top = float(np.max(a, initial=0.0))
     if top == 0.0:
         return 0.0
-    return top * float(np.sum((a / top) ** r) ** (1.0 / r))
+    norm = top * float(np.sum((a / top) ** r) ** (1.0 / r))
+    if norm == math.inf:
+        raise NormOverflow("an l^r sequence norm exceeds the float range")
+    return norm
 
 
 def lp_seq_norm(x: Sequence, p: float) -> float:
@@ -262,9 +262,15 @@ def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
             return np.max(weighted(log_eps), axis=-1)
 
     log_sup, arg_eps = sup_over_eps(log_value, params.eps_grid)
-    value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
-    limit = np.exp(log_w) * np.maximum.accumulate(x)
+    try:
+        value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
+    except OverflowError:
+        value = math.inf
+    with np.errstate(over="ignore"):
+        limit = np.exp(log_w) * np.maximum.accumulate(x)
     arg_pos = int(np.argmax(limit))
+    if not math.isfinite(max(value, limit[arg_pos])):
+        raise NormOverflow("a grand sequence norm exceeds the float range")
     if limit[arg_pos] > value:
         return float(limit[arg_pos]), math.inf, arg_pos
     row = weighted(np.array([math.log(arg_eps)]))[0]

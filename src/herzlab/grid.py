@@ -60,8 +60,9 @@ class GridSpec:
 
     def radii(self) -> np.ndarray:
         """Euclidean |x| at each cell center."""
-        pts = self.points()
-        return np.sqrt(np.sum(pts * pts, axis=-1))
+        c = self.axis_centers()
+        c2 = c * c
+        return np.sqrt(c2 if self.dim == 1 else np.add.outer(c2, c2))
 
 
 class GridFunction:

@@ -26,6 +26,7 @@ from .dilation import Dilation, annulus_index_map, ball_diameter, per_grid
 from .errors import (
     BadParams,
     GridMismatch,
+    NormOverflow,
     NotInClassP,
     OutOfCoverage,
     ParamMismatch,
@@ -35,7 +36,7 @@ from .errors import (
 from .grandseq import (EpsGrid, GrandSequenceParams, Sequence, _log_partial_norms,
                        grand_seq_norm, partial_sum_sup, sup_over_eps)
 from .grid import GridFunction, GridSpec
-from .varlebesgue import ExponentFunction, derived_reciprocal, lux_core, subset_ratio_fit
+from .varlebesgue import ExponentFunction, derived_reciprocal, lux_core, luxemburg_norm
 
 __all__ = [
     "HerzSpaceParams",
@@ -63,7 +64,7 @@ class HerzSpaceParams:
     p >= 1 is the scalar summability index perturbed by eps; theta > 0
     the grand parameter; lambda_morrey >= 0 the Morrey exponent (0 gives
     the plain grand Herz norm).  krange overrides the default truncation
-    window; delta2 may be supplied or fitted.
+    window; delta2 may be supplied (the atom checks default to 0.5).
     """
 
     alpha: ExponentFunction
@@ -96,12 +97,6 @@ class HerzSpaceParams:
         """The split-form scalar weight exponent: alpha(0) below scale 0."""
         return self.alpha.at_origin if k < 0 else self.alpha.at_infinity
 
-    def resolve_delta2(self, d: Dilation, spec: GridSpec) -> float:
-        if self.delta2 is not None:
-            return self.delta2
-        _, d2 = subset_ratio_fit(d, self.q, range(-3, 4), spec)
-        return d2
-
 
 # --- k-range and slicing --------------------------------------------------
 
@@ -129,13 +124,6 @@ def default_krange(d: Dilation, spec: GridSpec) -> tuple[int, int]:
     return k_min, k_max
 
 
-def _resolve_krange(d: Dilation, spec: GridSpec,
-                    params: HerzSpaceParams) -> tuple[int, int]:
-    if params.krange is not None:
-        return params.krange
-    return default_krange(d, spec)
-
-
 def annulus_slice(f: GridFunction, d: Dilation, k: int,
                   nonhomogeneous: bool = False) -> GridFunction:
     """f restricted to the annulus C_k (or to B_0 for k = 0 when
@@ -143,12 +131,12 @@ def annulus_slice(f: GridFunction, d: Dilation, k: int,
     corners = _box_corners(f.spec)
     if np.all(d.ball_contains(corners, k - 1)) and not (nonhomogeneous and k == 0):
         raise OutOfCoverage(f"C_{k} lies wholly outside the grid box")
-    idx = annulus_index_map(d, f.spec)
-    if nonhomogeneous and k == 0:
-        mask = idx <= -1
-    else:
-        mask = idx == k - 1
-    return f.where(mask)
+    return f.where(_slice_mask(annulus_index_map(d, f.spec), k, nonhomogeneous))
+
+
+def _slice_mask(idx: np.ndarray, k: int, nonhomogeneous: bool) -> np.ndarray:
+    """The cells of C_k (of B_0 for k = 0 when nonhomogeneous)."""
+    return idx <= -1 if nonhomogeneous and k == 0 else idx == k - 1
 
 
 # --- weighted slice norms ---------------------------------------------------
@@ -163,16 +151,13 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     starts at k = 0 with the full ball B_0 as the 0-th slice.
     """
     spec = f.spec
-    k_min, k_max = _resolve_krange(d, spec, params)
+    k_min, k_max = params.krange or default_krange(d, spec)
     if not params.homogeneous:
         k_min = 0
     ks = np.arange(k_min, k_max + 1)
 
     idx = annulus_index_map(d, spec).reshape(-1)
     vals = np.abs(f.values).reshape(-1)
-    alpha_vals = params.alpha.on_grid(spec).reshape(-1)
-    q_vals = params.q.on_grid(spec).reshape(-1)
-    h = spec.cell_volume
 
     cell_k = idx + 1  # x in C_k with k = annulus_index + 1
     if not params.homogeneous:
@@ -186,32 +171,18 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
                           params.alpha.at_infinity)
         weights = np.power(d.b, safe_k * scalar)
     else:
-        weights = np.power(d.b, safe_k * alpha_vals)
+        weights = np.power(d.b, safe_k * params.alpha.on_grid(spec).reshape(-1))
+    with np.errstate(over="ignore"):
+        wvals = vals * weights
+    if not np.all(np.isfinite(wvals)):
+        raise NormOverflow("a weighted sample b^{k alpha} |f| exceeds the float range")
 
-    wvals = vals * weights
-    in_range = (cell_k >= k_min) & (cell_k <= k_max)
-    q_constant = params.q.p_minus == params.q.p_plus
-
-    t = np.zeros(len(ks))
-    if q_constant:
-        qc = params.q.p_minus
-        ann = cell_k[in_range] - k_min
-        w_in = wvals[in_range]
-        # divide each annulus by its own max before the power and multiply
-        # back after the root, so no power overflows at any float scale
-        peak = np.zeros(len(ks))
-        np.maximum.at(peak, ann, w_in)
-        powers = np.take(np.where(peak > 0, peak, 1.0), ann)
-        np.divide(w_in, powers, out=powers)
-        np.power(powers, qc, out=powers)
-        sums = np.bincount(ann, weights=powers, minlength=len(ks))
-        t = peak * (sums * h) ** (1.0 / qc)
-    else:
-        for i, k in enumerate(ks):
-            sel = cell_k == k
-            if np.any(sel):
-                t[i] = lux_core(wvals[sel], q_vals[sel], h,
-                                p_min=params.q.p_minus)
+    # cells outside the window are zeroed, and zeros add nothing to the
+    # annulus they are clipped into
+    in_window = (cell_k >= k_min) & (cell_k <= k_max)
+    t = lux_core(np.where(in_window, wvals, 0.0),
+                 params.q.on_grid(spec).reshape(-1), spec.cell_volume,
+                 safe_k - k_min, len(ks))
     return ks, t
 
 
@@ -307,12 +278,19 @@ def _split_morrey_sup(ks: np.ndarray, t: np.ndarray,
 
     log_sup, _ = sup_over_eps(log_value, seq_params.eps_grid)
     if math.isfinite(log_sup):
-        value = max(value, math.exp(log_sup))
+        try:
+            value = max(value, math.exp(log_sup))
+        except OverflowError:
+            value = math.inf
     # eps -> infinity limit of branch 2: per-piece sup norms
     m_neg = float(np.max(t[neg], initial=0.0))
     prefmax = np.maximum.accumulate(np.where(neg, 0.0, t))
-    limit = float(np.max(np.exp(log_w[pos]) * (m_neg + prefmax[pos])))
-    return max(value, limit)
+    with np.errstate(over="ignore"):
+        limit = float(np.max(np.exp(log_w[pos]) * (m_neg + prefmax[pos])))
+    value = max(value, limit)
+    if not math.isfinite(value):
+        raise NormOverflow("a split Morrey norm exceeds the float range")
+    return value
 
 
 def herz_morrey_norm(f: GridFunction, d: Dilation,
@@ -374,10 +352,7 @@ def block_decompose(f: GridFunction, d: Dilation,
     blocks = {}
     for i, k in enumerate(ks):
         if t[i] > 0:
-            if not params.homogeneous and k == 0:
-                mask = idx <= -1
-            else:
-                mask = idx == k - 1
+            mask = _slice_mask(idx, k, not params.homogeneous)
             blocks[int(k)] = f.where(mask) * (1.0 / t[i])
     return BlockDecomposition(
         coefficients=Sequence(t, offset=int(ks[0])),
@@ -413,9 +388,7 @@ def central_conditions(g: GridFunction, k: int, d: Dilation,
     """
     idx = annulus_index_map(d, g.spec)
     support_ok = not np.any(g.values[idx >= k] != 0.0)  # idx >= k: outside B_k
-    q_norm = lux_core(np.abs(g.values).reshape(-1),
-                      params.q.on_grid(g.spec).reshape(-1),
-                      g.spec.cell_volume, p_min=params.q.p_minus)
+    q_norm = luxemburg_norm(g, params.q)
     bound = d.b ** (-k * params.alpha_split(k))
     norm_ok = q_norm <= bound * (1.0 + 1e-9)
     restricted_ok = (k >= 0) if restricted else True

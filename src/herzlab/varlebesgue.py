@@ -20,12 +20,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dilation import Dilation
+from .dilation import Dilation, annulus_index_map
 from .errors import (
     EmptyBall,
     GridMismatch,
     InsufficientRange,
     NonPositiveLambda,
+    NormOverflow,
     NotInClassP,
     ReciprocalMismatch,
 )
@@ -119,17 +120,25 @@ class ExponentFunction:
         if self.kind == "constant":
             return np.full(pts.shape[:-1], self.value)
         if self.kind == "log":
-            r = np.sqrt(np.sum(pts * pts, axis=-1))
-            return self.at_infinity + (self.at_origin - self.at_infinity) / np.log(math.e + r)
+            return self._log_of_radius(np.sqrt(np.sum(pts * pts, axis=-1)))
         if self.kind == "conjugate":
             p = self.base(pts)
             return p / (p - 1.0)
         return np.asarray(self.fn(pts), dtype=float)
 
     def on_grid(self, spec: GridSpec) -> np.ndarray:
-        if self.kind == "constant":  # no need to build the cell centers
+        # the families depend on |x| only, so they skip the cell centers
+        if self.kind == "constant":
             return np.full(spec.shape, self.value)
+        if self.kind == "log":
+            return self._log_of_radius(spec.radii())
+        if self.kind == "conjugate":
+            p = self.base.on_grid(spec)
+            return p / (p - 1.0)
         return self(spec.points())
+
+    def _log_of_radius(self, r: np.ndarray) -> np.ndarray:
+        return self.at_infinity + (self.at_origin - self.at_infinity) / np.log(math.e + r)
 
 
 def conjugate(p: ExponentFunction) -> ExponentFunction:
@@ -169,7 +178,7 @@ def modular(f: GridFunction, lam: float, p: ExponentFunction,
 
 def _modular_flat(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
                   lam: float) -> float:
-    """The modular on flat samples; ``modular`` and ``lux_core`` share it."""
+    """The modular on flat samples; ``modular`` and ``_bisect`` share it."""
     ratio = abs_vals / lam
     with np.errstate(over="ignore"):
         total = np.sum(np.power(ratio, p_vals, where=ratio > 0,
@@ -177,70 +186,85 @@ def _modular_flat(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
     return float(total * h)
 
 
-def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float, *,
-             method: str = "auto", p_min: float | None = None,
-             rel_tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Luxemburg norm of a flat nonnegative sample vector.
+def _bisect(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
+    """Root of modular(v, lam) = 1 by bisection; v nonzero, max v = 1.
 
-    Shared by the public norm and the per-annulus slice norms.  The
-    samples are divided by their max before any power and the result is
-    multiplied back, so the norm is homogeneous at any float scale.  With
-    method="auto" a constant exponent short-circuits to the closed form
-    (sum v^p h)^{1/p}; otherwise the modular equation is solved by
-    bisection on a bracket grown/shrunk by powers of 2 from the p^-
-    heuristic seed (sum v^{p^-} h)^{1/p^-}.
+    The bracket grows/shrinks by powers of 2 from the p^- seed
+    (sum v^{p^-} h)^{1/p^-}, p^- the smallest exponent sample.
     """
-    if abs_vals.size == 0 or not np.any(abs_vals):
-        return 0.0
-    top = float(np.max(abs_vals))
-    abs_vals = abs_vals / top
-    p_lo = float(np.min(p_vals)) if p_min is None else p_min
-    p_hi = float(np.max(p_vals))
-    if method == "auto" and p_lo == p_hi:
-        return top * float(np.sum(abs_vals ** p_lo) * h) ** (1.0 / p_lo)
-
-    seed = float(np.sum(abs_vals ** p_lo) * h) ** (1.0 / p_lo)
+    p_lo = float(np.min(p_vals))
+    seed = float(np.sum(v ** p_lo) * h) ** (1.0 / p_lo)
     if not (seed > 0) or not math.isfinite(seed):
         seed = 1.0
 
     lo = hi = seed
     for _ in range(4096):
-        if _modular_flat(abs_vals, p_vals, h, hi) <= 1.0:
+        if _modular_flat(v, p_vals, h, hi) <= 1.0:
             break
         hi *= 2.0
     for _ in range(4096):
-        if _modular_flat(abs_vals, p_vals, h, lo) >= 1.0:
+        if _modular_flat(v, p_vals, h, lo) >= 1.0:
             break
         lo /= 2.0
 
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _modular_flat(abs_vals, p_vals, h, mid) > 1.0:
+        if _modular_flat(v, p_vals, h, mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 1e-10 * hi:
             break
-    return top * (0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
-def luxemburg_norm(f: GridFunction, p: ExponentFunction, *,
-                   method: str = "auto", rel_tol: float = 1e-10,
-                   max_iter: int = 200) -> float:
-    """Luxemburg norm: the unique lam > 0 with modular(f, lam, p) = 1.
+def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
+             seg: Optional[np.ndarray] = None, n: int = 1) -> np.ndarray:
+    """Luxemburg norms of flat nonnegative samples, one per segment.
 
-    Returns 0 for the zero function.  The default route uses the closed
-    form (integral |f|^p)^{1/p} when p is constant and bisection
-    otherwise; method="bisect" forces bisection to relative tolerance
-    ``rel_tol``.
+    ``seg`` labels each sample with its segment in [0, n) (all samples
+    form segment 0 by default); empty and all-zero segments give 0.  Each
+    segment is divided by its own max before any power and multiplied
+    back after, so every norm is homogeneous at any float scale.  A
+    segment whose exponent samples are all equal takes the closed form
+    (sum v^p h)^{1/p}, in one pass over all segments when every sample
+    is equal; any other nonzero segment is solved by bisection.  Raises
+    NormOverflow for a norm beyond float range.
     """
-    if f.is_zero():
-        return 0.0
-    return lux_core(np.abs(f.values).reshape(-1),
-                    p.on_grid(f.spec).reshape(-1),
-                    f.spec.cell_volume,
-                    method="auto" if (method == "auto" and p.is_constant) else "bisect",
-                    p_min=p.p_minus, rel_tol=rel_tol, max_iter=max_iter)
+    if abs_vals.size == 0:
+        return np.zeros(n)
+    if seg is None:
+        seg = np.zeros(abs_vals.size, dtype=np.intp)
+    peak = np.zeros(n)
+    np.maximum.at(peak, seg, abs_vals)
+    v = np.take(np.where(peak > 0, peak, 1.0), seg)
+    np.divide(abs_vals, v, out=v)
+    if np.min(p_vals) == np.max(p_vals):
+        pc = float(p_vals[0])
+        np.power(v, pc, out=v)
+        unit = (np.bincount(seg, weights=v, minlength=n) * h) ** (1.0 / pc)
+    else:
+        unit = np.zeros(n)
+        for i in np.flatnonzero(peak):
+            sel = seg == i
+            vi, pi = v[sel], p_vals[sel]
+            # a segment with one exponent value takes the closed form, as
+            # it does on its own (vi has max 1, so this call is exact)
+            unit[i] = (lux_core(vi, pi, h)[0] if np.min(pi) == np.max(pi)
+                       else _bisect(vi, pi, h))
+    with np.errstate(over="ignore"):
+        norms = peak * unit
+    if not np.all(np.isfinite(norms)):
+        raise NormOverflow("an L^{q(.)} norm exceeds the float range")
+    return norms
+
+
+def luxemburg_norm(f: GridFunction, p: ExponentFunction) -> float:
+    """Luxemburg norm: the unique lam > 0 with modular(f, lam, p) = 1
+    (0 for the zero function)."""
+    return float(lux_core(np.abs(f.values).reshape(-1),
+                          p.on_grid(f.spec).reshape(-1),
+                          f.spec.cell_volume)[0])
 
 
 # --- quantitative inequality companions ----------------------------------
@@ -267,7 +291,7 @@ def ball_norm_product(d: Dilation, k: int, p: ExponentFunction,
     Equals 1 exactly for constant p (up to the grid measure of B_k);
     bounded over k for maximal-operator-admissible exponents.
     """
-    mask = d.ball_contains(spec.points(), k)
+    mask = annulus_index_map(d, spec) <= k - 1  # the cells of B_k
     if not np.any(mask):
         raise EmptyBall(f"B_{k} contains no cell of the grid")
     chi = indicator(spec, mask)
@@ -288,11 +312,11 @@ def subset_ratio_fit(d: Dilation, p: ExponentFunction, krange,
     if len(pairs) < 3:
         raise InsufficientRange("need at least 3 index pairs")
 
-    pts = spec.points()
+    idx = annulus_index_map(d, spec)
     pc = conjugate(p)
     norms_p, norms_pc, meas = {}, {}, {}
     for k in ks:
-        mask = d.ball_contains(pts, k)
+        mask = idx <= k - 1  # the cells of B_k
         if not np.any(mask):
             raise EmptyBall(f"B_{k} contains no cell of the grid")
         chi = indicator(spec, mask)

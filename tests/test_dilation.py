@@ -286,6 +286,18 @@ def test_offset_map_ball_masks(dyadic, shear):
             assert np.array_equal(off <= k - 1, mask.reshape(off.shape))
 
 
+def test_index_map_ball_masks(dyadic, iso2, shear):
+    # B_k is {idx <= k - 1} on the cell centers, origin included
+    for d, dim, resolutions in ((dyadic, 1, (512, 1024)), (shear, 2, (64, 128)),
+                                (iso2, 2, (128,))):
+        for res in resolutions:
+            spec = GridSpec(radius=2.0, dim=dim, resolution=res)
+            idx = annulus_index_map(d, spec)
+            for k in range(-6, 6):
+                assert np.array_equal(idx <= k - 1,
+                                      d.ball_contains(spec.points(), k))
+
+
 def test_default_krange_cached(shear):
     spec = GridSpec(radius=2.0, dim=2, resolution=96)
     first = default_krange(shear, spec)

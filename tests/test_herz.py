@@ -15,6 +15,7 @@ from herzlab import (
     grand_herz_norm,
     herz_morrey_norm,
     herz_norm_report,
+    luxemburg_norm,
     product_check,
     seq_functional,
     split_norm,
@@ -23,6 +24,7 @@ from herzlab import (
 from herzlab.dilation import annulus_index_map
 from herzlab.errors import (
     BadParams,
+    NormOverflow,
     NotInClassP,
     OutOfCoverage,
     ParamMismatch,
@@ -30,7 +32,7 @@ from herzlab.errors import (
     ZeroFunction,
 )
 from herzlab.grid import GridFunction, GridSpec, zeros
-from herzlab.herz import combine_product_params, slice_norms
+from herzlab.herz import _split_morrey_sup, combine_product_params, slice_norms
 from herzlab.oracles import constant_herz_reference, morrey_double_sup_reference
 
 from conftest import annulus_supported_function, herz_params, random_function
@@ -480,3 +482,32 @@ def test_herz_norms_homogeneous_at_extreme_scales(shear, log10_c, negative, seed
             m_c = herz_morrey_norm(f * c, shear, params)
         assert n_c == pytest.approx(abs(c) * n, rel=1e-9)
         assert m_c == pytest.approx(abs(c) * m, rel=1e-9)
+
+
+def test_norms_beyond_float_range_are_typed(shear):
+    # the constant 1e307 has a grand Herz norm above the float max, and at
+    # 1e308 the weighted samples b^{k alpha} |f| already overflow; both
+    # raise NormOverflow without a numpy warning on the way
+    spec = GridSpec(radius=2.0, dim=2, resolution=64)
+    line = GridSpec(radius=2.0, dim=1, resolution=512)
+    q2 = ExponentFunction.constant(2.0)
+    params = herz_params(alpha=0.5, p=1.0, q=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e307, 1e308):
+            f = GridFunction(spec, np.full(spec.shape, c))
+            for norm in (lambda: grand_herz_norm(f, shear, params),
+                         lambda: herz_morrey_norm(f, shear, params),
+                         lambda: herz_norm_report(f, shear, params, "herz")):
+                with pytest.raises(NormOverflow):
+                    norm()
+        # ||c||_{L^2} = 4c on the 4 x 4 box and 2c on the line [-2, 2]
+        assert luxemburg_norm(GridFunction(spec, np.full(spec.shape, 1e307)),
+                              q2) == pytest.approx(4e307)
+        for g in (GridFunction(spec, np.full(spec.shape, 1e308)),
+                  GridFunction(line, np.full(line.shape, 1.7e308))):
+            with pytest.raises(NormOverflow):
+                luxemburg_norm(g, q2)
+        with pytest.raises(NormOverflow):
+            _split_morrey_sup(np.arange(-1, 2), np.full(3, 1e308),
+                              herz_params(lam=0.1), shear.b)

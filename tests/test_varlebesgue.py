@@ -26,6 +26,7 @@ from herzlab.errors import (
 )
 from herzlab.grid import GridFunction, GridSpec, zeros
 from herzlab.oracles import luxemburg_two_piece
+from herzlab.varlebesgue import _bisect, lux_core
 
 from conftest import random_function
 
@@ -75,8 +76,10 @@ def test_bisect_matches_closed_form(line_spec):
         f = random_function(line_spec, rng)
         for pv in (1.5, 2.0, 4.0):
             p = ExponentFunction.constant(pv)
-            assert luxemburg_norm(f, p, method="bisect") == pytest.approx(
-                luxemburg_norm(f, p), rel=1e-8)
+            top = f.sup()  # bisection on max-scaled samples, as in lux_core
+            bisected = top * _bisect(np.abs(f.values) / top, p.on_grid(line_spec),
+                                     line_spec.cell_volume)
+            assert bisected == pytest.approx(luxemburg_norm(f, p), rel=1e-8)
 
 
 @settings(max_examples=30, deadline=None)
@@ -120,6 +123,43 @@ def test_unit_modular_identity(seed):
     lam = luxemburg_norm(f, p)
     if lam > 0:
         assert modular(f, lam, p) == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       size=st.integers(min_value=0, max_value=60),
+       n_random=st.integers(min_value=1, max_value=5),
+       kind=st.sampled_from(["constant", "log", "two-piece"]))
+def test_lux_core_segments_match_separate_calls(seed, size, n_random, kind):
+    # segment 0 is empty, 1 all zero, 2 a single cell, the rest random;
+    # each norm equals the one-segment call on the same samples exactly
+    rng = np.random.default_rng(seed)
+    n = 3 + n_random
+    seg = np.concatenate([[1, 1, 2], rng.integers(3, n, size=size)])
+    rng.shuffle(seg)
+    vals = rng.uniform(0.0, 1.0, seg.size) * 10.0 ** rng.uniform(-5, 5)
+    vals[rng.uniform(size=seg.size) < 0.2] = 0.0
+    vals[seg == 1] = 0.0
+    x = rng.uniform(-2.0, 2.0, seg.size)
+    p_vals = {"constant": np.full(seg.size, 2.5),
+              "log": ExponentFunction.log_family(2.0, 3.0)(x[:, None]),
+              "two-piece": np.where(x < 1.0, 2.0, 4.0)}[kind]
+    h = 0.01
+    norms = lux_core(vals, p_vals, h, seg, n)
+    assert norms.shape == (n,) and norms[0] == 0.0 and norms[1] == 0.0
+    for i in range(n):
+        sel = seg == i
+        assert norms[i] == lux_core(vals[sel], p_vals[sel], h)[0]
+
+
+@pytest.mark.parametrize("dim, res", [(1, 512), (1, 257), (2, 64), (2, 65)])
+def test_radii_and_on_grid_match_points(dim, res):
+    spec = GridSpec(radius=3.0, dim=dim, resolution=res)
+    pts = spec.points()
+    assert np.array_equal(spec.radii(), np.sqrt(np.sum(pts * pts, axis=-1)))
+    p = ExponentFunction.log_family(2.0, 3.0)
+    for e in (p, conjugate(p), ExponentFunction.log_family(4.0, 1.5)):
+        assert np.array_equal(e.on_grid(spec), e(pts))
 
 
 def test_norm_monotone(line_spec):
