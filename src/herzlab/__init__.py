@@ -30,7 +30,6 @@ from .dilation import (
     rho,
 )
 from .grandseq import (
-    EpsGrid,
     GrandSequenceParams,
     Sequence,
     eps_factor,

@@ -33,7 +33,7 @@ from .errors import (
     ZeroFunction,
 )
 from .grandseq import Sequence, grand_seq_norm
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, bump_profile
 from .herz import HerzSpaceParams, central_conditions, default_krange, grand_herz_norm
 from .operators import OperatorSpec, apply_operator, fft_convolve_valid
 from .varlebesgue import luxemburg_norm
@@ -50,12 +50,6 @@ __all__ = [
     "atomic_sum_check",
     "size_condition_check",
 ]
-
-
-def _bump(t2: np.ndarray) -> np.ndarray:
-    """The profile exp(-1/(1 - t^2)) on t^2 < 1, zero outside."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(t2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - t2)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -75,13 +69,13 @@ class Mollifier:
 
     def profile(self, pts: np.ndarray) -> np.ndarray:
         t2 = self.dilation.m_quadform(pts) / self.dilation.radius_squared
-        return self.normalization * _bump(t2)
+        return self.normalization * bump_profile(t2)
 
 
 def make_mollifier(d: Dilation, spec: GridSpec) -> Mollifier:
     """Build the canonical bump, normalized to unit grid integral."""
     pts = spec.points()
-    raw = _bump(d.m_quadform(pts) / d.radius_squared)
+    raw = bump_profile(d.m_quadform(pts) / d.radius_squared)
     mass = float(np.sum(raw) * spec.cell_volume)
     if mass <= 0:
         raise UnresolvableScale("B_0 has no interior cells on this grid")
@@ -249,7 +243,7 @@ def atom_make(kind: str, k: int, s: int, d: Dilation,
         raw = np.where(inside, sign, 0.0)
     elif kind == "bump_corrected":
         mapped = pts.reshape(-1, spec.dim) @ d.inv_power(k).T
-        bump = _bump(d.m_quadform(mapped).reshape(spec.shape) / d.radius_squared)
+        bump = bump_profile(d.m_quadform(mapped).reshape(spec.shape) / d.radius_squared)
         bump = np.where(inside, bump, 0.0)
         cells = np.flatnonzero(inside.reshape(-1))
         flat_pts = pts.reshape(-1, spec.dim)[cells]

@@ -63,11 +63,32 @@ def parse_config(text: str) -> dict:
     return out
 
 
+# Every key some subcommand reads (README, "Configuration").  One file
+# serves every subcommand, so a key another subcommand reads is allowed;
+# any other key would be parsed and then ignored, so it is rejected.
+KNOWN_KEYS = frozenset({
+    "suite.seed", "suite.out", "suite.families", "suite.alpha_grid",
+    "suite.lambda_grid",
+    "tolerance.ball_measure", "tolerance.luxemburg_oracle",
+    "tolerance.holder", "tolerance.ball_product",
+    "grid.radius", "grid.resolution", "dilation.matrix",
+    "herz.alpha", "herz.p", "herz.q", "herz.theta", "herz.lambda",
+    "herz.delta2", "herz.homogeneous", "herz.kmin", "herz.kmax",
+    "oracle.p", "oracle.theta", "oracle.entries", "oracle.b",
+    "oracle.alpha", "oracle.q",
+})
+
+
 def load_config(path) -> dict:
+    """Parse a config file, rejecting keys that no subcommand reads."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {path} not found")
-    return parse_config(p.read_text())
+    raw = parse_config(p.read_text())
+    for key in raw:
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    return raw
 
 
 def parse_exponent(text) -> ExponentFunction:

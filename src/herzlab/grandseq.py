@@ -4,17 +4,19 @@ The grand norm of a finite-support sequence is
 
     sup_{eps > 0} eps^{theta/(p(1+eps))} * |x|_{l^{p(1+eps)}}.
 
-The supremum is located by a log-spaced scan of eps over [1e-6, 1e6]
-followed by golden-section refinement of every local-max bracket, and
-competes with the analytic eps -> infinity limit |x|_inf (the eps -> 0+
-limit is 0 and never attains the sup).  All l^P norms are evaluated in
-log space so arbitrarily large inner exponents cannot overflow.
+The supremum is located by a fixed log-spaced scan of eps over
+[2^-53, 1e6] followed by a vectorised zoom into every local-max
+bracket, and competes with the analytic eps -> infinity limit |x|_inf.
+Below 2^-53 the sum 1 + eps rounds to 1, so the log value only grows
+with eps there and no smaller eps beats the scan floor; above eps = 4
+both of its terms fall.  All l^P norms are evaluated in log space so
+arbitrarily large inner exponents cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,7 +25,6 @@ from .errors import BadExponent, BadParams, NormOverflow
 
 __all__ = [
     "Sequence",
-    "EpsGrid",
     "GrandSequenceParams",
     "lp_seq_norm",
     "grand_seq_norm",
@@ -32,7 +33,12 @@ __all__ = [
     "eps_factor",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The eps scan, in log eps.  Below the floor 2^-53, 1 + eps rounds to 1,
+# so P = p and the log value theta log(eps) / p + log |x|_p only grows
+# with eps: no point under the floor can beat it.  For eps >= 4 both
+# terms fall, so nothing beyond the ceiling 1e6 beats it either.
+_LOG_EPS = np.linspace(-53.0 * math.log(2.0), math.log(1e6), 256)
+_ZOOM = 18  # points per bracket in each zoom round
 
 
 @dataclass(frozen=True)
@@ -92,29 +98,9 @@ class Sequence:
 
 
 @dataclass(frozen=True)
-class EpsGrid:
-    """Log-spaced eps evaluation set with refinement settings."""
-
-    lo: float = 1e-6
-    hi: float = 1e6
-    points: int = 256
-    refine_rel: float = 1e-10
-
-    def __post_init__(self):
-        if not (0 < self.lo < self.hi):
-            raise BadParams("need 0 < lo < hi")
-        if self.points < 200:
-            raise BadParams("eps grid needs at least 200 points")
-
-    def log_values(self) -> np.ndarray:
-        return np.linspace(math.log(self.lo), math.log(self.hi), self.points)
-
-
-@dataclass(frozen=True)
 class GrandSequenceParams:
     p: float = 1.0
     theta: float = 1.0
-    eps_grid: EpsGrid = field(default_factory=EpsGrid)
 
     def __post_init__(self):
         if self.p < 1.0:
@@ -160,42 +146,22 @@ def _log_partial_norms(log_eps: np.ndarray, log_x: np.ndarray, p: float,
     return table
 
 
-def _golden_max(fn: Callable[[float], float], a: float, b: float,
-                rel: float) -> tuple[float, float]:
-    """Golden-section maximization of fn on [a, b] (log-eps domain)."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > rel * max(1.0, abs(a) + abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def sup_over_eps(log_value: Callable, log_eps: np.ndarray) -> tuple[float, float]:
+    """Scan-then-zoom supremum of a log-valued function of eps.
 
-
-def sup_over_eps(log_value: Callable, grid: EpsGrid) -> tuple[float, float]:
-    """Scan-then-refine supremum of a log-valued function of eps.
-
-    ``log_value`` accepts an array of log(eps) and returns log values;
-    every local maximum of the scan is refined by golden section.
-    Returns (log_sup, argmax_eps); ties resolve to the smallest eps.
+    ``log_value`` accepts a 1D array of log(eps) and returns log values.
+    The scan ``log_eps`` picks the (up to 8 highest) local maxima; each
+    is bracketed by its scan neighbours.  Every zoom round evaluates
+    ``_ZOOM`` evenly spaced inner points of all live brackets in one
+    call, then narrows each bracket to the neighbours of its best point,
+    until the bracket is under 1e-10 relative.  Returns (log_sup,
+    argmax_eps); the largest value wins, then the smallest eps.
     """
-    s = grid.log_values()
+    s = np.asarray(log_eps, dtype=float)
     v = np.asarray(log_value(s), dtype=float)
-    finite = np.isfinite(v)
-    if not np.any(finite):
-        return -math.inf, grid.lo
-    v = np.where(finite, v, -np.inf)
-
-    def scalar(t: float) -> float:
-        out = log_value(np.array([t]))
-        val = float(np.asarray(out).reshape(-1)[0])
-        return val if math.isfinite(val) else -math.inf
+    v = np.where(np.isfinite(v), v, -np.inf)
+    if not np.any(np.isfinite(v)):
+        return -math.inf, math.exp(s[0])
 
     n = len(s)
     left = np.concatenate(([-np.inf], v[:-1]))
@@ -203,20 +169,34 @@ def sup_over_eps(log_value: Callable, grid: EpsGrid) -> tuple[float, float]:
     local_max = np.flatnonzero((v >= left) & (v >= right))
     # plateaus can mark many grid points; refining the top few suffices
     if len(local_max) > 8:
-        local_max = local_max[np.argsort(v[local_max])[-8:]]
-        local_max = np.sort(local_max)
+        local_max = np.sort(local_max[np.argsort(v[local_max])[-8:]])
 
-    best_val, best_eps = -math.inf, grid.lo
-    for i in local_max:
-        a = s[i - 1] if i > 0 else s[i]
-        b = s[i + 1] if i < n - 1 else s[i]
-        if a == b:
-            t, val = s[i], v[i]
-        else:
-            t, val = _golden_max(scalar, a, b, grid.refine_rel)
-        if val > best_val or (val == best_val and math.exp(t) < best_eps):
-            best_val, best_eps = val, math.exp(t)
-    return best_val, best_eps
+    # the best point of each bracket so far, and the brackets
+    best_t, best_v = s[local_max], v[local_max]
+    a = s[np.maximum(local_max - 1, 0)]
+    b = s[np.minimum(local_max + 1, n - 1)]
+    frac = np.arange(1, _ZOOM + 1) / (_ZOOM + 1)
+
+    def wide(a, b):
+        return b - a > 1e-10 * np.maximum(1.0, np.abs(a) + np.abs(b))
+
+    live = np.flatnonzero(wide(a, b))
+    while len(live):
+        # each row: the bracket ends around _ZOOM evenly spaced inner points
+        pts = np.column_stack((a[live], a[live, None] + (b - a)[live, None] * frac,
+                               b[live]))
+        vals = np.asarray(log_value(pts[:, 1:-1].ravel()), dtype=float)
+        vals = np.where(np.isfinite(vals), vals, -np.inf).reshape(len(live), _ZOOM)
+        rows = np.arange(len(live))
+        j = np.argmax(vals, axis=1)  # first maximum: the smallest eps
+        t_j, v_j = pts[rows, j + 1], vals[rows, j]
+        better = (v_j > best_v[live]) | ((v_j == best_v[live]) & (t_j < best_t[live]))
+        best_t[live[better]], best_v[live[better]] = t_j[better], v_j[better]
+        a[live], b[live] = pts[rows, j], pts[rows, j + 2]
+        live = live[wide(a[live], b[live])]
+
+    top = np.max(best_v)
+    return float(top), math.exp(np.min(best_t[best_v == top]))
 
 
 # --- the grand norm -------------------------------------------------------
@@ -261,7 +241,7 @@ def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
         def log_value(log_eps: np.ndarray) -> np.ndarray:
             return np.max(weighted(log_eps), axis=-1)
 
-    log_sup, arg_eps = sup_over_eps(log_value, params.eps_grid)
+    log_sup, arg_eps = sup_over_eps(log_value, _LOG_EPS)
     try:
         value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
     except OverflowError:
@@ -282,7 +262,7 @@ def grand_seq_norm(x: Sequence, params: GrandSequenceParams,
     """Grand Lebesgue sequence norm (Sequence variant of the definition).
 
     Maximizes h(eps) = (theta/(p(1+eps))) log eps + log |x|_{l^{p(1+eps)}}
-    over the eps grid with golden refinement, then takes the max with the
+    by the scan and zoom of ``sup_over_eps``, then takes the max with the
     analytic eps -> infinity limit |x|_inf.
     """
     value, arg_eps, _ = partial_sum_sup(x.values, params)

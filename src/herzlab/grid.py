@@ -168,6 +168,12 @@ def load_csv(path) -> GridFunction:
     return GridFunction(spec, vals)
 
 
+def bump_profile(t2: np.ndarray) -> np.ndarray:
+    """The profile exp(-1/(1 - t^2)) on t^2 < 1, zero outside."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(t2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - t2)), 0.0)
+
+
 # --- synthetic families ------------------------------------------------
 #
 # JSON descriptors make seeded test inputs reproducible:
@@ -189,9 +195,7 @@ def from_descriptor(spec: GridSpec, desc: dict) -> GridFunction:
     if family == "bump":
         center = np.asarray(desc.get("center", [0.0] * spec.dim), dtype=float).reshape(-1)
         width = float(desc.get("width", spec.radius / 2))
-        t2 = np.sum((pts - center) ** 2, axis=-1) / width**2
-        vals = np.where(t2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - t2)), 0.0)
-        return GridFunction(spec, vals)
+        return GridFunction(spec, bump_profile(np.sum((pts - center) ** 2, axis=-1) / width**2))
     if family == "noise":
         rng = np.random.default_rng(int(desc.get("seed", 0)))
         amp = float(desc.get("amplitude", 1.0))

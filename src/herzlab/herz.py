@@ -17,7 +17,7 @@ decomposition checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     TailUnbounded,
     ZeroFunction,
 )
-from .grandseq import (EpsGrid, GrandSequenceParams, Sequence, _log_partial_norms,
+from .grandseq import (_LOG_EPS, GrandSequenceParams, Sequence, _log_partial_norms,
                        grand_seq_norm, partial_sum_sup, sup_over_eps)
 from .grid import GridFunction, GridSpec
 from .varlebesgue import ExponentFunction, derived_reciprocal, lux_core, luxemburg_norm
@@ -75,7 +75,6 @@ class HerzSpaceParams:
     homogeneous: bool = True
     delta2: Optional[float] = None
     krange: Optional[tuple[int, int]] = None
-    eps_grid: EpsGrid = field(default_factory=EpsGrid)
 
     def __post_init__(self):
         if self.p < 1.0:
@@ -90,8 +89,7 @@ class HerzSpaceParams:
             raise BadParams("delta2 must lie in (0, 1)")
 
     def seq_params(self) -> GrandSequenceParams:
-        return GrandSequenceParams(p=self.p, theta=self.theta,
-                                   eps_grid=self.eps_grid)
+        return GrandSequenceParams(p=self.p, theta=self.theta)
 
     def alpha_split(self, k: int) -> float:
         """The split-form scalar weight exponent: alpha(0) below scale 0."""
@@ -276,7 +274,7 @@ def _split_morrey_sup(ks: np.ndarray, t: np.ndarray,
             total = np.logaddexp(a_neg, total)
         return np.max(log_w[pos] + total, axis=-1)
 
-    log_sup, _ = sup_over_eps(log_value, seq_params.eps_grid)
+    log_sup, _ = sup_over_eps(log_value, _LOG_EPS)
     if math.isfinite(log_sup):
         try:
             value = max(value, math.exp(log_sup))
@@ -463,7 +461,6 @@ def combine_product_params(params1: HerzSpaceParams,
         homogeneous=params1.homogeneous,
         delta2=params1.delta2,
         krange=kr,
-        eps_grid=params1.eps_grid,
     )
 
 

@@ -34,7 +34,7 @@ from .dilation import (
 )
 from .errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from .grid import GridFunction
-from .herz import HerzSpaceParams, default_krange, grand_herz_norm, herz_morrey_norm
+from .herz import HerzSpaceParams, default_krange, herz_morrey_norm
 from .varlebesgue import ExponentFunction
 
 __all__ = [
@@ -210,16 +210,12 @@ def apply_operator(spec_op: OperatorSpec, f: GridFunction,
 
 def op_ratio(t_spec: OperatorSpec, f: GridFunction, d: Dilation,
              params: HerzSpaceParams) -> float:
-    """||Tf|| / ||f|| in the Herz (or Herz-Morrey, if lambda > 0) norm."""
+    """||Tf|| / ||f|| in the Herz-Morrey norm (the grand Herz norm at
+    lambda = 0)."""
     if f.is_zero():
         raise ZeroFunction("op_ratio needs a nonzero input")
-    tf = apply_operator(t_spec, f, d)
-    if params.lambda_morrey > 0:
-        denom = herz_morrey_norm(f, d, params)
-        numer = herz_morrey_norm(tf, d, params)
-    else:
-        denom, _ = grand_herz_norm(f, d, params)
-        numer, _ = grand_herz_norm(tf, d, params)
+    denom = herz_morrey_norm(f, d, params)
+    numer = herz_morrey_norm(apply_operator(t_spec, f, d), d, params)
     if denom == 0.0:
         raise ZeroFunction("input norm vanished in the truncation window")
     return numer / denom

@@ -22,7 +22,7 @@ from .config import SuiteConfig
 from .dilation import ORIGIN_INDEX, annulus_index_map, check_quasi_triangle, make_dilation
 from .errors import ConfigError, NotExpansive, ReciprocalMismatch
 from .grandseq import GrandSequenceParams, Sequence, grand_seq_norm, nesting_report
-from .grid import GridFunction, GridSpec, indicator
+from .grid import GridFunction, GridSpec, bump_profile, indicator
 from .herz import (
     HerzSpaceParams,
     block_decompose,
@@ -89,8 +89,7 @@ def _random_function(spec: GridSpec, rng, kind: str = "mixed") -> GridFunction:
     if kind == "bump":
         c = rng.uniform(-spec.radius / 2, spec.radius / 2, size=spec.dim)
         wdt = rng.uniform(spec.radius / 8, spec.radius / 2)
-        t2 = np.sum((x - c) ** 2, axis=-1) / wdt**2
-        return GridFunction(spec, np.where(t2 < 1, np.exp(-1 / np.maximum(1e-300, 1 - t2)), 0.0))
+        return GridFunction(spec, bump_profile(np.sum((x - c) ** 2, axis=-1) / wdt**2))
     choice = rng.integers(0, 3)
     if choice == 0:
         return _random_function(spec, rng, "noise")

@@ -1,10 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from herzlab.cli import main
-from herzlab.config import SuiteConfig, parse_config, parse_exponent
+from herzlab.config import SuiteConfig, load_config, parse_config, parse_exponent
 from herzlab.errors import ConfigError
 from herzlab.grid import GridFunction, GridSpec, load_csv, save_csv
 
@@ -225,6 +227,31 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
     assert fams[1].at_origin == 2.0 and fams[1].at_infinity == 3.0
     assert cfg.alpha_grid == [0.1, 0.3]
     assert cfg.lambda_grid == [0.0, 0.05]
+
+
+@pytest.mark.parametrize("key", ["herz.lamda", "tolerance.holdr", "suite.sed"])
+@pytest.mark.parametrize("command", ["norm", "verify"])
+def test_cli_rejects_unknown_config_key(workdir, capsys, command, key):
+    (workdir / "bad.txt").write_text((workdir / "cfg.txt").read_text() + f"{key} = 3\n")
+    args = {"norm": ["norm", "--input", str(workdir / "f.csv")],
+            "verify": ["verify", "--suite", "geometry", "--out", str(workdir / "rv")]}
+    assert main([*args[command], "--config", str(workdir / "bad.txt")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_documented_and_bench_configs_load(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    texts = [readme.split("### Configuration", 1)[1].split("```")[1]]
+    # the cli-cold benchmark's config files, read without importing the bench
+    tree = ast.parse((root / "bench" / "workloads.py").read_text())
+    texts += [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in ("SHEAR_CFG", "DYADIC_CFG")]
+    assert len(texts) == 3
+    for i, text in enumerate(texts):
+        (tmp_path / f"{i}.txt").write_text(text)
+        assert load_config(tmp_path / f"{i}.txt") == parse_config(text)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from herzlab import (
-    EpsGrid,
     GrandSequenceParams,
     Sequence,
     eps_factor,
@@ -14,7 +13,7 @@ from herzlab import (
     nesting_report,
 )
 from herzlab.errors import BadExponent, BadParams
-from herzlab.grandseq import partial_sum_sup
+from herzlab.grandseq import _LOG_EPS, partial_sum_sup, sup_over_eps
 from herzlab.oracles import (
     delta_sequence_value,
     grand_seq_dense,
@@ -84,15 +83,47 @@ def test_dense_agreement_sweep():
 
 
 def test_grid_vs_denser_grid():
+    # the library scan against sup_over_eps on a 10x denser scan of a
+    # log value written out here
     rng = np.random.default_rng(9)
-    dense = EpsGrid(points=2560)
+    dense = np.linspace(_LOG_EPS[0], _LOG_EPS[-1], 10 * len(_LOG_EPS))
+    p, theta = 2.0, 1.0
     for _ in range(30):
         vals = rng.uniform(-2, 2, int(rng.integers(1, 10)))
-        seq = Sequence(vals)
-        a = grand_seq_norm(seq, GrandSequenceParams(p=2.0, theta=1.0))
-        b = grand_seq_norm(seq, GrandSequenceParams(p=2.0, theta=1.0,
-                                                    eps_grid=dense))
+        log_x = np.log(np.abs(vals))
+
+        def log_value(log_eps):
+            big_p = p * (1.0 + np.exp(log_eps))
+            log_sum = np.logaddexp.reduce(np.multiply.outer(big_p, log_x), axis=1)
+            return (theta * log_eps + log_sum) / big_p
+
+        a = grand_seq_norm(Sequence(vals), GrandSequenceParams(p=p, theta=theta))
+        b = max(math.exp(sup_over_eps(log_value, dense)[0]), np.max(np.abs(vals)))
         assert a == pytest.approx(b, rel=1e-6)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
+def test_small_theta_against_analytic_sup(theta):
+    # n ones, p = 1: the norm is max over eps of
+    # exp((theta log eps + log n) / (1 + eps)); its derivative has the sign
+    # of g(eps) = theta (1 + eps) / eps - theta log eps - log n, which falls
+    # in eps, so bisect g on log eps over [1e-20, 1e3]
+    n = 100
+    lo, hi = math.log(1e-20), math.log(1e3)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        eps = math.exp(mid)
+        if theta * (1.0 + eps) / eps - theta * mid - math.log(n) > 0:
+            lo = mid
+        else:
+            hi = mid
+    eps = math.exp(0.5 * (lo + hi))
+    ref = math.exp((theta * math.log(eps) + math.log(n)) / (1.0 + eps))
+    value, arg_eps = grand_seq_norm(Sequence(np.ones(n)),
+                                    GrandSequenceParams(p=1.0, theta=theta),
+                                    with_argmax=True)
+    assert value == pytest.approx(ref, rel=1e-9)
+    assert arg_eps == pytest.approx(eps, rel=1e-2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,13 +175,6 @@ def test_nesting_chain():
         nesting_report(x, 2.0, 2.0, 1.0, 0.25, 1.0)
     with pytest.raises(BadParams):
         nesting_report(x, 2.0, 1.0, 2.0, 0.9, 1.0)
-
-
-def test_eps_grid_validation():
-    with pytest.raises(BadParams):
-        EpsGrid(points=100)
-    with pytest.raises(BadParams):
-        EpsGrid(lo=1.0, hi=0.5)
 
 
 def test_partial_sum_sup_against_dense_oracles():
