@@ -128,7 +128,8 @@ def radial_maximal(f: GridFunction, phi: Mollifier, d: Dilation,
     spec = f.spec
     k_lo, k_hi = krange
     h = spec.cell_width
-    opts = offset_points(spec)
+    opts = offset_points(spec).reshape(-1, spec.dim)
+    off = offset_index_map(d, spec)
 
     best = np.zeros(spec.shape)
     resolvable = False
@@ -136,8 +137,10 @@ def radial_maximal(f: GridFunction, phi: Mollifier, d: Dilation,
         if ball_diameter(d, k) < 4.0 * h:
             continue
         resolvable = True
-        mapped = opts.reshape(-1, spec.dim) @ d.inv_power(k).T
-        kernel = (phi.profile(mapped) * d.b ** (-k)).reshape(opts.shape[:-1])
+        # the profile vanishes outside B_k, so it is sampled on B_k only
+        inside = off <= k - 1
+        kernel = np.zeros(off.shape)
+        kernel[inside] = phi.profile(opts[inside.ravel()] @ d.inv_power(k).T) * d.b ** (-k)
         conv = fft_convolve_valid(f.values, kernel) * spec.cell_volume
         np.maximum(best, np.abs(conv), out=best)
     if not resolvable:

@@ -14,6 +14,14 @@ step grows the M-norm by at least the factor ``c`` and the balls nest.
 It grows it by at most ``|A|_M``, the operator norm in the M-norm; the
 two factors bracket each point's annulus index from ``|x|_M`` alone
 (Bownik, Anisotropic Hardy spaces and wavelets, Mem. AMS 781, 2003).
+
+Scattered points are classified one by one: ``annulus_index`` bisects
+inside each point's bracket with ball tests.  Grid maps (cell centres and
+the offset grid of their differences) are built by rows instead: B_k is
+the ellipse ``x^T Q_k x < r0^2`` with ``Q_k = A^{-kT} M A^{-k}``, so on a
+row of the grid it is one interval, and a cell's index counts the nested
+intervals that hold it.  Cells within rounding distance of an interval
+end are re-decided by ``ball_contains``.
 """
 
 from __future__ import annotations
@@ -92,12 +100,10 @@ class Dilation:
     def annulus_index(self, pts: np.ndarray) -> np.ndarray:
         """The unique j with x in B_{j+1} \\ B_j, vectorized over points.
 
-        With t = log(|x|_M / r0), the growth factors c <= |A|_M put the
-        smallest k with x in B_k strictly above min(t/log c, t/log |A|_M)
-        and at most one above max(...); for k < 0 the two bounds swap
-        roles, which min/max absorbs.  Each point is then bisected
-        inside its own bracket with ball tests, so membership is decided
-        by exactly the ``ball_contains`` arithmetic.
+        Each point is bisected inside its ``_bracket`` with ball tests,
+        so membership is decided by exactly the ``ball_contains``
+        arithmetic.  Grid maps use the row-interval build of
+        ``annulus_index_map`` instead.
         """
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
@@ -108,18 +114,10 @@ class Dilation:
         scale = np.max(np.abs(pts), axis=-1)
         t = (np.log(scale) + 0.5 * np.log(self.m_quadform(pts / scale[:, None]))
              - math.log(self.radius))
-        t_lo = t / math.log(self.c_growth)
-        t_hi = t / math.log(self.max_growth)
-        # lo is outside its point's ball, hi inside; one step of slack each
-        # way covers rounding in t
-        lo = np.floor(np.minimum(t_lo, t_hi)).astype(np.int64) - 1
-        hi = np.floor(np.maximum(t_lo, t_hi)).astype(np.int64) + 2
-
-        # clip the bracket to powers that stay finite; a point whose index
-        # lies beyond them cannot be classified
+        lo, hi = self._bracket(t)
+        # a point whose bracket was clipped may lie beyond the window
         w_lo, w_hi = self.power_window
-        low, high = lo < w_lo, hi > w_hi
-        lo[low], hi[high] = w_lo, w_hi
+        low, high = lo == w_lo, hi == w_hi
         if (np.any(low) and np.any(self._inside(pts[low], w_lo))) or \
                 (np.any(high) and not np.all(self._inside(pts[high], w_hi))):
             raise UnresolvableScale("annulus index beyond the representable scales")
@@ -136,6 +134,22 @@ class Dilation:
             hi[rows[inside]] = mid[inside]
             lo[rows[~inside]] = mid[~inside]
         return int(lo[0]) if single else lo
+
+    def _bracket(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scales lo < hi with x outside B_lo and inside B_hi, for each
+        t = log(|x|_M / r0), clipped to ``power_window``.
+
+        The growth factors c <= |A|_M put the smallest k with x in B_k
+        strictly above min(t/log c, t/log |A|_M) and at most one above
+        max(...); for k < 0 the two bounds swap roles, which min/max
+        absorbs.  One step of slack each way covers rounding in t.
+        """
+        t_lo = t / math.log(self.c_growth)
+        t_hi = t / math.log(self.max_growth)
+        lo = np.floor(np.minimum(t_lo, t_hi)).astype(np.int64) - 1
+        hi = np.floor(np.maximum(t_lo, t_hi)).astype(np.int64) + 2
+        w_lo, w_hi = self.power_window
+        return np.maximum(lo, w_lo), np.minimum(hi, w_hi)
 
     def _inside(self, pts: np.ndarray, k: int) -> np.ndarray:
         """ball_contains for bracket probes: an M-norm too large to square
@@ -295,13 +309,141 @@ def per_grid(build):
     return cached
 
 
-def _index_map(d: Dilation, pts: np.ndarray, shape: tuple) -> np.ndarray:
-    flat = pts.reshape(-1, d.dim)
-    nonzero = np.any(flat != 0.0, axis=-1)
-    idx = np.full(flat.shape[0], ORIGIN_INDEX, dtype=int)
-    if np.any(nonzero):
-        idx[nonzero] = d.annulus_index(flat[nonzero])
-    idx = idx.reshape(shape)
+# Rounding moves a computed form |A^{-k} x|_M^2 by at most about tol_k r0
+# |G_k x|, with tol_k this factor (a few thousand ulps) times (|k| + 1)
+# |G_k| |x|_max / r0: the error of A^{-k} and of the product A^{-k} x.
+# Cells whose exact form lies within 3 tol_k of r0^2 (relative) are
+# re-decided by ball_contains; every other cell falls on the same side in
+# both computations.
+_ULPS = 2.0**-40
+
+
+def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
+    """Annulus index on the tensor grid ``axis^dim`` (``axis`` ascending).
+
+    With M = L L^T and G_k = L^T A^{-k}, the ball B_k is |G_k x| < r0.  A
+    grid row (first coordinate x fixed) meets it in one interval of the
+    second coordinate y: |G_k (x, y)|^2 = a (y - centre)^2 + x^2 det^2 / a
+    with a = |g_2|^2, centre = -x g_1.g_2 / a for the columns g_i of G_k
+    and det = det G_k, taken from b^{-k} so thin balls lose nothing to
+    cancellation.  (A ball long along the rows is cut along the columns,
+    with the roles of x and y swapped.)  The balls nest, so a cell's index
+    is k_hi minus the number of window scales that hold it; difference
+    arrays over every (scale, row) pair and cumulative sums give all
+    counts.  Scales whose ball holds no nonzero cell or every cell skip
+    the rows.  Cells within the rounding band of ``_ULPS`` around an
+    interval end are re-decided with ``ball_contains``.  In 1D the grid
+    is one row at x = 0.
+    """
+    n = axis.size
+    span = float(np.max(np.abs(axis)))
+    nearest = float(np.min(np.abs(axis[axis != 0.0])))
+    log_r0 = math.log(d.radius)
+    # the annulus_index bracket at bounds on the grid's extreme M-norms
+    eig = np.linalg.eigvalsh(d.ellipsoid_form)
+    t = np.log([nearest, span]) + 0.5 * np.log([eig[0], d.dim * eig[-1]]) - log_r0
+    lo, hi = d._bracket(t)
+    k_lo, k_hi = int(lo[0]), int(hi[1])
+    if k_hi <= k_lo:
+        raise UnresolvableScale("annulus index beyond the representable scales")
+    ks = np.arange(k_lo, k_hi + 1)
+
+    g = np.linalg.cholesky(d.ellipsoid_form).T @ np.stack(
+        [d.inv_power(int(k)) for k in ks])
+    g_max = np.linalg.norm(g, ord=2, axis=(1, 2))
+    with np.errstate(divide="ignore"):  # A^{-k} may underflow to 0
+        log_max = np.log(g_max)
+    log_det = 0.5 * math.log(np.linalg.det(d.ellipsoid_form)) - ks * math.log(d.b)
+    log_min = log_det if d.dim == 1 else log_det - log_max
+    log_ext = math.log(span) + 0.5 * math.log(d.dim)  # log max |x|
+    # capped so that the inner band level 1 - 3 tol stays positive
+    tol = np.exp(np.minimum(log_max + log_ext - log_r0 + np.log1p(np.abs(ks))
+                            + math.log(_ULPS), -2.0))
+    none = log_min + math.log(nearest) > log_r0 + np.log1p(tol)
+    every = log_max + log_ext < log_r0 + np.log1p(-tol)
+    live = ~(none | every)
+
+    # coordinates axis / span and G_k / |G_k| keep every factor finite; a
+    # scale whose ball is long along the rows (small second column of G_k)
+    # runs along the columns instead, so the leading coefficient a stays
+    # at least 1/4
+    u = axis / span
+    rows = u if d.dim == 2 else np.zeros(1)
+    gs = g[live] / g_max[live, None, None]
+    g1, g2 = gs[:, :, 0], gs[:, :, -1]
+    swap = np.sum(g2 * g2, axis=1) < 0.25
+    g1, g2 = np.where(swap[:, None], g2, g1), np.where(swap[:, None], g1, g2)
+    a = np.sum(g2 * g2, axis=1)[:, None]
+    centre = -rows * (np.sum(g1 * g2, axis=1)[:, None] / a)
+    perp = rows * rows * np.exp(2.0 * (log_det[live] - d.dim * log_max[live]))[:, None] / a
+    level = np.exp(2.0 * (log_r0 - math.log(span) - log_max[live]))
+    band = 3.0 * tol[live]
+
+    def ends(scale, left, right):
+        half = np.sqrt(np.maximum((level * scale)[:, None] - perp, 0.0) / a)
+        return (np.searchsorted(u, centre - half, side=left),
+                np.searchsorted(u, centre + half, side=right))
+
+    # [a_out, b_out) holds every cell with form < r0^2 (1 + band) and
+    # [a_in, b_in) only cells with form < r0^2 (1 - band)
+    a_out, b_out = ends(1.0 + band, "left", "right")
+    a_in, b_in = ends(1.0 - band, "right", "left")
+    a_in = np.clip(a_in, a_out, b_out)
+    b_in = np.clip(b_in, a_in, b_out)
+
+    # difference arrays: (row, column + 1) for the scales that run along
+    # rows, (column + 1, row) after it for the swapped ones, so that both
+    # cumulative sums run over contiguous memory
+    width = n + 1
+    size = rows.size * width
+
+    def at(row, col, swapped):
+        return np.where(swapped, size + col * n + row, row * width + col)
+
+    row = np.arange(rows.size)
+    starts = at(row, a_in, swap[:, None]).ravel()
+    stops = at(row, b_in, swap[:, None]).ravel()
+
+    # the band cells [a_out, a_in) and [b_in, b_out) of every (scale, row)
+    lengths = np.concatenate([(a_in - a_out).ravel(), (b_out - b_in).ravel()])
+    if lengths.any():
+        first = np.concatenate([a_out.ravel(), b_in.ravel()])
+        col = np.repeat(first - np.cumsum(lengths) + lengths, lengths) \
+            + np.arange(int(lengths.sum()))
+        s, row = np.divmod(np.repeat(np.arange(lengths.size) % a_in.size, lengths),
+                           rows.size)
+        scale, swapped = ks[live][s], swap[s]
+        if d.dim == 1:
+            pts = axis[col, None]
+        else:
+            pts = np.stack([axis[np.where(swapped, col, row)],
+                            axis[np.where(swapped, row, col)]], axis=-1)
+        inside = np.zeros(col.size, dtype=bool)
+        for k in np.unique(scale):
+            sel = scale == k
+            inside[sel] = d.ball_contains(pts[sel], int(k))
+        starts = np.concatenate([starts, at(row, col, swapped)[inside]])
+        stops = np.concatenate([stops, at(row, col + 1, swapped)[inside]])
+
+    total = size * (1 + bool(swap.any()))
+    diff = np.bincount(starts, minlength=total)
+    diff -= np.bincount(stops, minlength=total)
+    diff[:size:width] += np.count_nonzero(every)
+    count = np.cumsum(diff[:size].reshape(rows.size, width)[:, :n], axis=1)
+    if swap.any():
+        count += np.cumsum(diff[size:].reshape(width, n)[:n], axis=0)
+    count = count.reshape((n,) * d.dim)
+
+    # every nonzero cell lies outside B_{k_lo} and inside B_{k_hi}, unless
+    # the window was clipped to the powers that stay finite
+    origin = axis == 0.0
+    if d.dim == 2:
+        origin = np.logical_and.outer(origin, origin)
+    count[origin] = 1
+    if count.min() == 0 or count.max() == ks.size:
+        raise UnresolvableScale("annulus index beyond the representable scales")
+    idx = np.subtract(k_hi, count, out=count)
+    idx[origin] = ORIGIN_INDEX
     idx.setflags(write=False)
     return idx
 
@@ -310,17 +452,26 @@ def _index_map(d: Dilation, pts: np.ndarray, shape: tuple) -> np.ndarray:
 def annulus_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
     """Annulus index at every cell center of ``spec``.
 
+    Built by ``_grid_index_map``: membership in each B_k comes from the
+    interval that its quadratic form cuts out of each grid row, and cells
+    within rounding distance of a ball boundary are re-decided with
+    ``ball_contains``, so no per-point bisection runs and membership is
+    still decided by that arithmetic.
+
     Cell centers exactly at the origin (odd resolutions) get the sentinel
     ``ORIGIN_INDEX``; rho there is 0 and every slice excludes them.
     """
-    return _index_map(d, spec.points(), spec.shape)
+    return _grid_index_map(d, spec.axis_centers())
+
+
+def _offset_axis(spec: GridSpec) -> np.ndarray:
+    return spec.cell_width * np.arange(-(spec.resolution - 1), spec.resolution)
 
 
 def offset_points(spec: GridSpec) -> np.ndarray:
     """The offset grid ``h * (-(N-1)..N-1)^dim`` of all differences of
     cell centers, shape ``(2N-1, ..., dim)``; h is the cell width."""
-    n = spec.resolution
-    offs = spec.cell_width * np.arange(-(n - 1), n)
+    offs = _offset_axis(spec)
     if spec.dim == 1:
         return offs[:, None]
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
@@ -329,14 +480,14 @@ def offset_points(spec: GridSpec) -> np.ndarray:
 
 @per_grid
 def offset_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
-    """Annulus index on ``offset_points(spec)``.
+    """Annulus index on ``offset_points(spec)``, built like
+    ``annulus_index_map`` (same row intervals, same re-decision rule).
 
     Entry ``m + N - 1`` (per axis) classifies the offset ``m * h``.  The
     zero offset gets ``ORIGIN_INDEX``, which lies inside every ball
     (``off <= k - 1``) and below every kernel cutoff.
     """
-    pts = offset_points(spec)
-    return _index_map(d, pts, pts.shape[:-1])
+    return _grid_index_map(d, _offset_axis(spec))
 
 
 def ball_diameter(d: Dilation, k: int) -> float:

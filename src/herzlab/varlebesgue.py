@@ -234,24 +234,30 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
     if abs_vals.size == 0:
         return np.zeros(n)
     if seg is None:
-        seg = np.zeros(abs_vals.size, dtype=np.intp)
-    peak = np.zeros(n)
-    np.maximum.at(peak, seg, abs_vals)
-    v = np.take(np.where(peak > 0, peak, 1.0), seg)
-    np.divide(abs_vals, v, out=v)
+        peak = np.max(abs_vals, keepdims=True)
+        if peak[0] == 0.0:
+            return np.zeros(1)
+        v = abs_vals / peak[0]
+    else:
+        peak = np.zeros(n)
+        np.maximum.at(peak, seg, abs_vals)
+        v = np.take(np.where(peak > 0, peak, 1.0), seg)
+        np.divide(abs_vals, v, out=v)
     if np.min(p_vals) == np.max(p_vals):
         pc = float(p_vals[0])
         np.power(v, pc, out=v)
-        unit = (np.bincount(seg, weights=v, minlength=n) * h) ** (1.0 / pc)
+        # both sums run in order, so a segment equals a one-segment call
+        sums = (np.add.accumulate(v, out=v)[-1:] if seg is None
+                else np.bincount(seg, weights=v, minlength=n))
+        unit = (sums * h) ** (1.0 / pc)
+    elif seg is None:
+        unit = _bisect(v, p_vals, h)
     else:
         unit = np.zeros(n)
         for i in np.flatnonzero(peak):
+            # a segment on its own (its max in v is 1, so this call is exact)
             sel = seg == i
-            vi, pi = v[sel], p_vals[sel]
-            # a segment with one exponent value takes the closed form, as
-            # it does on its own (vi has max 1, so this call is exact)
-            unit[i] = (lux_core(vi, pi, h)[0] if np.min(pi) == np.max(pi)
-                       else _bisect(vi, pi, h))
+            unit[i] = lux_core(v[sel], p_vals[sel], h)[0]
     with np.errstate(over="ignore"):
         norms = peak * unit
     if not np.all(np.isfinite(norms)):

@@ -15,7 +15,7 @@ from herzlab import (
     radial_maximal,
     size_condition_check,
 )
-from herzlab.dilation import annulus_index_map
+from herzlab.dilation import annulus_index_map, offset_index_map, offset_points
 from herzlab.errors import (
     IllConditioned,
     InvalidAtom,
@@ -75,6 +75,20 @@ def test_radial_maximal_properties(dyadic, phi):
     assert np.max(np.abs(mc.values - 4.0 * ma.values)) <= 1e-9
     with pytest.raises(UnresolvableScale):
         radial_maximal(f, phi, dyadic, (-12, -11))
+
+
+def test_radial_maximal_kernel_vanishes_outside_ball(dyadic, shear, phi):
+    # radial_maximal samples phi_k on the offset cells of B_k only; the
+    # profile sampled on the whole offset grid is exactly 0 off them
+    for d, mollifier in ((dyadic, phi),
+                         (shear, make_mollifier(shear, GridSpec(2.0, 2, 64)))):
+        spec = mollifier.phi.spec
+        off = offset_index_map(d, spec).reshape(-1)
+        opts = offset_points(spec).reshape(-1, d.dim)
+        k_lo, k_hi = default_krange(d, spec)
+        for k in range(k_lo, k_hi + 1):
+            full = mollifier.profile(opts @ d.inv_power(k).T)
+            assert not np.any(full[off > k - 1])
 
 
 def test_haar_atom_moments(dyadic, hardy_params):

@@ -303,3 +303,75 @@ def test_default_krange_cached(shear):
     first = default_krange(shear, spec)
     assert default_krange(shear, spec) is first
     assert first == default_krange.__wrapped__(shear, spec)
+
+
+# upper and lower triangular 2x2 matrices (eigenvalues on the diagonal,
+# so all expansive) and two 1D dilations, one orientation-reversing
+expansive_matrices = st.one_of(
+    st.tuples(st.floats(min_value=1.2, max_value=3.0),
+              st.floats(min_value=-2.0, max_value=2.0),
+              st.floats(min_value=1.2, max_value=3.0), st.booleans())
+    .map(lambda t: [[t[0], 0.0], [t[1], t[2]]] if t[3] else [[t[0], t[1]], [0.0, t[2]]]),
+    st.sampled_from([[[-3.0]], [[1.5]]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix=expansive_matrices,
+       half=st.integers(min_value=5, max_value=48),
+       odd=st.booleans(),
+       radius=st.sampled_from([0.5, 2.0, 3.0]))
+def test_index_maps_match_linear_scan_random(matrix, half, odd, radius):
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=radius, dim=d.dim, resolution=2 * half - odd)
+    assert np.array_equal(annulus_index_map(d, spec),
+                          linear_scan_map(d, spec.points()))
+    assert np.array_equal(offset_index_map(d, spec),
+                          linear_scan_map(d, offset_points(spec)))
+
+
+def test_index_maps_classify_no_point_alone(dyadic, shear, monkeypatch):
+    def refuse(self, pts):
+        raise AssertionError("grid maps must not classify points one by one")
+
+    monkeypatch.setattr(Dilation, "annulus_index", refuse)
+    tri = make_dilation([[3.0, 1.0], [0.0, 1.5]])
+    for d in (dyadic, shear, tri):
+        for res in (16, 33):
+            spec = GridSpec(radius=2.0, dim=d.dim, resolution=res)
+            assert annulus_index_map.__wrapped__(d, spec).shape == spec.shape
+            assert offset_index_map.__wrapped__(d, spec).shape == (2 * res - 1,) * d.dim
+
+
+def test_index_maps_beyond_power_window_are_typed(dyadic, shear):
+    for d in (dyadic, shear):
+        spec = GridSpec(radius=1e-290, dim=d.dim, resolution=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (annulus_index_map, offset_index_map):
+                with pytest.raises(UnresolvableScale):
+                    build.__wrapped__(d, spec)
+
+
+def test_index_maps_redecide_boundary_cells(dyadic, shear, monkeypatch):
+    # put the offset m*h on the boundary of B_k (up to the rounding of h):
+    # x = m h with |A^{-k} x|_M = r0, so its form is within ulps of r0^2
+    probed = []
+    original = Dilation.ball_contains
+
+    def recording(self, pts, k):
+        probed.append((np.array(pts), k))
+        return original(self, pts, k)
+
+    monkeypatch.setattr(Dilation, "ball_contains", recording)
+    for d, m in ((dyadic, np.array([5.0])), (shear, np.array([3.0, 5.0]))):
+        for k in (0, 1):
+            res = 24
+            h = d.radius / math.sqrt(d.m_quadform(m @ d.inv_power(k).T))
+            spec = GridSpec(radius=h * res / 2, dim=d.dim, resolution=res)
+            probed.clear()
+            off = offset_index_map.__wrapped__(d, spec)
+            cell = tuple((m + res - 1).astype(int))
+            x = offset_points(spec)[cell]
+            assert any(j == k and np.any(np.all(p == x, axis=-1)) for p, j in probed)
+            assert np.array_equal(off, linear_scan_map(d, offset_points(spec)))
+            assert (off[cell] <= k - 1) == d.ball_contains(x[None], k)[0]
