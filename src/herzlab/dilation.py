@@ -318,6 +318,28 @@ def per_grid(build):
 _ULPS = 2.0**-40
 
 
+def _log_abs_det(mat: np.ndarray) -> float:
+    """log |det mat| of a 1x1 or 2x2 float matrix, the determinant taken
+    exactly in integer arithmetic (-inf when it is 0)."""
+    # each entry is n / d exactly, d a power of 2
+    r = [v.as_integer_ratio() for v in mat.ravel().tolist()]
+    if len(r) == 1:
+        num, den = r[0]
+    else:
+        (a, da), (b, db), (c, dc), (e, de) = r
+        den = max(da * de, db * dc)
+        num = a * e * (den // (da * de)) - b * c * (den // (db * dc))
+    if num == 0:
+        return -math.inf
+    # |det| = (m / 2^52) 2^exp with m a 53-bit integer, so the log keeps
+    # full relative precision at any exponent
+    num = abs(num)
+    shift = num.bit_length() - 53
+    m = num >> shift if shift >= 0 else num << -shift
+    exp = shift + 52 - (den.bit_length() - 1)
+    return math.log(m / 2.0**52) + exp * math.log(2.0)
+
+
 def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
     """Annulus index on the tensor grid ``axis^dim`` (``axis`` ascending).
 
@@ -325,8 +347,11 @@ def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
     grid row (first coordinate x fixed) meets it in one interval of the
     second coordinate y: |G_k (x, y)|^2 = a (y - centre)^2 + x^2 det^2 / a
     with a = |g_2|^2, centre = -x g_1.g_2 / a for the columns g_i of G_k
-    and det = det G_k, taken from b^{-k} so thin balls lose nothing to
-    cancellation.  (A ball long along the rows is cut along the columns,
+    and det = det G_k = det L times the exact determinant of the computed
+    A^{-k} (``_log_abs_det``), so thin balls lose nothing to cancellation
+    and the form is that of the matrix ``ball_contains`` applies, however
+    far the rounded powers of a non-normal A stray from det A^{-k} =
+    b^{-k}.  (A ball long along the rows is cut along the columns,
     with the roles of x and y swapped.)  The balls nest, so a cell's index
     is k_hi minus the number of window scales that hold it; difference
     arrays over every (scale, row) pair and cumulative sums give all
@@ -353,7 +378,8 @@ def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
     g_max = np.linalg.norm(g, ord=2, axis=(1, 2))
     with np.errstate(divide="ignore"):  # A^{-k} may underflow to 0
         log_max = np.log(g_max)
-    log_det = 0.5 * math.log(np.linalg.det(d.ellipsoid_form)) - ks * math.log(d.b)
+    log_det = 0.5 * math.log(np.linalg.det(d.ellipsoid_form)) + np.array(
+        [_log_abs_det(d.inv_power(int(k))) for k in ks])
     log_min = log_det if d.dim == 1 else log_det - log_max
     log_ext = math.log(span) + 0.5 * math.log(d.dim)  # log max |x|
     # capped so that the inner band level 1 - 3 tol stays positive

@@ -233,13 +233,13 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
     """
     if abs_vals.size == 0:
         return np.zeros(n)
-    if seg is None:
-        peak = np.max(abs_vals, keepdims=True)
-        if peak[0] == 0.0:
-            return np.zeros(1)
-        v = abs_vals / peak[0]
+    # one segment needs no scatter of maxima, gather of scales or split
+    whole = seg is None or n == 1
+    peak = np.zeros(n)
+    if whole:
+        peak[0] = np.max(abs_vals)
+        v = abs_vals / (peak[0] if peak[0] > 0 else 1.0)
     else:
-        peak = np.zeros(n)
         np.maximum.at(peak, seg, abs_vals)
         v = np.take(np.where(peak > 0, peak, 1.0), seg)
         np.divide(abs_vals, v, out=v)
@@ -247,17 +247,18 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
         pc = float(p_vals[0])
         np.power(v, pc, out=v)
         # both sums run in order, so a segment equals a one-segment call
-        sums = (np.add.accumulate(v, out=v)[-1:] if seg is None
+        sums = (np.add.accumulate(v, out=v)[-1:] if whole
                 else np.bincount(seg, weights=v, minlength=n))
         unit = (sums * h) ** (1.0 / pc)
-    elif seg is None:
-        unit = _bisect(v, p_vals, h)
     else:
         unit = np.zeros(n)
         for i in np.flatnonzero(peak):
-            # a segment on its own (its max in v is 1, so this call is exact)
-            sel = seg == i
-            unit[i] = lux_core(v[sel], p_vals[sel], h)[0]
+            sel = slice(None) if whole else seg == i
+            vi, pi = v[sel], p_vals[sel]
+            # a segment with one exponent value takes the closed form, as
+            # it does on its own (vi has max 1, so this call is exact)
+            unit[i] = (lux_core(vi, pi, h)[0] if np.min(pi) == np.max(pi)
+                       else _bisect(vi, pi, h))
     with np.errstate(over="ignore"):
         norms = peak * unit
     if not np.all(np.isfinite(norms)):

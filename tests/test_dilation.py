@@ -16,6 +16,7 @@ from herzlab import (
 )
 from herzlab.dilation import (
     ORIGIN_INDEX,
+    _log_abs_det,
     annulus_index_map,
     offset_index_map,
     offset_points,
@@ -305,13 +306,26 @@ def test_default_krange_cached(shear):
     assert first == default_krange.__wrapped__(shear, spec)
 
 
+def similar_to_diagonal(l1, l2, s, t):
+    """S diag(l1, l2) S^{-1} with the skewed S = [[1 + s t, s], [t, 1]]
+    (det 1): a full matrix, non-normal unless s = t = 0, whose computed
+    powers lose the zero pattern a triangular matrix keeps."""
+    shear = np.array([[1.0 + s * t, s], [t, 1.0]])
+    return (shear @ np.diag([l1, l2]) @ np.linalg.inv(shear)).tolist()
+
+
 # upper and lower triangular 2x2 matrices (eigenvalues on the diagonal,
-# so all expansive) and two 1D dilations, one orientation-reversing
+# so all expansive), full non-normal matrices with real eigenvalues of
+# either sign, and two 1D dilations, one orientation-reversing
+eigenvalues = st.floats(min_value=1.2, max_value=3.0)
 expansive_matrices = st.one_of(
-    st.tuples(st.floats(min_value=1.2, max_value=3.0),
-              st.floats(min_value=-2.0, max_value=2.0),
-              st.floats(min_value=1.2, max_value=3.0), st.booleans())
+    st.tuples(eigenvalues, st.floats(min_value=-2.0, max_value=2.0),
+              eigenvalues, st.booleans())
     .map(lambda t: [[t[0], 0.0], [t[1], t[2]]] if t[3] else [[t[0], t[1]], [0.0, t[2]]]),
+    st.tuples(eigenvalues, eigenvalues, st.booleans(),
+              st.floats(min_value=-1.5, max_value=1.5),
+              st.floats(min_value=-1.5, max_value=1.5))
+    .map(lambda t: similar_to_diagonal(t[0], -t[1] if t[2] else t[1], t[3], t[4])),
     st.sampled_from([[[-3.0]], [[1.5]]]))
 
 
@@ -327,6 +341,20 @@ def test_index_maps_match_linear_scan_random(matrix, half, odd, radius):
                           linear_scan_map(d, spec.points()))
     assert np.array_equal(offset_index_map(d, spec),
                           linear_scan_map(d, offset_points(spec)))
+
+
+def test_log_abs_det_is_exact():
+    # det [[1 + u, 1], [1, 1 - u]] = -u^2 with u = 2^-30: in floats the
+    # product (1 + u)(1 - u) rounds to 1 and the difference to 0
+    u = 2.0**-30
+    assert _log_abs_det(np.array([[1 + u, 1.0], [1.0, 1 - u]])) == -60 * math.log(2.0)
+    assert _log_abs_det(np.array([[-3.0]])) == pytest.approx(math.log(3.0), rel=1e-15)
+    assert _log_abs_det(np.array([[2.0, 4.0], [1.0, 2.0]])) == -math.inf
+    # far below the smallest float, and far above the largest
+    assert _log_abs_det(np.array([[1e-300, 0.0], [0.0, 1e-300]])) == pytest.approx(
+        -600 * math.log(10.0), rel=1e-15)
+    assert _log_abs_det(np.array([[1e300, 0.0], [0.0, 1e300]])) == pytest.approx(
+        600 * math.log(10.0), rel=1e-15)
 
 
 def test_index_maps_classify_no_point_alone(dyadic, shear, monkeypatch):
