@@ -21,7 +21,7 @@ import numpy as np
 
 from . import atoms as at
 from . import operators as ops
-from .config import SuiteConfig, load_config, parse_exponent
+from .config import SuiteConfig, config_value, load_config, parse_exponent
 from .dilation import make_dilation, parse_matrix
 from .errors import ConfigError, HerzlabError, IoError
 from .grandseq import Sequence
@@ -46,15 +46,15 @@ from .suites import run_suite
 def _herz_params(raw: dict) -> HerzSpaceParams:
     kr = None
     if "herz.kmin" in raw and "herz.kmax" in raw:
-        kr = (int(raw["herz.kmin"]), int(raw["herz.kmax"]))
+        kr = tuple(config_value(raw, key, int) for key in ("herz.kmin", "herz.kmax"))
     return HerzSpaceParams(
-        alpha=parse_exponent(raw.get("herz.alpha", "const:0.5")),
-        p=float(raw.get("herz.p", 1.0)),
-        q=parse_exponent(raw.get("herz.q", "const:2")),
-        theta=float(raw.get("herz.theta", 1.0)),
-        lambda_morrey=float(raw.get("herz.lambda", 0.0)),
-        homogeneous=bool(int(raw.get("herz.homogeneous", 1))),
-        delta2=float(raw["herz.delta2"]) if "herz.delta2" in raw else None,
+        alpha=config_value(raw, "herz.alpha", parse_exponent, "const:0.5"),
+        p=config_value(raw, "herz.p", float, 1.0),
+        q=config_value(raw, "herz.q", parse_exponent, "const:2"),
+        theta=config_value(raw, "herz.theta", float, 1.0),
+        lambda_morrey=config_value(raw, "herz.lambda", float, 0.0),
+        homogeneous=config_value(raw, "herz.homogeneous", lambda v: bool(int(v)), 1),
+        delta2=config_value(raw, "herz.delta2", float),
         krange=kr,
     )
 
@@ -66,8 +66,8 @@ def _load_input(path, raw: dict | None = None, dim: int = 1) -> GridFunction:
     if p.suffix == ".json":
         # synthetic-family descriptor; grid geometry comes from the config
         raw = raw or {}
-        spec = GridSpec(radius=float(raw.get("grid.radius", 2.0)), dim=dim,
-                        resolution=int(raw.get("grid.resolution", 1024)))
+        spec = GridSpec(radius=config_value(raw, "grid.radius", float, 2.0), dim=dim,
+                        resolution=config_value(raw, "grid.resolution", int, 1024))
         return from_descriptor(spec, descriptor_from_json(p.read_text()))
     return load_csv(p)
 
@@ -132,8 +132,8 @@ def _cmd_atoms(args) -> int:
     raw = load_config(args.config) if args.config else {}
     d = _dilation_from(raw, args.matrix)
     params = _herz_params(raw)
-    res = int(args.resolution or raw.get("grid.resolution", 1024))
-    radius = float(raw.get("grid.radius", 2.0))
+    res = args.resolution or config_value(raw, "grid.resolution", int, 1024)
+    radius = config_value(raw, "grid.radius", float, 2.0)
     spec = GridSpec(radius=radius, dim=d.dim, resolution=res)
 
     if args.action == "make":
@@ -228,8 +228,8 @@ def _write_svg_heatmap(rows: list[dict], path) -> None:
 def _cmd_sweep(args) -> int:
     raw = load_config(args.config) if args.config else {}
     d = _dilation_from(raw, args.matrix)
-    res = int(args.resolution or raw.get("grid.resolution", 512))
-    radius = float(raw.get("grid.radius", 2.0))
+    res = args.resolution or config_value(raw, "grid.resolution", int, 512)
+    radius = config_value(raw, "grid.radius", float, 2.0)
     spec = GridSpec(radius=radius, dim=d.dim, resolution=res)
 
     x = spec.points()
@@ -251,7 +251,7 @@ def _cmd_sweep(args) -> int:
     t_spec = ops.OperatorSpec(kind=args.operator, cutoff=args.cutoff)
     alphas = _parse_range(args.alpha)
     lams = _parse_range(getattr(args, "lambda"))
-    delta2 = float(raw.get("herz.delta2", 0.5))
+    delta2 = config_value(raw, "herz.delta2", float, 0.5)
     rows = ops.boundedness_sweep(t_spec, d, alphas, lams, family,
                                  delta2=delta2)
 

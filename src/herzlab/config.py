@@ -91,6 +91,30 @@ def load_config(path) -> dict:
     return raw
 
 
+def config_value(raw: dict, key: str, convert, default=None):
+    """``convert`` of ``raw[key]``, or of ``default`` when the key is
+    absent (None stays None); a malformed value raises a ConfigError
+    naming the key."""
+    value = raw.get(key, default)
+    try:
+        return None if value is None else convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} has malformed value {value!r}") from None
+
+
+def _floats(value) -> list[float]:
+    return [float(v) for v in (value if isinstance(value, list) else [value])]
+
+
+def _families(value) -> list[str]:
+    # ';'-separated so log-family commas survive; every entry must parse
+    items = value if isinstance(value, list) else str(value).split(";")
+    names = [str(v).strip() for v in items if str(v).strip()]
+    for name in names:
+        parse_exponent(name)
+    return names
+
+
 def parse_exponent(text) -> ExponentFunction:
     """"const:2" or "log:2,3" (value at origin first)."""
     if isinstance(text, (int, float)):
@@ -114,8 +138,8 @@ class SuiteConfig:
     """Run parameters for the verification suites (``suite.*`` and
     ``tolerance.*`` keys).
 
-    Every emitted report records the seed; tolerances below their
-    machine-epsilon floors are rejected at load time.
+    Every emitted report records the seed; a tolerance below the
+    machine-epsilon floor is rejected when the config is built.
     """
 
     seed: int = 7
@@ -126,40 +150,31 @@ class SuiteConfig:
     alpha_grid: list = field(default_factory=lambda: [0.1, 0.25, 0.4])
     lambda_grid: list = field(default_factory=lambda: [0.0])
 
+    def __post_init__(self):
+        floor = 4.0 * np.finfo(float).eps
+        for name, value in self.tolerances.items():
+            if not value >= floor:
+                raise ConfigError(f"tolerance {name} = {value:g} below float floor")
+
     def exponent_families(self) -> list:
         return [parse_exponent(text) for text in self.families]
 
     def tol(self, name: str, default: float) -> float:
-        value = float(self.tolerances.get(name, default))
-        floor = 4.0 * np.finfo(float).eps
-        if value < floor:
-            raise ConfigError(f"tolerance {name} = {value:g} below float floor")
-        return value
+        return self.tolerances.get(name, default)
 
     @staticmethod
     def from_dict(raw: dict) -> "SuiteConfig":
-        cfg = SuiteConfig()
-        if "suite.seed" in raw:
-            cfg.seed = int(raw["suite.seed"])
-        if "suite.out" in raw:
-            cfg.out_dir = str(raw["suite.out"])
-        if "suite.families" in raw:
-            # ';'-separated so log-family commas survive
-            val = raw["suite.families"]
-            items = val if isinstance(val, list) else str(val).split(";")
-            cfg.families = [str(v).strip() for v in items if str(v).strip()]
-        if "suite.alpha_grid" in raw:
-            val = raw["suite.alpha_grid"]
-            cfg.alpha_grid = [float(v) for v in val] \
-                if isinstance(val, list) else [float(val)]
-        if "suite.lambda_grid" in raw:
-            val = raw["suite.lambda_grid"]
-            cfg.lambda_grid = [float(v) for v in val] \
-                if isinstance(val, list) else [float(val)]
-        for key, val in raw.items():
-            if key.startswith("tolerance."):
-                cfg.tolerances[key.split(".", 1)[1]] = float(val)
-        return cfg
+        fields = {}
+        for key, name, convert in (("suite.seed", "seed", int),
+                                   ("suite.out", "out_dir", str),
+                                   ("suite.families", "families", _families),
+                                   ("suite.alpha_grid", "alpha_grid", _floats),
+                                   ("suite.lambda_grid", "lambda_grid", _floats)):
+            if key in raw:
+                fields[name] = config_value(raw, key, convert)
+        tolerances = {key.split(".", 1)[1]: config_value(raw, key, float)
+                      for key in raw if key.startswith("tolerance.")}
+        return SuiteConfig(tolerances=tolerances, **fields)
 
     @staticmethod
     def from_file(path) -> "SuiteConfig":

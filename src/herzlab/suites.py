@@ -1,10 +1,13 @@
 """Named verification suites.
 
-Each suite runs the quantitative checks of one module family and
-returns :class:`VerificationReport` rows; asserted rows decide the exit
-status, recorded-only rows carry diagnostics (operator constants,
-equivalence bands) whose values the underlying statements do not pin
-down.  All randomness flows from the config seed.
+A suite is an ordered table of checks.  A check is a generator function
+``(d, spec, rng, cfg)`` of a dilation, a grid, the suite's random
+generator and the config that yields its :class:`VerificationReport`
+rows; asserted rows decide the exit status, recorded-only rows carry
+diagnostics (operator constants, equivalence bands) whose values the
+underlying statements do not pin down.  All randomness flows from the
+config seed through one random generator per suite, drawn by the checks
+in table order.
 """
 
 from __future__ import annotations
@@ -19,15 +22,23 @@ from . import atoms as at
 from . import operators as ops
 from . import oracles
 from .config import SuiteConfig
-from .dilation import ORIGIN_INDEX, annulus_index_map, check_quasi_triangle, make_dilation
+from .dilation import (
+    ORIGIN_INDEX,
+    annulus_index_map,
+    ball_diameter,
+    check_quasi_triangle,
+    make_dilation,
+)
 from .errors import ConfigError, NotExpansive, ReciprocalMismatch
 from .grandseq import GrandSequenceParams, Sequence, grand_seq_norm, nesting_report
 from .grid import GridFunction, GridSpec, bump_profile, indicator
 from .herz import (
     HerzSpaceParams,
+    annulus_slice,
     block_decompose,
     block_reconstruct,
     block_validate,
+    combine_product_params,
     default_krange,
     grand_herz_norm,
     herz_morrey_norm,
@@ -50,147 +61,128 @@ from .varlebesgue import (
     subset_ratio_fit,
 )
 
-SUITE_NAMES = ("geometry", "lebesgue", "grandseq", "herz", "algebra",
-               "operators", "atoms")
-
 _MATRICES = {
     "dyadic": np.array([[2.0]]),
     "iso2": 2.0 * np.eye(2),
     "shear": np.array([[2.0, 1.0], [0.0, 2.0]]),
 }
 
-
-class _Recorder:
-    """Collects report rows.  Each row is timed from ``t0`` or from the
-    previous row, whichever is later, so rows recorded after one shared
-    block get disjoint intervals instead of the whole block each."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.rows: list[VerificationReport] = []
-        self._last = -math.inf
-
-    def add(self, check, reference, inputs, measured, bound, passed,
-            t0, asserted=True, note=""):
-        now = time.monotonic()
-        start, self._last = max(t0, self._last), now
-        self.rows.append(VerificationReport(
-            check=check, reference=reference, inputs=digest(inputs),
-            measured=measured, bound=bound, passed=passed,
-            runtime_s=now - start, asserted=asserted, note=note,
-            seed=self.seed))
+_QC = ExponentFunction.constant(2.0)
 
 
-def _random_function(spec: GridSpec, rng, kind: str = "mixed") -> GridFunction:
-    x = spec.points()
-    r = spec.radii()
+def _row(check, reference, inputs, measured, bound, passed,
+         **kw) -> VerificationReport:
+    return VerificationReport(check, reference, digest(inputs), measured,
+                              bound, passed, **kw)
+
+
+def _at_most(check, reference, inputs, bound, **measured) -> VerificationReport:
+    """Row asserting that its one measured value is at most ``bound``."""
+    (value,) = measured.values()
+    return _row(check, reference, inputs, measured, bound, value <= bound)
+
+
+def _sweep(spec: GridSpec, step: int = 2) -> list[GridSpec]:
+    """``spec`` at its resolution divided by, equal to and times ``step``."""
+    return [dataclasses.replace(spec, resolution=res) for res in
+            (spec.resolution // step, spec.resolution, spec.resolution * step)]
+
+
+def _worst_ratio(spec: GridSpec, rng, n: int, check) -> float:
+    """Largest non-degenerate ``check(f, g)["ratio"]`` over n random pairs."""
+    worst = 0.0
+    for _ in range(n):
+        rep = check(_random_function(spec, rng), _random_function(spec, rng))
+        if not rep["degenerate"]:
+            worst = max(worst, rep["ratio"])
+    return worst
+
+
+def _random_function(spec: GridSpec, rng) -> GridFunction:
+    kind = ("noise", "bump", "shell")[rng.integers(0, 3)]
     if kind == "noise":
         return GridFunction(spec, rng.uniform(-1, 1, spec.shape))
     if kind == "bump":
         c = rng.uniform(-spec.radius / 2, spec.radius / 2, size=spec.dim)
         wdt = rng.uniform(spec.radius / 8, spec.radius / 2)
-        return GridFunction(spec, bump_profile(np.sum((x - c) ** 2, axis=-1) / wdt**2))
-    choice = rng.integers(0, 3)
-    if choice == 0:
-        return _random_function(spec, rng, "noise")
-    if choice == 1:
-        return _random_function(spec, rng, "bump")
+        return GridFunction(spec, bump_profile(
+            np.sum((spec.points() - c) ** 2, axis=-1) / wdt**2))
     lo = rng.uniform(0, spec.radius / 2)
     hi = lo + rng.uniform(spec.radius / 16, spec.radius / 2)
+    r = spec.radii()
     return indicator(spec, (r >= lo) & (r < hi))
 
 
 # --------------------------------------------------------------------------
 # geometry
 
-def geometry_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    rec = _Recorder(cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-
-    t0 = time.monotonic()
-    d2 = make_dilation([[2.0]])
-    halfwidth = math.sqrt(d2.radius_squared / d2.ellipsoid_form[0, 0])
-    ok = (d2.b == 2.0 and d2.w == 1 and abs(halfwidth - 0.5) < 1e-12)
+def _geometry_examples(d, spec, rng, cfg):
+    halfwidth = math.sqrt(d.radius_squared / d.ellipsoid_form[0, 0])
+    ok = (d.b == 2.0 and d.w == 1 and abs(halfwidth - 0.5) < 1e-12)
     try:
         make_dilation([[1.0]])
         ok = False
     except NotExpansive:
         pass
-    diso = make_dilation(2.0 * np.eye(2))
-    ok = ok and diso.b == 4.0
-    rec.add("geometry.examples",
-            "dyadic interval gives b=2, w=1, unit cell (-1/2,1/2); "
-            "eigenvalue magnitude 1 rejected; isotropic doubling gives b=4",
-            {"seed": cfg.seed}, {"halfwidth": halfwidth, "w": d2.w}, None, ok, t0)
+    ok = ok and make_dilation(2.0 * np.eye(2)).b == 4.0
+    yield _row("geometry.examples",
+               "dyadic interval gives b=2, w=1, unit cell (-1/2,1/2); "
+               "eigenvalue magnitude 1 rejected; isotropic doubling gives b=4",
+               {"seed": cfg.seed}, {"halfwidth": halfwidth, "w": d.w}, None, ok)
 
-    for name, mat in _MATRICES.items():
-        d = make_dilation(mat)
-        n = d.dim
 
-        t0 = time.monotonic()
-        xs = rng.uniform(-4, 4, size=(10_000, n))
-        ys = rng.uniform(-4, 4, size=(10_000, n))
-        rep = check_quasi_triangle(d, xs, ys)
-        rec.add(f"geometry.quasi_triangle.{name}",
-                "rho(x+y) <= b^w (rho(x) + rho(y)) over seeded pairs",
-                {"seed": cfg.seed, "matrix": name},
-                {"max_ratio": rep["max_ratio"]}, rep["bound"], rep["pass"], t0)
+def _geometry_matrix(d, spec, rng, cfg):
+    """Quasi-triangle, homogeneity, nesting and ball-measure rows of one
+    of the named matrices."""
+    name = next(k for k, mat in _MATRICES.items() if np.array_equal(mat, d.matrix))
+    xs = rng.uniform(-4, 4, size=(10_000, d.dim))
+    ys = rng.uniform(-4, 4, size=(10_000, d.dim))
+    rep = check_quasi_triangle(d, xs, ys)
+    yield _row(f"geometry.quasi_triangle.{name}",
+               "rho(x+y) <= b^w (rho(x) + rho(y)) over seeded pairs",
+               {"seed": cfg.seed, "matrix": name},
+               {"max_ratio": rep["max_ratio"]}, rep["bound"], rep["pass"])
 
-        t0 = time.monotonic()
-        pts = rng.uniform(-2, 2, size=(1000, n))
-        pts = pts[np.any(np.abs(pts) > 1e-9, axis=1)]
-        exact = np.array_equal(d.annulus_index(pts @ d.matrix.T),
-                               d.annulus_index(pts) + 1)
-        rec.add(f"geometry.homogeneity.{name}",
-                "rho(Ax) = b rho(x) exactly via index arithmetic",
-                {"seed": cfg.seed, "matrix": name}, {"exact": exact}, None,
-                bool(exact), t0)
+    pts = rng.uniform(-2, 2, size=(1000, d.dim))
+    pts = pts[np.any(np.abs(pts) > 1e-9, axis=1)]
+    exact = np.array_equal(d.annulus_index(pts @ d.matrix.T),
+                           d.annulus_index(pts) + 1)
+    yield _row(f"geometry.homogeneity.{name}",
+               "rho(Ax) = b rho(x) exactly via index arithmetic",
+               {"seed": cfg.seed, "matrix": name}, {"exact": exact}, None,
+               bool(exact))
 
-        t0 = time.monotonic()
-        spec = GridSpec(radius=2.0, dim=n, resolution=128 if n == 2 else 1024)
-        gpts = spec.points().reshape(-1, n)
-        nested = True
-        for k in range(-3, 3):
-            inner = d.ball_contains(gpts, k)
-            outer = d.ball_contains(gpts, k + 1)
-            nested = nested and not np.any(inner & ~outer)
-        rec.add(f"geometry.nesting.{name}",
-                "membership in B_k implies membership in B_{k+1}",
-                {"matrix": name}, {"nested": nested}, None, bool(nested), t0)
+    gpts = spec.points().reshape(-1, d.dim)
+    nested = all(not np.any(d.ball_contains(gpts, k) & ~d.ball_contains(gpts, k + 1))
+                 for k in range(-3, 3))
+    yield _row(f"geometry.nesting.{name}",
+               "membership in B_k implies membership in B_{k+1}",
+               {"matrix": name}, {"nested": nested}, None, bool(nested))
 
-        t0 = time.monotonic()
-        resolutions = [64, 128, 256] if n == 2 else [256, 1024, 4096]
-        errs = []
-        for res in resolutions:
-            mspec = GridSpec(radius=2.0, dim=n, resolution=res)
-            gp = mspec.points().reshape(-1, n)
-            worst_k = 0.0
-            for k in (-1, 0, 1):
-                mask = d.ball_contains(gp, k)
-                meas = float(np.count_nonzero(mask)) * mspec.cell_volume
-                worst_k = max(worst_k, abs(meas / d.b ** k - 1.0))
-            errs.append(worst_k)
-        tol = cfg.tol("ball_measure", 2e-2)
-        # a coarse grid can hit the measure exactly; require the finest
-        # error under tolerance and no systematic growth
-        ok = errs[-1] <= tol and (errs[-1] <= errs[0] or errs[0] <= tol)
-        rec.add(f"geometry.ball_measure.{name}",
-                "grid-measured |B_k| / b^k approaches 1 with resolution",
-                {"matrix": name, "resolutions": resolutions},
-                {"errors": errs}, tol, ok, t0)
-    return rec.rows
+    specs = _sweep(spec, 2 if d.dim == 2 else 4)
+    errs = []
+    for mspec in specs:
+        gp = mspec.points().reshape(-1, d.dim)
+        worst_k = 0.0
+        for k in (-1, 0, 1):
+            mask = d.ball_contains(gp, k)
+            meas = float(np.count_nonzero(mask)) * mspec.cell_volume
+            worst_k = max(worst_k, abs(meas / d.b ** k - 1.0))
+        errs.append(worst_k)
+    tol = cfg.tol("ball_measure", 2e-2)
+    # a coarse grid can hit the measure exactly; require the finest
+    # error under tolerance and no systematic growth
+    ok = errs[-1] <= tol and (errs[-1] <= errs[0] or errs[0] <= tol)
+    yield _row(f"geometry.ball_measure.{name}",
+               "grid-measured |B_k| / b^k approaches 1 with resolution",
+               {"matrix": name, "resolutions": [s.resolution for s in specs]},
+               {"errors": errs}, tol, ok)
 
 
 # --------------------------------------------------------------------------
 # lebesgue
 
-def lebesgue_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    rec = _Recorder(cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    d = make_dilation([[2.0]])
-    spec = GridSpec(radius=2.0, dim=1, resolution=512)
-
-    t0 = time.monotonic()
+def _lebesgue_luxemburg_two_piece(d, spec, rng, cfg):
     orc = oracles.luxemburg_two_piece()
     x = spec.points()[..., 0]
     f = GridFunction(spec, ((x >= 0) & (x < 2)).astype(float))
@@ -199,14 +191,14 @@ def lebesgue_suite(cfg: SuiteConfig) -> list[VerificationReport]:
         p_minus=2.0, p_plus=4.0, at_origin=2.0, at_infinity=4.0,
         name="two-piece")
     val = luxemburg_norm(f, pfun)
-    err = abs(val - orc["norm"])
-    rec.add("lebesgue.luxemburg_two_piece",
-            "two-piece modular solves to the algebraic root level",
-            {"seed": cfg.seed}, {"norm": val, "oracle": orc["norm"]},
-            cfg.tol("luxemburg_oracle", 1e-6),
-            err <= cfg.tol("luxemburg_oracle", 1e-6), t0)
+    tol = cfg.tol("luxemburg_oracle", 1e-6)
+    yield _row("lebesgue.luxemburg_two_piece",
+               "two-piece modular solves to the algebraic root level",
+               {"seed": cfg.seed}, {"norm": val, "oracle": orc["norm"]},
+               tol, abs(val - orc["norm"]) <= tol)
 
-    t0 = time.monotonic()
+
+def _lebesgue_const_agreement(d, spec, rng, cfg):
     worst = 0.0
     for _ in range(20):
         g = _random_function(spec, rng)
@@ -218,11 +210,12 @@ def lebesgue_suite(cfg: SuiteConfig) -> list[VerificationReport]:
             b = luxemburg_norm(g, pf)
             worst = max(worst, abs(a - b) / max(b, 1e-300)
                         if b > 0 else abs(a - b))
-    rec.add("lebesgue.const_agreement",
-            "bisection equals the closed form for constant exponents",
-            {"seed": cfg.seed}, {"worst": worst}, 1e-8, worst <= 1e-8, t0)
+    yield _at_most("lebesgue.const_agreement",
+                   "bisection equals the closed form for constant exponents",
+                   {"seed": cfg.seed}, 1e-8, worst=worst)
 
-    t0 = time.monotonic()
+
+def _lebesgue_homogeneity(d, spec, rng, cfg):
     worst_h = worst_m = worst_mono = 0.0
     plog = ExponentFunction.log_family(2.0, 3.0)
     for _ in range(25):
@@ -235,18 +228,16 @@ def lebesgue_suite(cfg: SuiteConfig) -> list[VerificationReport]:
             worst_m = max(worst_m, abs(modular(g, n1, plog) - 1.0))
         shrunk = GridFunction(spec, g.values * rng.uniform(0, 1, spec.shape))
         worst_mono = max(worst_mono, luxemburg_norm(shrunk, plog) - n1)
-    rec.add("lebesgue.homogeneity",
-            "Luxemburg norm is absolutely homogeneous",
-            {"seed": cfg.seed}, {"worst": worst_h}, 1e-9, worst_h <= 1e-9, t0)
-    rec.add("lebesgue.unit_modular",
-            "modular at the norm level equals 1",
-            {"seed": cfg.seed}, {"worst": worst_m}, 1e-8, worst_m <= 1e-8, t0)
-    rec.add("lebesgue.monotone",
-            "pointwise domination is norm monotone",
-            {"seed": cfg.seed}, {"worst": worst_mono}, 1e-12,
-            worst_mono <= 1e-12, t0)
+    yield _at_most("lebesgue.homogeneity",
+                   "Luxemburg norm is absolutely homogeneous",
+                   {"seed": cfg.seed}, 1e-9, worst=worst_h)
+    yield _at_most("lebesgue.unit_modular", "modular at the norm level equals 1",
+                   {"seed": cfg.seed}, 1e-8, worst=worst_m)
+    yield _at_most("lebesgue.monotone", "pointwise domination is norm monotone",
+                   {"seed": cfg.seed}, 1e-12, worst=worst_mono)
 
-    t0 = time.monotonic()
+
+def _lebesgue_holder_defect(d, spec, rng, cfg):
     min_defect = math.inf
     n_pairs = 0
     for fam in cfg.exponent_families():
@@ -257,86 +248,78 @@ def lebesgue_suite(cfg: SuiteConfig) -> list[VerificationReport]:
             b = _random_function(spec, rng)
             min_defect = min(min_defect, holder_defect(a, b, fam))
             n_pairs += 1
-    rec.add("lebesgue.holder_defect",
-            "generalized Hölder with r_p = 1 + 1/p^- - 1/p^+ never "
-            "undershoots the pairing",
-            {"seed": cfg.seed, "pairs": n_pairs, "families": cfg.families},
-            {"min_defect": min_defect},
-            -cfg.tol("holder", 1e-6), min_defect >= -cfg.tol("holder", 1e-6), t0)
+    tol = cfg.tol("holder", 1e-6)
+    yield _row("lebesgue.holder_defect",
+               "generalized Hölder with r_p = 1 + 1/p^- - 1/p^+ never "
+               "undershoots the pairing",
+               {"seed": cfg.seed, "pairs": n_pairs, "families": cfg.families},
+               {"min_defect": min_defect}, -tol, min_defect >= -tol)
 
-    t0 = time.monotonic()
+
+def _lebesgue_ball_product_const(d, spec, rng, cfg):
     worst = 0.0
     for p in (1.5, 2.0, 4.0):
         pf = ExponentFunction.constant(p)
         for k in range(-3, 4):
-            bspec = GridSpec(radius=2.0 ** (k - 1), dim=1, resolution=512)
+            # a box whose half-width is the largest semiaxis holds B_k
+            bspec = dataclasses.replace(spec, radius=ball_diameter(d, k) / 2)
             worst = max(worst, abs(ball_norm_product(d, k, pf, bspec) - 1.0))
-    rec.add("lebesgue.ball_product_const",
-            "norm product of the ball indicator reproduces the measure "
-            "for constant exponents",
-            {"ks": [-3, 3]}, {"worst": worst}, cfg.tol("ball_product", 1e-3),
-            worst <= cfg.tol("ball_product", 1e-3), t0)
+    yield _at_most("lebesgue.ball_product_const",
+                   "norm product of the ball indicator reproduces the "
+                   "measure for constant exponents",
+                   {"ks": [-3, 3]}, cfg.tol("ball_product", 1e-3), worst=worst)
 
-    t0 = time.monotonic()
-    products = []
-    for res in (512, 1024, 2048):
-        pspec = GridSpec(radius=4.0, dim=1, resolution=res)
-        row = [ball_norm_product(d, k, plog, pspec) for k in range(-3, 4)]
-        products.append(max(row))
+
+def _lebesgue_ball_product_log(d, spec, rng, cfg):
+    plog = ExponentFunction.log_family(2.0, 3.0)
+    products = [max(ball_norm_product(d, k, plog, pspec) for k in range(-3, 4))
+                for pspec in _sweep(spec)]
     stable = max(products) <= 2.0 and \
         abs(products[-1] - products[-2]) <= 0.1 * products[-1]
-    rec.add("lebesgue.ball_product_log",
-            "norm product stays bounded over scales for the log family",
-            {"family": plog.name}, {"max_products": products}, 2.0,
-            stable, t0)
+    yield _row("lebesgue.ball_product_log",
+               "norm product stays bounded over scales for the log family",
+               {"family": plog.name}, {"max_products": products}, 2.0, stable)
 
-    t0 = time.monotonic()
-    fitspec = GridSpec(radius=4.0, dim=1, resolution=4096)
+
+def _lebesgue_subset_fit(d, spec, rng, cfg):
     results = {}
     ok = True
-    for q, expect in ((2.0, 0.5), (4.0, 0.75)):
-        _, d2v = subset_ratio_fit(d, ExponentFunction.constant(q),
-                                  range(-3, 4), fitspec)
-        results[f"q={q:g}"] = d2v
-        ok = ok and abs(d2v - expect) <= 1e-3
-    _, d2v = subset_ratio_fit(d, ExponentFunction.log_family(2.0, 2.0),
-                              range(-3, 4), fitspec)
-    results["log degenerate"] = d2v
-    ok = ok and abs(d2v - 0.5) <= 1e-3
-    rec.add("lebesgue.subset_fit",
-            "fitted ball-ratio exponent delta_2 matches 1 - 1/q for "
-            "constant q",
-            {"ks": [-3, 3]}, results, 1e-3, ok, t0)
+    for key, q, expect in (("q=2", _QC, 0.5),
+                           ("q=4", ExponentFunction.constant(4.0), 0.75),
+                           ("log degenerate", ExponentFunction.log_family(2.0, 2.0), 0.5)):
+        _, results[key] = subset_ratio_fit(d, q, range(-3, 4), spec)
+        ok = ok and abs(results[key] - expect) <= 1e-3
+    yield _row("lebesgue.subset_fit",
+               "fitted ball-ratio exponent delta_2 matches 1 - 1/q for "
+               "constant q",
+               {"ks": [-3, 3]}, results, 1e-3, ok)
 
-    t0 = time.monotonic()
+
+def _lebesgue_product_norm(d, spec, rng, cfg):
     q3, r6 = ExponentFunction.constant(3.0), ExponentFunction.constant(6.0)
-    worst = 0.0
-    for _ in range(500):
-        a = _random_function(spec, rng)
-        b = _random_function(spec, rng)
-        rep = product_norm_check(a, b, q3, r6)
-        if not rep["degenerate"]:
-            worst = max(worst, rep["ratio"])
+    worst = _worst_ratio(spec, rng, 500,
+                         lambda a, b: product_norm_check(a, b, q3, r6))
+    one = GridFunction(spec, np.ones(spec.shape))
     try:
-        product_norm_check(f, f, ExponentFunction.constant(2.0),
-                           ExponentFunction.constant(2.0))
+        product_norm_check(one, one, _QC, _QC)
         mismatch_ok = False
     except ReciprocalMismatch:
         mismatch_ok = True
-    rec.add("lebesgue.product_norm",
-            "reciprocal-exponent products obey the constant-1 bound for "
-            "constant exponents; the class-P edge is rejected",
-            {"seed": cfg.seed}, {"max_ratio": worst,
-                                 "edge_rejected": mismatch_ok},
-            1.0 + 1e-6, worst <= 1.0 + 1e-6 and mismatch_ok, t0)
+    yield _row("lebesgue.product_norm",
+               "reciprocal-exponent products obey the constant-1 bound for "
+               "constant exponents; the class-P edge is rejected",
+               {"seed": cfg.seed}, {"max_ratio": worst,
+                                    "edge_rejected": mismatch_ok},
+               1.0 + 1e-6, worst <= 1.0 + 1e-6 and mismatch_ok)
 
-    t0 = time.monotonic()
+
+def _lebesgue_log_holder(d, spec, rng, cfg):
     samples = np.concatenate([
         np.geomspace(1e-8, 4.0, 200), -np.geomspace(1e-8, 4.0, 200)
     ])[:, None]
     ok = True
     details = {}
-    for fam in (ExponentFunction.constant(2.0), plog):
+    for fam in (_QC, ExponentFunction.log_family(2.0, 3.0)):
         repf = log_holder_check(fam, samples)
         details[fam.name] = repf["c_origin"]
         ok = ok and repf["pass"]
@@ -346,30 +329,25 @@ def lebesgue_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     rep_step = log_holder_check(step, samples)
     details["step"] = rep_step["status"]
     ok = ok and rep_step["status"] == "NotLogHolder"
-    rec.add("lebesgue.log_holder",
-            "families meet their analytic log-decay constants; a step "
-            "through the origin is flagged",
-            {"n_samples": len(samples)}, details, None, ok, t0)
-    return rec.rows
+    yield _row("lebesgue.log_holder",
+               "families meet their analytic log-decay constants; a step "
+               "through the origin is flagged",
+               {"n_samples": len(samples)}, details, None, ok)
 
 
 # --------------------------------------------------------------------------
 # grandseq
 
-def grandseq_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    rec = _Recorder(cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-
-    t0 = time.monotonic()
+def _grandseq_delta_oracle(d, spec, rng, cfg):
     val = grand_seq_norm(Sequence(np.array([1.0])),
                          GrandSequenceParams(p=1.0, theta=1.0))
     ref = oracles.delta_sequence_value(1.0, 1.0)
-    rec.add("grandseq.delta_oracle",
-            "one-hot grand norm equals the dense-scan stationary value",
-            {}, {"value": val, "oracle": ref},
-            1e-6, abs(val - ref) <= 1e-6, t0)
+    yield _row("grandseq.delta_oracle",
+               "one-hot grand norm equals the dense-scan stationary value",
+               {}, {"value": val, "oracle": ref}, 1e-6, abs(val - ref) <= 1e-6)
 
-    t0 = time.monotonic()
+
+def _grandseq_dense_agreement(d, spec, rng, cfg):
     worst = 0.0
     combos = [(p, theta) for p in (1.0, 2.0, 3.0) for theta in (0.5, 1.0, 2.0)]
     for i in range(60):
@@ -380,12 +358,13 @@ def grandseq_suite(cfg: SuiteConfig) -> list[VerificationReport]:
                            GrandSequenceParams(p=p, theta=theta))
         b = oracles.grand_seq_dense(vals, p, theta)
         worst = max(worst, abs(a - b) / max(b, 1e-300))
-    rec.add("grandseq.dense_agreement",
-            "scan-and-refine equals dense brute force over seeded sequences",
-            {"seed": cfg.seed, "n": 60}, {"worst_rel": worst}, 1e-6,
-            worst <= 1e-6, t0)
+    yield _at_most("grandseq.dense_agreement",
+                   "scan-and-refine equals dense brute force over seeded "
+                   "sequences",
+                   {"seed": cfg.seed, "n": 60}, 1e-6, worst_rel=worst)
 
-    t0 = time.monotonic()
+
+def _grandseq_homogeneity(d, spec, rng, cfg):
     worst_h = worst_mono = 0.0
     limit_ok = True
     params = GrandSequenceParams(p=2.0, theta=1.0)
@@ -406,17 +385,17 @@ def grandseq_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     for j in range(-3, 4):
         seq = Sequence.from_entries({j: 1.0})
         limit_ok = limit_ok and grand_seq_norm(seq, params) >= 1.0
-    rec.add("grandseq.homogeneity",
-            "grand norm is absolutely homogeneous", {"seed": cfg.seed},
-            {"worst": worst_h}, 1e-9, worst_h <= 1e-9, t0)
-    rec.add("grandseq.support_monotone",
-            "zeroing an entry never increases the norm", {"seed": cfg.seed},
-            {"worst": worst_mono}, 1e-12, worst_mono <= 1e-12, t0)
-    rec.add("grandseq.sup_limit",
-            "the norm dominates the eps -> infinity limit (sup norm)",
-            {}, {"ok": limit_ok}, None, limit_ok, t0)
+    yield _at_most("grandseq.homogeneity", "grand norm is absolutely homogeneous",
+                   {"seed": cfg.seed}, 1e-9, worst=worst_h)
+    yield _at_most("grandseq.support_monotone",
+                   "zeroing an entry never increases the norm",
+                   {"seed": cfg.seed}, 1e-12, worst=worst_mono)
+    yield _row("grandseq.sup_limit",
+               "the norm dominates the eps -> infinity limit (sup norm)",
+               {}, {"ok": limit_ok}, None, limit_ok)
 
-    t0 = time.monotonic()
+
+def _grandseq_nesting(d, spec, rng, cfg):
     x = Sequence(0.5 ** np.arange(10))
     rep = nesting_report(x, p=2.0, theta1=1.0, theta2=2.0, eps=0.25, delta=1.0)
     finite = all(math.isfinite(v) for v in rep["ratios"].values())
@@ -425,25 +404,29 @@ def grandseq_suite(cfg: SuiteConfig) -> list[VerificationReport]:
         abs(scaled["norms"][k] - 2.0 * rep["norms"][k]) <= 1e-9 * max(1.0, rep["norms"][k])
         for k in rep["norms"])
     factor_ok = all(e ** 2.0 <= e ** 1.0 for e in (0.1, 0.5, 0.9))
-    rec.add("grandseq.nesting",
-            "nesting-chain ratios are finite, scale linearly, and the "
-            "pointwise eps-factor is theta-monotone below eps = 1",
-            {}, {"ratios": rep["ratios"], "scale_exact": scale_exact},
-            None, finite and scale_exact and factor_ok, t0,
-            note="embedding constants recorded only")
-    return rec.rows
+    yield _row("grandseq.nesting",
+               "nesting-chain ratios are finite, scale linearly, and the "
+               "pointwise eps-factor is theta-monotone below eps = 1",
+               {}, {"ratios": rep["ratios"], "scale_exact": scale_exact},
+               None, finite and scale_exact and factor_ok,
+               note="embedding constants recorded only")
 
 
 # --------------------------------------------------------------------------
 # herz
 
+_HERZ_C = HerzSpaceParams(alpha=ExponentFunction.constant(0.4), p=1.0, q=_QC,
+                          theta=1.0)
+_HERZ_DEC = HerzSpaceParams(alpha=ExponentFunction.constant(0.3), p=1.5, q=_QC,
+                            theta=1.0)
+
+
 def _seeded_herz_function(spec: GridSpec, d, rng, krange) -> GridFunction:
     """Random function supported on resolvable annuli of the window."""
     idx = annulus_index_map(d, spec)
     kmin, kmax = krange
-    lo = kmin + 2
     vals = np.zeros(spec.shape)
-    for k in range(lo, kmax + 1):
+    for k in range(kmin + 2, kmax + 1):
         if rng.uniform() < 0.6:
             amp = float(rng.uniform(-2, 2))
             vals = np.where(idx == k - 1, amp * rng.uniform(0.5, 1.0, spec.shape), vals)
@@ -452,294 +435,255 @@ def _seeded_herz_function(spec: GridSpec, d, rng, krange) -> GridFunction:
     return GridFunction(spec, vals)
 
 
-def herz_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    rec = _Recorder(cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    d = make_dilation([[2.0]])
+def _split_ratios(d, spec, params, norm) -> list[float]:
+    """split_norm / norm of the constant 1 over the resolution sweep."""
+    ratios = []
+    for rspec in _sweep(spec):
+        one = GridFunction(rspec, np.ones(rspec.shape))
+        direct = norm(one, d, params)
+        ratios.append(split_norm(one, d, params) / direct)
+    return ratios
 
-    t0 = time.monotonic()
+
+def _decomposition_errors(g, d, params, restricted=False):
+    """g's decomposition, its round-trip and identity errors, block validity."""
+    dec = block_decompose(g, d, params)
+    roundtrip = float(np.max(np.abs(block_reconstruct(dec).values - g.values)))
+    norm, _ = grand_herz_norm(g, d, params)
+    valid = all(block_validate(blk, k, d, params, restricted=restricted)["pass"]
+                for k, blk in dec.blocks.items())
+    return dec, roundtrip, abs(seq_functional(dec) - norm), valid
+
+
+def _herz_constant_oracle(d, spec, rng, cfg):
     ref = oracles.constant_herz_reference(b=2.0, alpha=2.0, q=2.0, p=1.0,
                                           theta=1.0)
+    params = dataclasses.replace(_HERZ_C, alpha=ExponentFunction.constant(2.0))
     errs = {}
-    for res, tol in ((4096, 0.02), (16384, 0.005)):
-        spec = GridSpec(radius=0.5, dim=1, resolution=res)
-        f = GridFunction(spec, np.ones(spec.shape))
-        params = HerzSpaceParams(alpha=ExponentFunction.constant(2.0), p=1.0,
-                                 q=ExponentFunction.constant(2.0), theta=1.0)
-        norm, tail = grand_herz_norm(f, d, params)
+    ok = True
+    for res, tol in ((spec.resolution, 0.02), (4 * spec.resolution, 0.005)):
+        rspec = dataclasses.replace(spec, resolution=res)
+        norm, _ = grand_herz_norm(GridFunction(rspec, np.ones(rspec.shape)),
+                                  d, params)
         errs[res] = abs(norm - ref) / ref
-    ok = errs[4096] <= 0.02 and errs[16384] <= 0.005
-    rec.add("herz.constant_oracle",
-            "unit-ball indicator norm matches the geometric closed form",
-            {}, {"rel_errors": errs, "oracle": ref}, 0.02, ok, t0)
+        ok = ok and errs[res] <= tol
+    yield _row("herz.constant_oracle",
+               "unit-ball indicator norm matches the geometric closed form",
+               {}, {"rel_errors": errs, "oracle": ref}, 0.02, ok)
 
-    spec = GridSpec(radius=2.0, dim=1, resolution=1024)
-    qc = ExponentFunction.constant(2.0)
 
-    t0 = time.monotonic()
-    params_c = HerzSpaceParams(alpha=ExponentFunction.constant(0.4), p=1.0,
-                               q=qc, theta=1.0)
+def _herz_seeded(d, spec, rng, cfg):
+    """Rows that share one seeded function f, its norm and its part at
+    scales >= 1; the decomposition draws its functions right after f."""
     f = _seeded_herz_function(spec, d, rng, default_krange(d, spec))
-    nc, _ = grand_herz_norm(f, d, params_c)
-    sc = split_norm(f, d, params_c)
-    const_ratio = sc / nc
+    nc, _ = grand_herz_norm(f, d, _HERZ_C)
+    const_ratio = split_norm(f, d, _HERZ_C) / nc
     params_l = dataclasses.replace(
-        params_c, alpha=ExponentFunction.log_family(0.6, 0.3))
-    ratios = []
-    for res in (512, 1024, 2048):
-        rspec = GridSpec(radius=2.0, dim=1, resolution=res)
-        g = GridFunction(rspec, np.ones(rspec.shape))
-        n1, _ = grand_herz_norm(g, d, params_l)
-        ratios.append(split_norm(g, d, params_l) / n1)
+        _HERZ_C, alpha=ExponentFunction.log_family(0.6, 0.3))
+    ratios = _split_ratios(d, spec, params_l,
+                           lambda g, d, p: grand_herz_norm(g, d, p)[0])
     band_ok = all(0.5 <= r <= 2.0 for r in ratios) and \
         abs(ratios[-1] - ratios[-2]) <= 0.05 * ratios[-1]
-    rec.add("herz.split_band",
-            "split-constant weights give the identical norm for constant "
-            "alpha and a resolution-stable equivalence band for the log "
-            "family",
-            {"seed": cfg.seed},
-            {"const_ratio": const_ratio, "log_ratios": ratios},
-            None, abs(const_ratio - 1.0) <= 1e-9 and band_ok, t0)
+    yield _row("herz.split_band",
+               "split-constant weights give the identical norm for constant "
+               "alpha and a resolution-stable equivalence band for the log "
+               "family",
+               {"seed": cfg.seed},
+               {"const_ratio": const_ratio, "log_ratios": ratios},
+               None, abs(const_ratio - 1.0) <= 1e-9 and band_ok)
 
-    t0 = time.monotonic()
-    m0 = herz_morrey_norm(f, d, params_c)
-    rel = abs(m0 - nc) / max(nc, 1e-300)
-    rec.add("herz.morrey_reduction",
-            "vanishing Morrey exponent reduces the double sup to the "
-            "grand Herz norm",
-            {}, {"rel": rel}, 1e-12, rel <= 1e-12, t0)
+    m0 = herz_morrey_norm(f, d, _HERZ_C)
+    yield _at_most("herz.morrey_reduction",
+                   "vanishing Morrey exponent reduces the double sup to "
+                   "the grand Herz norm",
+                   {}, 1e-12, rel=abs(m0 - nc) / max(nc, 1e-300))
 
-    t0 = time.monotonic()
-    params_m = dataclasses.replace(params_c, lambda_morrey=0.1)
+    params_m = dataclasses.replace(_HERZ_C, lambda_morrey=0.1)
     ml = herz_morrey_norm(f, d, params_m)
     ks, tvals = slice_norms(f, d, params_m)
     ref_m = oracles.morrey_double_sup_reference(
         {int(k): float(v) for k, v in zip(ks, tvals)}, d.b, 1.0, 1.0, 0.1)
-    relm = abs(ml - ref_m) / max(ref_m, 1e-300)
-    rec.add("herz.morrey_brute",
-            "Morrey double supremum matches a dense (eps, L) scan",
-            {"lambda": 0.1}, {"rel": relm}, 1e-6, relm <= 1e-6, t0)
+    yield _at_most("herz.morrey_brute",
+                   "Morrey double supremum matches a dense (eps, L) scan",
+                   {"lambda": 0.1}, 1e-6,
+                   rel=abs(ml - ref_m) / max(ref_m, 1e-300))
 
-    t0 = time.monotonic()
-    worst_rt = worst_id = 0.0
-    blocks_ok = True
-    params_dec = HerzSpaceParams(alpha=ExponentFunction.constant(0.3), p=1.5,
-                                 q=qc, theta=1.0)
-    for _ in range(50):
-        g = _seeded_herz_function(spec, d, rng, default_krange(d, spec))
-        dec = block_decompose(g, d, params_dec)
-        recf = block_reconstruct(dec)
-        worst_rt = max(worst_rt, float(np.max(np.abs(recf.values - g.values))))
-        n, _ = grand_herz_norm(g, d, params_dec)
-        worst_id = max(worst_id, abs(seq_functional(dec) - n))
-        for k, blk in dec.blocks.items():
-            if not block_validate(blk, k, d, params_dec)["pass"]:
-                blocks_ok = False
-    rec.add("herz.decomposition",
-            "canonical block decomposition reconstructs pointwise and its "
-            "coefficient functional reproduces the norm; every block "
-            "meets the central-block bound",
-            {"seed": cfg.seed, "n": 50},
-            {"worst_roundtrip": worst_rt, "worst_identity": worst_id,
-             "blocks_ok": blocks_ok},
-            1e-9, worst_rt <= 1e-12 and worst_id <= 1e-9 and blocks_ok, t0)
+    yield from _herz_decomposition(d, spec, rng, cfg)
 
-    t0 = time.monotonic()
-    spec2 = GridSpec(radius=2.0, dim=1, resolution=2048)
-    g2 = GridFunction(spec2, np.repeat(f.values, 2))
-    n2, _ = grand_herz_norm(g2, d, params_c)
-    drift = abs(n2 - nc) / nc
-    rec.add("herz.reslice_stability",
-            "re-slicing at doubled resolution moves the norm by under 2%",
-            {}, {"drift": drift}, 0.02, drift <= 0.02, t0)
+    g2 = GridFunction(dataclasses.replace(spec, resolution=2 * spec.resolution),
+                      np.repeat(f.values, 2))
+    n2, _ = grand_herz_norm(g2, d, _HERZ_C)
+    yield _at_most("herz.reslice_stability",
+                   "re-slicing at doubled resolution moves the norm by "
+                   "under 2%",
+                   {}, 0.02, drift=abs(n2 - nc) / nc)
 
-    t0 = time.monotonic()
     outer = GridFunction(spec, np.where(annulus_index_map(d, spec) >= 0,
                                         f.values, 0.0))
     lam_grid = [0.0, 0.05, 0.1, 0.2, 0.4]
     norms = [herz_morrey_norm(outer, d,
-                              dataclasses.replace(params_c, lambda_morrey=lam))
+                              dataclasses.replace(_HERZ_C, lambda_morrey=lam))
              for lam in lam_grid]
-    mono = all(norms[i + 1] <= norms[i] * (1 + 1e-12)
-               for i in range(len(norms) - 1))
-    rec.add("herz.lambda_monotone",
-            "Morrey norm is nonincreasing in lambda for mass at scales "
-            ">= 1",
-            {"lams": lam_grid}, {"norms": norms}, None, mono, t0,
-            note="general supports recorded only")
+    mono = all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+    yield _row("herz.lambda_monotone",
+               "Morrey norm is nonincreasing in lambda for mass at "
+               "scales >= 1",
+               {"lams": lam_grid}, {"norms": norms}, None, mono,
+               note="general supports recorded only")
 
-    t0 = time.monotonic()
-    from .herz import annulus_slice
-    same = True
-    for k in range(1, 3):
-        s_h = annulus_slice(outer, d, k)
-        s_n = annulus_slice(outer, d, k, nonhomogeneous=True)
-        same = same and np.array_equal(s_h.values, s_n.values)
-    rec.add("herz.nonhomog_consistency",
-            "homogeneous and non-homogeneous slices agree at scales >= 1",
-            {}, {"same": same}, None, same, t0)
+    same = all(np.array_equal(annulus_slice(outer, d, k).values,
+                              annulus_slice(outer, d, k, nonhomogeneous=True).values)
+               for k in range(1, 3))
+    yield _row("herz.nonhomog_consistency",
+               "homogeneous and non-homogeneous slices agree at scales "
+               ">= 1",
+               {}, {"same": same}, None, same)
 
-    t0 = time.monotonic()
-    params_sm = dataclasses.replace(params_c, lambda_morrey=0.1)
-    ratios_sm = []
-    for res in (512, 1024, 2048):
-        rspec = GridSpec(radius=2.0, dim=1, resolution=res)
-        g = GridFunction(rspec, np.ones(rspec.shape))
-        direct = herz_morrey_norm(g, d, params_sm)
-        ratios_sm.append(split_norm(g, d, params_sm) / direct)
-    band_ok = all(1.0 - 1e-9 <= r <= 2.0 + 1e-9 for r in ratios_sm) and \
-        abs(ratios_sm[-1] - ratios_sm[-2]) <= 0.05 * ratios_sm[-1]
-    rec.add("herz.split_morrey_band",
-            "split Morrey form stays within its two-branch band of the "
-            "direct double sup, stable across resolutions",
-            {"lambda": 0.1}, {"ratios": ratios_sm}, 2.0, band_ok, t0)
 
-    t0 = time.monotonic()
-    params_nh = HerzSpaceParams(alpha=ExponentFunction.constant(0.3), p=1.5,
-                                q=qc, theta=1.0, homogeneous=False)
+def _herz_decomposition(d, spec, rng, cfg):
+    worst_rt = worst_id = 0.0
+    blocks_ok = True
+    krange = default_krange(d, spec)
+    for _ in range(50):
+        g = _seeded_herz_function(spec, d, rng, krange)
+        _, roundtrip, identity, valid = _decomposition_errors(g, d, _HERZ_DEC)
+        worst_rt = max(worst_rt, roundtrip)
+        worst_id = max(worst_id, identity)
+        blocks_ok = blocks_ok and valid
+    yield _row("herz.decomposition",
+               "canonical block decomposition reconstructs pointwise and its "
+               "coefficient functional reproduces the norm; every block "
+               "meets the central-block bound",
+               {"seed": cfg.seed, "n": 50},
+               {"worst_roundtrip": worst_rt, "worst_identity": worst_id,
+                "blocks_ok": blocks_ok},
+               1e-9, worst_rt <= 1e-12 and worst_id <= 1e-9 and blocks_ok)
+
+
+def _herz_split_morrey_band(d, spec, rng, cfg):
+    ratios = _split_ratios(d, spec,
+                           dataclasses.replace(_HERZ_C, lambda_morrey=0.1),
+                           herz_morrey_norm)
+    band_ok = all(1.0 - 1e-9 <= r <= 2.0 + 1e-9 for r in ratios) and \
+        abs(ratios[-1] - ratios[-2]) <= 0.05 * ratios[-1]
+    yield _row("herz.split_morrey_band",
+               "split Morrey form stays within its two-branch band of the "
+               "direct double sup, stable across resolutions",
+               {"lambda": 0.1}, {"ratios": ratios}, 2.0, band_ok)
+
+
+def _herz_nonhomog_decomposition(d, spec, rng, cfg):
     g = _random_function(spec, rng)
-    dec_nh = block_decompose(g, d, params_nh)
-    rec_nh = block_reconstruct(dec_nh)
-    rt = float(np.max(np.abs(rec_nh.values - g.values)))
-    n_nh, _ = grand_herz_norm(g, d, params_nh)
-    ident = abs(seq_functional(dec_nh) - n_nh)
-    restricted_ok = all(
-        block_validate(blk, k, d, params_nh, restricted=True)["pass"]
-        for k, blk in dec_nh.blocks.items())
-    ok = rt <= 1e-12 and ident <= 1e-9 and restricted_ok \
-        and min(dec_nh.block_indices()) >= 0
-    rec.add("herz.nonhomog_decomposition",
-            "restricted-type decomposition reconstructs and reproduces the "
-            "non-homogeneous norm",
-            {"seed": cfg.seed}, {"roundtrip": rt, "identity": ident}, 1e-9,
-            ok, t0)
-    return rec.rows
+    dec, roundtrip, identity, restricted_ok = _decomposition_errors(
+        g, d, dataclasses.replace(_HERZ_DEC, homogeneous=False),
+        restricted=True)
+    ok = roundtrip <= 1e-12 and identity <= 1e-9 and restricted_ok \
+        and min(dec.block_indices()) >= 0
+    yield _row("herz.nonhomog_decomposition",
+               "restricted-type decomposition reconstructs and reproduces "
+               "the non-homogeneous norm",
+               {"seed": cfg.seed}, {"roundtrip": roundtrip, "identity": identity},
+               1e-9, ok)
 
 
 # --------------------------------------------------------------------------
 # algebra
 
-def algebra_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    rec = _Recorder(cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    d = make_dilation([[2.0]])
-    spec = GridSpec(radius=2.0, dim=1, resolution=256)
-    qc = ExponentFunction.constant(2.0)
-    params = HerzSpaceParams(alpha=ExponentFunction.constant(0.3), p=2.0,
-                             q=qc, theta=1.0, lambda_morrey=0.05)
+_ALGEBRA_SUM = HerzSpaceParams(alpha=ExponentFunction.constant(0.3), p=2.0,
+                               q=_QC, theta=1.0, lambda_morrey=0.05)
+_ALGEBRA_P1 = HerzSpaceParams(alpha=ExponentFunction.constant(0.2), p=3.0,
+                              q=ExponentFunction.constant(4.0), theta=1.0,
+                              lambda_morrey=0.05)
+_ALGEBRA_P2 = dataclasses.replace(_ALGEBRA_P1, alpha=ExponentFunction.constant(0.1),
+                                  lambda_morrey=0.03)
 
-    t0 = time.monotonic()
-    worst = 0.0
-    for _ in range(500):
-        f = _random_function(spec, rng)
-        g = _random_function(spec, rng)
-        rep = sum_check(f, g, d, params)
-        if not rep["degenerate"]:
-            worst = max(worst, rep["ratio"])
-    rec.add("algebra.sum",
-            "triangle inequality for the Morrey norm with constant 1",
-            {"seed": cfg.seed, "n": 500}, {"max_ratio": worst}, 1.0 + 1e-6,
-            worst <= 1.0 + 1e-6, t0)
 
-    t0 = time.monotonic()
-    p1 = HerzSpaceParams(alpha=ExponentFunction.constant(0.2), p=3.0,
-                         q=ExponentFunction.constant(4.0), theta=1.0,
-                         lambda_morrey=0.05)
-    p2 = HerzSpaceParams(alpha=ExponentFunction.constant(0.1), p=3.0,
-                         q=ExponentFunction.constant(4.0), theta=1.0,
-                         lambda_morrey=0.03)
-    worst = 0.0
-    for _ in range(500):
-        f = _random_function(spec, rng)
-        g = _random_function(spec, rng)
-        rep = product_check(f, g, d, p1, p2)
-        if not rep["degenerate"]:
-            worst = max(worst, rep["ratio"])
-    rec.add("algebra.product",
-            "product norms factor with constant 1 for constant exponents",
-            {"seed": cfg.seed, "n": 500}, {"max_ratio": worst}, 1.0 + 1e-6,
-            worst <= 1.0 + 1e-6, t0)
+def _algebra_sum(d, spec, rng, cfg):
+    worst = _worst_ratio(spec, rng, 500,
+                         lambda f, g: sum_check(f, g, d, _ALGEBRA_SUM))
+    yield _at_most("algebra.sum",
+                   "triangle inequality for the Morrey norm with constant 1",
+                   {"seed": cfg.seed, "n": 500}, 1.0 + 1e-6, max_ratio=worst)
 
-    t0 = time.monotonic()
+
+def _algebra_product(d, spec, rng, cfg):
+    worst = _worst_ratio(
+        spec, rng, 500,
+        lambda f, g: product_check(f, g, d, _ALGEBRA_P1, _ALGEBRA_P2))
+    yield _at_most("algebra.product",
+                   "product norms factor with constant 1 for constant "
+                   "exponents",
+                   {"seed": cfg.seed, "n": 500}, 1.0 + 1e-6, max_ratio=worst)
+
+
+def _algebra_product_m3(d, spec, rng, cfg):
     p6 = HerzSpaceParams(alpha=ExponentFunction.constant(0.1), p=6.0,
                          q=ExponentFunction.constant(6.0), theta=1.0)
+    p123 = combine_product_params(combine_product_params(p6, p6), p6)
     worst = 0.0
     for _ in range(100):
         fs = [_random_function(spec, rng).abs() for _ in range(3)]
-        from .herz import combine_product_params
-        p12 = combine_product_params(p6, p6)
-        n_all = herz_morrey_norm(fs[0] * fs[1] * fs[2], d,
-                                 combine_product_params(p12, p6))
-        denom = 1.0
-        for fi in fs:
-            denom *= herz_morrey_norm(fi, d, p6)
+        n_all = herz_morrey_norm(fs[0] * fs[1] * fs[2], d, p123)
+        denom = math.prod(herz_morrey_norm(fi, d, p6) for fi in fs)
         if denom > 0:
             worst = max(worst, n_all / denom)
-    rec.add("algebra.product_m3",
-            "three-factor products obey the iterated constant-1 bound",
-            {"seed": cfg.seed, "n": 100}, {"max_ratio": worst}, 1.0 + 1e-6,
-            worst <= 1.0 + 1e-6, t0)
+    yield _at_most("algebra.product_m3",
+                   "three-factor products obey the iterated constant-1 bound",
+                   {"seed": cfg.seed, "n": 100}, 1.0 + 1e-6, max_ratio=worst)
 
-    t0 = time.monotonic()
+
+def _algebra_degenerate(d, spec, rng, cfg):
     f = _random_function(spec, rng)
     zero = GridFunction(spec, np.zeros(spec.shape))
-    cancel = sum_check(f, -1.0 * f, d, params)
-    prod_zero = product_check(f, zero, d, p1, p2)
-    both_zero = sum_check(zero, zero, d, params)
+    cancel = sum_check(f, -1.0 * f, d, _ALGEBRA_SUM)
+    prod_zero = product_check(f, zero, d, _ALGEBRA_P1, _ALGEBRA_P2)
+    both_zero = sum_check(zero, zero, d, _ALGEBRA_SUM)
     ok = cancel["ratio"] == 0.0 and prod_zero["degenerate"] and \
         both_zero["degenerate"]
-    rec.add("algebra.degenerate",
-            "cancellation and zero inputs report degenerate passes",
-            {}, {"cancel_ratio": cancel["ratio"]}, None, ok, t0)
-    return rec.rows
+    yield _row("algebra.degenerate",
+               "cancellation and zero inputs report degenerate passes",
+               {}, {"cancel_ratio": cancel["ratio"]}, None, ok)
 
 
 # --------------------------------------------------------------------------
 # operators
 
-def operators_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    rec = _Recorder(cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    d = make_dilation([[2.0]])
-    spec = GridSpec(radius=2.0, dim=1, resolution=512)
-    qc = ExponentFunction.constant(2.0)
-    params = HerzSpaceParams(alpha=ExponentFunction.constant(0.25), p=1.0,
-                             q=qc, theta=1.0, delta2=0.5)
+def _probes(d, spec):
+    """The three operator probes: cumulative, truncated kernel, maximal."""
     kr = default_krange(d, spec)
+    return (lambda u: ops.hardy_apply(u, d),
+            lambda u: ops.truncated_riesz_apply(u, d, 0.25),
+            lambda u: ops.maximal_apply(u, d, kr))
 
-    t0 = time.monotonic()
+
+def _operators_sublinearity(d, spec, rng, cfg):
+    probes = _probes(d, spec)
     worst = 0.0
     for _ in range(20):
         f = _random_function(spec, rng)
         g = _random_function(spec, rng)
-        for apply_fn in (
-            lambda u: ops.hardy_apply(u, d),
-            lambda u: ops.truncated_riesz_apply(u, d, 0.25),
-            lambda u: ops.maximal_apply(u, d, kr),
-        ):
+        for apply_fn in probes:
             lhs = np.abs(apply_fn(f + g).values)
             rhs = np.abs(apply_fn(f).values) + np.abs(apply_fn(g).values)
             worst = max(worst, float(np.max(lhs - rhs)))
-    rec.add("operators.sublinearity",
-            "all probes are pointwise sublinear", {"seed": cfg.seed},
-            {"worst_excess": worst}, 1e-9, worst <= 1e-9, t0)
+    yield _at_most("operators.sublinearity",
+                   "all probes are pointwise sublinear", {"seed": cfg.seed},
+                   1e-9, worst_excess=worst)
 
-    t0 = time.monotonic()
+
+def _operators_homogeneity(d, spec, rng, cfg):
     f = _random_function(spec, rng)
     c = 3.25
     worst = 0.0
-    for apply_fn in (
-        lambda u: ops.hardy_apply(u, d),
-        lambda u: ops.truncated_riesz_apply(u, d, 0.25),
-        lambda u: ops.maximal_apply(u, d, kr),
-    ):
+    for apply_fn in _probes(d, spec):
         worst = max(worst, float(np.max(np.abs(
             apply_fn(f * c).values - c * apply_fn(f).values))))
-    rec.add("operators.homogeneity",
-            "probes scale linearly (absolutely for the maximal average)",
-            {}, {"worst": worst}, 1e-9, worst <= 1e-9, t0)
+    yield _at_most("operators.homogeneity",
+                   "probes scale linearly (absolutely for the maximal "
+                   "average)", {}, 1e-9, worst=worst)
 
-    t0 = time.monotonic()
+
+def _operators_size_hardy(d, spec, rng, cfg):
     idx = annulus_index_map(d, spec)
     nz = idx != ORIGIN_INDEX
     rho_vals = d.rho_of_index(idx)
@@ -749,12 +693,13 @@ def operators_suite(cfg: SuiteConfig) -> list[VerificationReport]:
         hf = ops.hardy_apply(f, d)
         bound = f.l1() / np.where(nz, rho_vals, 1.0)
         worst_h = max(worst_h, float(np.max(np.abs(hf.values[nz]) - bound[nz])))
-    rec.add("operators.size_hardy",
-            "cumulative operator obeys |Hf| <= ||f||_1 / rho everywhere",
-            {"seed": cfg.seed}, {"worst_excess": worst_h}, 1e-12,
-            worst_h <= 1e-12, t0)
+    yield _at_most("operators.size_hardy",
+                   "cumulative operator obeys |Hf| <= ||f||_1 / rho "
+                   "everywhere",
+                   {"seed": cfg.seed}, 1e-12, worst_excess=worst_h)
 
-    t0 = time.monotonic()
+
+def _operators_size_riesz(d, spec, rng, cfg):
     f = _random_function(spec, rng)
     tf = ops.truncated_riesz_apply(f, d, 0.25)
     pts = spec.points()
@@ -768,22 +713,25 @@ def operators_suite(cfg: SuiteConfig) -> list[VerificationReport]:
         integrand = np.where(rr > 0, np.abs(f.values) / np.where(rr > 0, rr, 1.0), 0.0)
         bound = float(np.sum(integrand) * spec.cell_volume)
         worst_r = max(worst_r, abs(tf.values[i]) - bound)
-    rec.add("operators.size_riesz",
-            "truncated kernel output is dominated by the full 1/rho "
-            "integral at sampled points",
-            {"seed": cfg.seed, "n_x": 100}, {"worst_excess": worst_r}, 1e-9,
-            worst_r <= 1e-9, t0)
+    yield _at_most("operators.size_riesz",
+                   "truncated kernel output is dominated by the full 1/rho "
+                   "integral at sampled points",
+                   {"seed": cfg.seed, "n_x": 100}, 1e-9, worst_excess=worst_r)
 
-    t0 = time.monotonic()
+
+def _operators_identity_ratio(d, spec, rng, cfg):
+    params = HerzSpaceParams(alpha=ExponentFunction.constant(0.25), p=1.0,
+                             q=_QC, theta=1.0, delta2=0.5)
     ident = ops.OperatorSpec(kind="identity")
     vals = [ops.op_ratio(ident, _random_function(spec, rng), d, params)
             for _ in range(10)]
-    ok = all(v == 1.0 for v in vals)
-    rec.add("operators.identity_ratio",
-            "identity operator has norm ratio exactly 1", {}, {"vals": vals},
-            None, ok, t0)
+    yield _row("operators.identity_ratio",
+               "identity operator has norm ratio exactly 1", {},
+               {"vals": vals}, None, all(v == 1.0 for v in vals))
 
-    t0 = time.monotonic()
+
+def _operators_hardy_sweep(d, spec, rng, cfg):
+    """The Hardy sweep and the maximal comparison share the seed functions."""
     x = spec.points()[..., 0]
     seeds = [
         GridFunction(spec, (np.abs(x) < 0.5).astype(float)),
@@ -801,85 +749,80 @@ def operators_suite(cfg: SuiteConfig) -> list[VerificationReport]:
         rl["sup_ratio"] / rs["sup_ratio"]
         for rs, rl in zip(rows_small, rows_large) if rs["admissible"]]
     growth = max(admissible_growth) if admissible_growth else 1.0
-    rec.add("operators.hardy_sweep",
-            "family-sup ratios stay stable inside the admissible region "
-            "as the family quadruples",
-            {"seed": cfg.seed, "alphas": cfg.alpha_grid,
-             "lambdas": cfg.lambda_grid},
-            {"growth": growth,
-             "sups": [r["sup_ratio"] for r in rows_large]}, 1.5,
-            growth < 1.5, t0,
-            note="cells outside the region are recorded, not asserted")
+    yield _row("operators.hardy_sweep",
+               "family-sup ratios stay stable inside the admissible region "
+               "as the family quadruples",
+               {"seed": cfg.seed, "alphas": cfg.alpha_grid,
+                "lambdas": cfg.lambda_grid},
+               {"growth": growth, "sups": [r["sup_ratio"] for r in rows_large]},
+               1.5, growth < 1.5,
+               note="cells outside the region are recorded, not asserted")
 
-    t0 = time.monotonic()
-    f = seeds[1]
-    mf_a = ops.maximal_apply(f, d, kr, balls="anisotropic")
-    mf_e = ops.maximal_apply(f, d, kr, balls="euclidean")
+    kr = default_krange(d, spec)
+    mf_a = ops.maximal_apply(seeds[1], d, kr, balls="anisotropic")
+    mf_e = ops.maximal_apply(seeds[1], d, kr, balls="euclidean")
     ratio = float(np.max(mf_a.values) / np.max(mf_e.values))
-    rec.add("operators.maximal_compare",
-            "anisotropic vs Euclidean maximal averages (diagnostic)",
-            {}, {"peak_ratio": ratio}, None, None, t0, asserted=False,
-            note="variant comparison recorded only")
+    yield _row("operators.maximal_compare",
+               "anisotropic vs Euclidean maximal averages (diagnostic)",
+               {}, {"peak_ratio": ratio}, None, None, asserted=False,
+               note="variant comparison recorded only")
 
-    t0 = time.monotonic()
+
+def _operators_lq_ratio(d, spec, rng, cfg):
     lq = []
     for _ in range(10):
         f = _random_function(spec, rng)
         if f.is_zero():
             continue
-        nf = luxemburg_norm(f, qc)
-        lq.append(luxemburg_norm(ops.hardy_apply(f, d), qc) / nf)
-    rec.add("operators.lq_ratio",
-            "empirical Lebesgue-norm ratios of the cumulative operator "
-            "(recorded next to the Herz ratios)",
-            {"seed": cfg.seed}, {"ratios": lq}, None, None, t0,
-            asserted=False)
-    return rec.rows
+        nf = luxemburg_norm(f, _QC)
+        lq.append(luxemburg_norm(ops.hardy_apply(f, d), _QC) / nf)
+    yield _row("operators.lq_ratio",
+               "empirical Lebesgue-norm ratios of the cumulative operator "
+               "(recorded next to the Herz ratios)",
+               {"seed": cfg.seed}, {"ratios": lq}, None, None,
+               asserted=False)
 
 
 # --------------------------------------------------------------------------
 # atoms
 
-def atoms_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    rec = _Recorder(cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    d = make_dilation([[2.0]])
-    spec = GridSpec(radius=2.0, dim=1, resolution=2048)
-    qc = ExponentFunction.constant(2.0)
-    params = HerzSpaceParams(alpha=ExponentFunction.constant(0.6), p=1.0,
-                             q=qc, theta=1.0, delta2=0.5)
+_ATOM_PARAMS = HerzSpaceParams(alpha=ExponentFunction.constant(0.6), p=1.0,
+                               q=_QC, theta=1.0, delta2=0.5)
 
-    t0 = time.monotonic()
+
+def _atoms_make_validate(d, spec, rng, cfg):
     all_ok = True
     made = 0
     for kind, smax in (("haar", 0), ("bump_corrected", 2)):
         for k in (-1, 0, 1, 2):
             for s in range(smax + 1):
-                atom = at.atom_make(kind, k, s, d, params, spec)
-                rep = at.atom_validate(atom.data, k, d, params, s)
+                atom = at.atom_make(kind, k, s, d, _ATOM_PARAMS, spec)
+                rep = at.atom_validate(atom.data, k, d, _ATOM_PARAMS, s)
                 made += 1
                 all_ok = all_ok and rep["pass"]
-    rec.add("atoms.make_validate",
-            "every constructed atom passes validation at its declared "
-            "scale and moment order",
-            {"n": made}, {"all_ok": all_ok}, None, all_ok, t0)
+    yield _row("atoms.make_validate",
+               "every constructed atom passes validation at its declared "
+               "scale and moment order",
+               {"n": made}, {"all_ok": all_ok}, None, all_ok)
 
-    t0 = time.monotonic()
-    hspec = GridSpec(radius=0.5, dim=1, resolution=2048)
-    haar = at.atom_make("haar", 0, 0, d,
-                        dataclasses.replace(params,
-                                            alpha=ExponentFunction.constant(0.5)),
-                        hspec)
-    rep0 = at.atom_validate(haar.data, 0, d, params, 0)
-    rep1 = at.atom_validate(haar.data, 0, d, params, 1)
+
+def _atoms_haar_moment(d, spec, rng, cfg):
+    params = dataclasses.replace(_ATOM_PARAMS, alpha=ExponentFunction.constant(0.5))
+    haar = at.atom_make("haar", 0, 0, d, params, spec)
+    rep0 = at.atom_validate(haar.data, 0, d, _ATOM_PARAMS, 0)
+    rep1 = at.atom_validate(haar.data, 0, d, _ATOM_PARAMS, 1)
     moment = rep1["moments"]["1"]
     ok = rep0["pass"] and not rep1["pass"] and abs(moment + 0.25) <= 1e-8
-    rec.add("atoms.haar_moment",
-            "opposite-halves atom passes order 0 and fails order 1 with "
-            "first moment -1/4",
-            {}, {"moment": moment}, 1e-8, ok, t0)
+    yield _row("atoms.haar_moment",
+               "opposite-halves atom passes order 0 and fails order 1 with "
+               "first moment -1/4",
+               {}, {"moment": moment}, 1e-8, ok)
 
-    t0 = time.monotonic()
+
+def _atoms_mollifier(d, spec, rng, cfg):
+    """Rows that share one mollifier phi (the moment-scaling row sits
+    between its dilates and its maximal proxy)."""
+    params = _ATOM_PARAMS
     phi = at.make_mollifier(d, spec)
     idx = annulus_index_map(d, spec)
     mass_ok = supp_ok = True
@@ -887,25 +830,24 @@ def atoms_suite(cfg: SuiteConfig) -> list[VerificationReport]:
         pk = at.dilate_phi(phi, d, k)
         mass_ok = mass_ok and abs(pk.integral() - 1.0) <= 1e-6
         supp_ok = supp_ok and not np.any(pk.values[idx >= k] != 0.0)
-    rec.add("atoms.dilate_mass",
-            "mollifier dilates keep unit mass and support in B_k",
-            {}, {"mass_ok": mass_ok, "supp_ok": supp_ok}, 1e-6,
-            mass_ok and supp_ok, t0)
+    yield _row("atoms.dilate_mass",
+               "mollifier dilates keep unit mass and support in B_k",
+               {}, {"mass_ok": mass_ok, "supp_ok": supp_ok}, 1e-6,
+               mass_ok and supp_ok)
 
-    t0 = time.monotonic()
+    resolutions = [spec.resolution // 2, spec.resolution]
     residuals = []
-    for res in (1024, 2048):
-        rspec = GridSpec(radius=2.0, dim=1, resolution=res)
+    for res in resolutions:
+        rspec = dataclasses.replace(spec, resolution=res)
         atom = at.atom_make("bump_corrected", 1, 2, d, params, rspec)
         rep = at.atom_validate(atom.data, 1, d, params, 2)
         residuals.append(max(abs(v) for v in rep["moments"].values()))
-    rec.add("atoms.moment_scaling",
-            "moment residuals do not grow as the grid refines",
-            {"resolutions": [1024, 2048]}, {"residuals": residuals}, None,
-            residuals[1] <= max(residuals[0], 1e-12) * 4.0, t0,
-            note="projection keeps residuals at rounding level")
+    yield _row("atoms.moment_scaling",
+               "moment residuals do not grow as the grid refines",
+               {"resolutions": resolutions}, {"residuals": residuals},
+               None, residuals[1] <= max(residuals[0], 1e-12) * 4.0,
+               note="projection keeps residuals at rounding level")
 
-    t0 = time.monotonic()
     kr = default_krange(d, spec)
     f = _random_function(spec, rng)
     g = _random_function(spec, rng)
@@ -915,19 +857,17 @@ def atoms_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     sub = float(np.max(mfg.values - mf.values - mg.values))
     mc = at.radial_maximal(f * 2.5, phi, d, kr)
     hom = float(np.max(np.abs(mc.values - 2.5 * mf.values)))
-    rec.add("atoms.radial_maximal",
-            "single-mollifier maximal proxy is sublinear and absolutely "
-            "homogeneous",
-            {"seed": cfg.seed}, {"sublinear_excess": sub, "homog": hom},
-            1e-9, sub <= 1e-9 and hom <= 1e-9, t0,
-            note="lower proxy for the seminorm-class maximal function")
+    yield _row("atoms.radial_maximal",
+               "single-mollifier maximal proxy is sublinear and "
+               "absolutely homogeneous",
+               {"seed": cfg.seed}, {"sublinear_excess": sub, "homog": hom},
+               1e-9, sub <= 1e-9 and hom <= 1e-9,
+               note="lower proxy for the seminorm-class maximal function")
 
-    t0 = time.monotonic()
+    ks = [0, 1, -1]
+    atoms = [at.atom_make("bump_corrected", k, 1, d, params, spec) for k in ks]
     ratios = []
-    for trial in range(3):
-        ks = [0, 1, -1]
-        atoms = [at.atom_make("bump_corrected", k, 1, d, params, spec)
-                 for k in ks]
+    for _ in range(3):
         lam = Sequence(rng.uniform(0.2, 2.0, len(ks)))
         out = at.atomic_sum_check(atoms, lam, params, phi, d)
         ratios.append(out["ratio"])
@@ -935,52 +875,96 @@ def atoms_suite(cfg: SuiteConfig) -> list[VerificationReport]:
         if abs(out2["ratio"] - out["ratio"]) > 1e-9:
             ratios.append(math.inf)
     spread = max(ratios) / min(ratios)
-    rec.add("atoms.sum_ratio",
-            "atomic-sum maximal ratio is scale-invariant and stable "
-            "across seeded coefficient sets",
-            {"seed": cfg.seed}, {"ratios": ratios, "spread": spread}, None,
-            all(math.isfinite(r) for r in ratios) and spread < 10.0, t0,
-            note="sufficiency direction with the single-mollifier proxy")
+    yield _row("atoms.sum_ratio",
+               "atomic-sum maximal ratio is scale-invariant and stable "
+               "across seeded coefficient sets",
+               {"seed": cfg.seed}, {"ratios": ratios, "spread": spread},
+               None, all(math.isfinite(r) for r in ratios) and spread < 10.0,
+               note="sufficiency direction with the single-mollifier proxy")
 
-    t0 = time.monotonic()
+
+def _atoms_size_condition(d, spec, rng, cfg):
     hardy = ops.OperatorSpec(kind="hardy")
-    big = GridSpec(radius=4.0, dim=1, resolution=1024)
-    hatom = at.atom_make("haar", 0, 0, d, params, big)
+    hatom = at.atom_make("haar", 0, 0, d, _ATOM_PARAMS, spec)
     rep_h = at.size_condition_check(hardy, hatom, d)
     riesz = ops.OperatorSpec(kind="truncated_riesz", cutoff=0.25)
     cs = []
     for k in (-1, 0, 1):
-        atom_k = at.atom_make("haar", k, 0, d, params, big)
+        atom_k = at.atom_make("haar", k, 0, d, _ATOM_PARAMS, spec)
         cs.append(at.size_condition_check(riesz, atom_k, d)["tightest_c"])
-    rec.add("atoms.size_condition",
-            "far-field quadratic-decay check: cumulative operator gives "
-            "exact zeros; truncated-kernel constants recorded over scales",
-            {}, {"hardy_far_max": rep_h["far_field_max"],
-                 "riesz_cs": cs}, None,
-            rep_h["far_field_exact_zero"] and
-            all(math.isfinite(c) for c in cs), t0)
+    yield _row("atoms.size_condition",
+               "far-field quadratic-decay check: cumulative operator gives "
+               "exact zeros; truncated-kernel constants recorded over scales",
+               {}, {"hardy_far_max": rep_h["far_field_max"],
+                    "riesz_cs": cs}, None,
+               rep_h["far_field_exact_zero"] and
+               all(math.isfinite(c) for c in cs))
 
-    t0 = time.monotonic()
-    s_min = at.min_moment_order(d, params)
-    rec.add("atoms.min_s",
-            "minimum admissible moment order from the scale geometry",
-            {"alpha": 0.6, "delta2": 0.5}, {"s_min": s_min}, None,
-            s_min >= 0, t0,
-            note="scalar alpha evaluated at max(alpha(0), alpha_inf)")
-    return rec.rows
+
+def _atoms_min_s(d, spec, rng, cfg):
+    s_min = at.min_moment_order(d, _ATOM_PARAMS)
+    yield _row("atoms.min_s",
+               "minimum admissible moment order from the scale geometry",
+               {"alpha": 0.6, "delta2": 0.5}, {"s_min": s_min}, None,
+               s_min >= 0,
+               note="scalar alpha evaluated at max(alpha(0), alpha_inf)")
 
 
 # --------------------------------------------------------------------------
+# the suites: ordered tables of (check, matrix name, grid) entries
+
+def _on_line(resolution: int | None, *checks, radius: float = 2.0) -> list[tuple]:
+    """Entries running ``checks`` on the dyadic line (no grid for None)."""
+    spec = None if resolution is None else \
+        GridSpec(radius=radius, dim=1, resolution=resolution)
+    return [(check, "dyadic", spec) for check in checks]
+
 
 _SUITES = {
-    "geometry": geometry_suite,
-    "lebesgue": lebesgue_suite,
-    "grandseq": grandseq_suite,
-    "herz": herz_suite,
-    "algebra": algebra_suite,
-    "operators": operators_suite,
-    "atoms": atoms_suite,
+    "geometry": _on_line(None, _geometry_examples) + [
+        (_geometry_matrix, name, GridSpec(radius=2.0, dim=len(mat),
+                                          resolution=128 if len(mat) == 2 else 1024))
+        for name, mat in _MATRICES.items()],
+    "lebesgue": _on_line(512, _lebesgue_luxemburg_two_piece,
+                         _lebesgue_const_agreement, _lebesgue_homogeneity,
+                         _lebesgue_holder_defect, _lebesgue_ball_product_const)
+    + _on_line(1024, _lebesgue_ball_product_log, radius=4.0)
+    + _on_line(4096, _lebesgue_subset_fit, radius=4.0)
+    + _on_line(512, _lebesgue_product_norm) + _on_line(None, _lebesgue_log_holder),
+    "grandseq": _on_line(None, _grandseq_delta_oracle, _grandseq_dense_agreement,
+                         _grandseq_homogeneity, _grandseq_nesting),
+    "herz": _on_line(4096, _herz_constant_oracle, radius=0.5)
+    + _on_line(1024, _herz_seeded, _herz_split_morrey_band,
+               _herz_nonhomog_decomposition),
+    "algebra": _on_line(256, _algebra_sum, _algebra_product, _algebra_product_m3,
+                        _algebra_degenerate),
+    "operators": _on_line(512, _operators_sublinearity, _operators_homogeneity,
+                          _operators_size_hardy, _operators_size_riesz,
+                          _operators_identity_ratio, _operators_hardy_sweep,
+                          _operators_lq_ratio),
+    "atoms": _on_line(2048, _atoms_make_validate)
+    + _on_line(2048, _atoms_haar_moment, radius=0.5)
+    + _on_line(2048, _atoms_mollifier)
+    + _on_line(1024, _atoms_size_condition, radius=4.0)
+    + _on_line(None, _atoms_min_s),
 }
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _run_table(table, cfg: SuiteConfig) -> list[VerificationReport]:
+    """Run the checks in table order on one generator seeded from the
+    config.  A row is timed from the previous row of its check, or from
+    the check's start, so the rows of a check split its wall time."""
+    rng = np.random.default_rng(cfg.seed)
+    rows: list[VerificationReport] = []
+    for check, matrix, spec in table:
+        d = make_dilation(_MATRICES[matrix])
+        last = time.monotonic()
+        for row in check(d, spec, rng, cfg):
+            now = time.monotonic()
+            row.seed, row.runtime_s, last = cfg.seed, now - last, now
+            rows.append(row)
+    return rows
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> list[VerificationReport]:
@@ -988,11 +972,10 @@ def run_suite(name: str, cfg: SuiteConfig) -> list[VerificationReport]:
     if not name:
         raise ConfigError("empty suite name")
     if name == "all":
-        rows: list[VerificationReport] = []
-        for suite in SUITE_NAMES:
-            rows.extend(_SUITES[suite](cfg))
-        return sorted(rows, key=lambda r: r.check)
+        return sorted((row for suite in SUITE_NAMES
+                       for row in _run_table(_SUITES[suite], cfg)),
+                      key=lambda r: r.check)
     if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; "
                           f"choose from {', '.join(SUITE_NAMES)} or all")
-    return _SUITES[name](cfg)
+    return _run_table(_SUITES[name], cfg)

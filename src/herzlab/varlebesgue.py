@@ -372,12 +372,11 @@ def product_norm_check(f: GridFunction, g: GridFunction,
     p = derived_reciprocal(q, r)
     denom = luxemburg_norm(f, q) * luxemburg_norm(g, r)
     num = luxemburg_norm(f * g, p)
-    constant_case = q.is_constant and r.is_constant
+    bound = 1.0 + 1e-6 if q.is_constant and r.is_constant else None
     if denom == 0.0:
         return {"check": "product_norm", "ratio": 0.0, "degenerate": True,
-                "bound": 1.0 if constant_case else None, "pass": True}
+                "bound": bound, "pass": True}
     ratio = num / denom
-    bound = 1.0 + 1e-6 if constant_case else None
     return {
         "check": "product_norm",
         "ratio": ratio,

@@ -49,10 +49,14 @@ def test_parse_exponent():
 
 
 def test_suite_config_tolerance_floor():
-    cfg = SuiteConfig(tolerances={"x": 1e-20})
+    # a sub-floor tolerance is rejected when the config is built, before
+    # any check runs
     with pytest.raises(ConfigError):
-        cfg.tol("x", 1e-6)
+        SuiteConfig(tolerances={"x": 1e-20})
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict({"tolerance.x": 1e-20})
     assert SuiteConfig().tol("x", 1e-6) == 1e-6
+    assert SuiteConfig.from_dict({"tolerance.x": 1e-3}).tol("x", 1e-6) == 1e-3
 
 
 def test_cli_norm(workdir, capsys):
@@ -229,6 +233,25 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
     assert cfg.lambda_grid == [0.0, 0.05]
 
 
+@pytest.mark.parametrize("command, line", [
+    ("verify", "tolerance.holder = abc"),
+    ("verify", "tolerance.holder = 1e-20"),
+    ("verify", "suite.seed = 1.5x"),
+    ("verify", "suite.alpha_grid = 0.1, x"),
+    ("verify", "suite.families = const:abc"),
+    ("norm", "herz.p = abc"),
+    ("norm", "herz.homogeneous = yes"),
+])
+def test_cli_rejects_malformed_config_value(workdir, capsys, command, line):
+    (workdir / "bad.txt").write_text(line + "\n")
+    args = {"norm": ["norm", "--input", str(workdir / "f.csv")],
+            "verify": ["verify", "--suite", "grandseq", "--out", str(workdir / "rv")]}
+    assert main([*args[command], "--config", str(workdir / "bad.txt")]) == 2
+    key = line.split(" =")[0]
+    assert key.split(".", 1)[1] in capsys.readouterr().err
+    assert not (workdir / "rv").exists()
+
+
 @pytest.mark.parametrize("key", ["herz.lamda", "tolerance.holdr", "suite.sed"])
 @pytest.mark.parametrize("command", ["norm", "verify"])
 def test_cli_rejects_unknown_config_key(workdir, capsys, command, key):
@@ -275,11 +298,19 @@ def test_recorder_rows_get_their_own_interval(monkeypatch):
 
     from herzlab import suites
 
-    clock = iter([13.0, 14.0, 16.0, 25.0])
+    # check one starts at t = 10 and yields three rows, check two starts
+    # at t = 20 and yields one
+    clock = iter([10.0, 13.0, 14.0, 16.0, 20.0, 25.0])
     monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: next(clock)))
-    rec = suites._Recorder(seed=0)
-    # three rows measured by one block that started at t = 10
-    for name in ("a", "b", "c"):
-        rec.add(name, "", {}, {}, None, True, 10.0)
-    rec.add("d", "", {}, {}, None, True, 20.0)
-    assert [r.runtime_s for r in rec.rows] == [3.0, 1.0, 2.0, 5.0]
+
+    def check(*names):
+        def rows(d, spec, rng, cfg):
+            for name in names:
+                yield suites._row(name, "", {}, {}, None, True)
+        return rows
+
+    table = [(check("a", "b", "c"), "dyadic", None), (check("d"), "dyadic", None)]
+    rows = suites._run_table(table, SuiteConfig(seed=3))
+    # the three rows split their check's 6 s, counted once
+    assert [r.runtime_s for r in rows] == [3.0, 1.0, 2.0, 5.0]
+    assert [r.seed for r in rows] == [3, 3, 3, 3]

@@ -255,6 +255,11 @@ def test_product_norm_check(line_spec):
     q4 = ExponentFunction.constant(4.0)
     rep = product_norm_check(f, f, q4, q4)
     assert rep["ratio"] == pytest.approx(1.0, abs=1e-9)
+    # a zero factor is degenerate and reports the same bound
+    zero = GridFunction(line_spec, np.zeros(line_spec.shape))
+    rep0 = product_norm_check(zero, f, q4, q4)
+    assert rep0["degenerate"] and rep0["pass"]
+    assert rep0["bound"] == rep["bound"] == 1.0 + 1e-6
     with pytest.raises(ReciprocalMismatch):
         product_norm_check(f, f, ExponentFunction.constant(2.0),
                            ExponentFunction.constant(2.0))
