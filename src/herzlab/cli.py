@@ -21,7 +21,15 @@ import numpy as np
 
 from . import atoms as at
 from . import operators as ops
-from .config import SuiteConfig, config_value, load_config, parse_exponent
+from .config import (
+    SuiteConfig,
+    config_value,
+    float_list,
+    load_config,
+    parse_exponent,
+    strict_flag,
+    strict_int,
+)
 from .dilation import make_dilation, parse_matrix
 from .errors import ConfigError, HerzlabError, IoError
 from .grandseq import Sequence
@@ -44,18 +52,18 @@ from .suites import run_suite
 
 
 def _herz_params(raw: dict) -> HerzSpaceParams:
-    kr = None
-    if "herz.kmin" in raw and "herz.kmax" in raw:
-        kr = tuple(config_value(raw, key, int) for key in ("herz.kmin", "herz.kmax"))
+    kr = tuple(config_value(raw, key, strict_int) for key in ("herz.kmin", "herz.kmax"))
+    if kr.count(None) == 1:
+        raise ConfigError("herz.kmin and herz.kmax must be given together")
     return HerzSpaceParams(
         alpha=config_value(raw, "herz.alpha", parse_exponent, "const:0.5"),
         p=config_value(raw, "herz.p", float, 1.0),
         q=config_value(raw, "herz.q", parse_exponent, "const:2"),
         theta=config_value(raw, "herz.theta", float, 1.0),
         lambda_morrey=config_value(raw, "herz.lambda", float, 0.0),
-        homogeneous=config_value(raw, "herz.homogeneous", lambda v: bool(int(v)), 1),
+        homogeneous=config_value(raw, "herz.homogeneous", strict_flag, 1),
         delta2=config_value(raw, "herz.delta2", float),
-        krange=kr,
+        krange=None if None in kr else kr,
     )
 
 
@@ -67,14 +75,19 @@ def _load_input(path, raw: dict | None = None, dim: int = 1) -> GridFunction:
         # synthetic-family descriptor; grid geometry comes from the config
         raw = raw or {}
         spec = GridSpec(radius=config_value(raw, "grid.radius", float, 2.0), dim=dim,
-                        resolution=config_value(raw, "grid.resolution", int, 1024))
+                        resolution=config_value(raw, "grid.resolution", strict_int, 1024))
         return from_descriptor(spec, descriptor_from_json(p.read_text()))
     return load_csv(p)
 
 
 def _dilation_from(raw: dict, matrix: str | None = None):
-    text = matrix if matrix else str(raw.get("dilation.matrix", "2"))
-    return make_dilation(parse_matrix(text))
+    key, text = (("--matrix", matrix) if matrix
+                 else ("dilation.matrix", str(raw.get("dilation.matrix", "2"))))
+    try:
+        rows = parse_matrix(text)
+    except ValueError:
+        raise ConfigError(f"{key} has malformed value {text!r}") from None
+    return make_dilation(rows)
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -132,7 +145,7 @@ def _cmd_atoms(args) -> int:
     raw = load_config(args.config) if args.config else {}
     d = _dilation_from(raw, args.matrix)
     params = _herz_params(raw)
-    res = args.resolution or config_value(raw, "grid.resolution", int, 1024)
+    res = args.resolution or config_value(raw, "grid.resolution", strict_int, 1024)
     radius = config_value(raw, "grid.radius", float, 2.0)
     spec = GridSpec(radius=radius, dim=d.dim, resolution=res)
 
@@ -228,7 +241,7 @@ def _write_svg_heatmap(rows: list[dict], path) -> None:
 def _cmd_sweep(args) -> int:
     raw = load_config(args.config) if args.config else {}
     d = _dilation_from(raw, args.matrix)
-    res = args.resolution or config_value(raw, "grid.resolution", int, 512)
+    res = args.resolution or config_value(raw, "grid.resolution", strict_int, 512)
     radius = config_value(raw, "grid.radius", float, 2.0)
     spec = GridSpec(radius=radius, dim=d.dim, resolution=res)
 
@@ -297,8 +310,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    sub = {k.split(".", 1)[1]: v for k, v in cfg.items()
-           if k.startswith("oracle.")}
+    # every oracle value is a number but the entries, a list of numbers
+    sub = {k.split(".", 1)[1]: config_value(
+               cfg, k, float_list if k == "oracle.entries" else float)
+           for k in cfg if k.startswith("oracle.")}
     rep = oracle_run(args.target, sub)
     _emit(rep, args.out)
     return 0

@@ -102,7 +102,21 @@ def config_value(raw: dict, key: str, convert, default=None):
         raise ConfigError(f"config key {key!r} has malformed value {value!r}") from None
 
 
-def _floats(value) -> list[float]:
+def strict_int(value) -> int:
+    """An integral value; a fraction is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def strict_flag(value) -> bool:
+    """A 0/1 flag; any other value is rejected."""
+    if value not in (0, 1):
+        raise ValueError(f"{value!r} is not 0 or 1")
+    return bool(value)
+
+
+def float_list(value) -> list[float]:
     return [float(v) for v in (value if isinstance(value, list) else [value])]
 
 
@@ -165,11 +179,11 @@ class SuiteConfig:
     @staticmethod
     def from_dict(raw: dict) -> "SuiteConfig":
         fields = {}
-        for key, name, convert in (("suite.seed", "seed", int),
+        for key, name, convert in (("suite.seed", "seed", strict_int),
                                    ("suite.out", "out_dir", str),
                                    ("suite.families", "families", _families),
-                                   ("suite.alpha_grid", "alpha_grid", _floats),
-                                   ("suite.lambda_grid", "lambda_grid", _floats)):
+                                   ("suite.alpha_grid", "alpha_grid", float_list),
+                                   ("suite.lambda_grid", "lambda_grid", float_list)):
             if key in raw:
                 fields[name] = config_value(raw, key, convert)
         tolerances = {key.split(".", 1)[1]: config_value(raw, key, float)

@@ -154,33 +154,36 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
         k_min = 0
     ks = np.arange(k_min, k_max + 1)
 
+    # each full-grid array is made once and then worked on in place
     idx = annulus_index_map(d, spec).reshape(-1)
-    vals = np.abs(f.values).reshape(-1)
-
-    cell_k = idx + 1  # x in C_k with k = annulus_index + 1
+    seg = idx + 1  # x in C_k with k = annulus_index + 1
     if not params.homogeneous:
-        cell_k = np.maximum(cell_k, 0)
+        np.maximum(seg, 0, out=seg)
+    outside = seg < k_min
+    outside |= seg > k_max
 
     # weights only matter inside the window; clip before exponentiating so
     # the origin sentinel cannot produce inf * 0
-    safe_k = np.clip(cell_k, k_min, k_max)
+    np.clip(seg, k_min, k_max, out=seg)
     if split:
-        scalar = np.where(safe_k < 0, params.alpha.at_origin,
-                          params.alpha.at_infinity)
-        weights = np.power(d.b, safe_k * scalar)
+        w = np.where(seg < 0, params.alpha.at_origin, params.alpha.at_infinity)
+        np.multiply(w, seg, out=w)
     else:
-        weights = np.power(d.b, safe_k * params.alpha.on_grid(spec).reshape(-1))
+        w = np.multiply(seg, params.alpha.on_grid(spec).reshape(-1))
+    np.power(d.b, w, out=w)
+    # |w f| = w |f| exactly: a product rounds the same for either sign
     with np.errstate(over="ignore"):
-        wvals = vals * weights
-    if not np.all(np.isfinite(wvals)):
+        np.multiply(w, f.values.reshape(-1), out=w)
+    np.abs(w, out=w)
+    if not math.isfinite(np.max(w)):
         raise NormOverflow("a weighted sample b^{k alpha} |f| exceeds the float range")
 
     # cells outside the window are zeroed, and zeros add nothing to the
     # annulus they are clipped into
-    in_window = (cell_k >= k_min) & (cell_k <= k_max)
-    t = lux_core(np.where(in_window, wvals, 0.0),
-                 params.q.on_grid(spec).reshape(-1), spec.cell_volume,
-                 safe_k - k_min, len(ks))
+    w[outside] = 0.0
+    np.subtract(seg, k_min, out=seg)
+    t = lux_core(w, params.q.on_grid(spec).reshape(-1), spec.cell_volume,
+                 seg, len(ks))
     return ks, t
 
 

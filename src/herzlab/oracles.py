@@ -2,7 +2,7 @@
 
 Everything here is deliberately brute force and shares no code with the
 norm machinery: closed-form geometric sums, dense one-dimensional grid
-maximization, and scalar root solves.  The main paths are checked
+maximization, and bisection root solves.  The main paths are checked
 *against* these values, never the other way around.
 """
 
@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 
-from .errors import UnknownTarget
+from .errors import BadParams, UnknownTarget
 
 __all__ = [
     "luxemburg_two_piece",
+    "luxemburg_bisect",
     "grand_seq_dense",
     "constant_herz_reference",
     "delta_sequence_value",
@@ -45,6 +46,45 @@ def luxemburg_two_piece() -> dict:
         "t_agreement": abs(t_bisect - t_algebraic),
         "norm": t_bisect ** -0.5,
     }
+
+
+def luxemburg_bisect(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
+    """Luxemburg norm of flat samples by bisection on the modular.
+
+    ``v`` is nonnegative, not all zero, with max 1 (so the powers stay in
+    range); ``p_vals`` are the exponent samples and ``h`` is the cell volume.
+    The bracket grows/shrinks by powers of 2 from the p^- seed
+    (sum v^{p^-} h)^{1/p^-}, p^- the smallest exponent sample; the
+    midpoint of a bracket of relative width 1e-10 is returned.
+    """
+    def modular(lam: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.sum((v / lam) ** p_vals) * h)
+
+    p_lo = float(np.min(p_vals))
+    seed = float(np.sum(v ** p_lo) * h) ** (1.0 / p_lo)
+    if not (seed > 0) or not math.isfinite(seed):
+        seed = 1.0
+
+    lo = hi = seed
+    for _ in range(4096):
+        if modular(hi) <= 1.0:
+            break
+        hi *= 2.0
+    for _ in range(4096):
+        if modular(lo) >= 1.0:
+            break
+        lo /= 2.0
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if modular(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-10 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def _dense_log_max(log_fn, lo: float = 1e-8, hi: float = 1e8,
@@ -116,7 +156,7 @@ def constant_herz_reference(b: float, alpha: float, q: float, p: float,
     c = (1.0 - 1.0 / b) ** (1.0 / q)
     ratio = b ** (alpha + 1.0 / q)
     if ratio <= 1.0:
-        raise ValueError("alpha + 1/q must be positive for a finite norm")
+        raise BadParams("alpha + 1/q must be positive for a finite norm")
     log_c = math.log(c)
     log_r = math.log(ratio)
 

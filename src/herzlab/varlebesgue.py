@@ -168,54 +168,64 @@ def modular(f: GridFunction, lam: float, p: ExponentFunction,
     """Quadrature value of sum (|f|/lam)^{p(x)} dx over the region."""
     if not lam > 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
-    vals = np.abs(f.values)
+    ratio = np.abs(f.values) / lam
     pv = p.on_grid(f.spec)
     if region is not None:
-        vals = vals[region]
+        ratio = ratio[region]
         pv = pv[region]
-    return _modular_flat(vals, pv, f.spec.cell_volume, lam)
-
-
-def _modular_flat(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
-                  lam: float) -> float:
-    """The modular on flat samples; ``modular`` and ``_bisect`` share it."""
-    ratio = abs_vals / lam
     with np.errstate(over="ignore"):
-        total = np.sum(np.power(ratio, p_vals, where=ratio > 0,
+        total = np.sum(np.power(ratio, pv, where=ratio > 0,
                                 out=np.zeros_like(ratio)))
-    return float(total * h)
+    return float(total * f.spec.cell_volume)
 
 
-def _bisect(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
-    """Root of modular(v, lam) = 1 by bisection; v nonzero, max v = 1.
+def _newton(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
+    """Root lam of the modular h sum (v/lam)^p = 1; v >= 0 with max v = 1.
 
-    The bracket grows/shrinks by powers of 2 from the p^- seed
-    (sum v^{p^-} h)^{1/p^-}, p^- the smallest exponent sample.
+    Solves g(t) = log h + logsumexp(p log v - p t) = 0 for t = log lam.
+    g is convex and strictly decreasing with slope -sum p pi, pi the
+    normalised terms, so the slope lies in [-p^+, -p^-] (bounds over the
+    nonzero samples) and g(0) alone brackets the root between g(0)/p^+
+    and g(0)/p^-.  Newton steps from the left of the root never
+    overshoot; a step that leaves the bracket is replaced by bisection.
     """
-    p_lo = float(np.min(p_vals))
-    seed = float(np.sum(v ** p_lo) * h) ** (1.0 / p_lo)
-    if not (seed > 0) or not math.isfinite(seed):
-        seed = 1.0
+    nz = v > 0
+    q = p_vals[nz]
+    a = np.log(v[nz])
+    a *= q
+    log_h = math.log(h)
+    z = np.empty_like(a)
 
-    lo = hi = seed
-    for _ in range(4096):
-        if _modular_flat(v, p_vals, h, hi) <= 1.0:
-            break
-        hi *= 2.0
-    for _ in range(4096):
-        if _modular_flat(v, p_vals, h, lo) >= 1.0:
-            break
-        lo /= 2.0
+    def log_modular(t: float) -> tuple[float, float]:
+        # g(t) and g'(t); the shift puts the largest term at exp(0) = 1,
+        # so the sum lies in [1, size] and can neither overflow nor vanish
+        np.multiply(q, -t, out=z)
+        np.add(z, a, out=z)
+        shift = float(np.max(z))
+        np.subtract(z, shift, out=z)
+        np.exp(z, out=z)
+        s = float(np.sum(z))
+        return log_h + shift + math.log(s), -float(np.dot(q, z)) / s
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _modular_flat(v, p_vals, h, mid) > 1.0:
-            lo = mid
+    t = 0.0
+    g, slope = log_modular(t)
+    lo, hi = sorted((g / float(np.max(q)), g / float(np.min(q))))
+    for steps in range(1, 101):
+        t_next = t - g / slope
+        if not lo <= t_next <= hi:  # the Newton step left the bracket
+            t_next = 0.5 * (lo + hi)
+        done = abs(t_next - t) <= 1e-12 * max(1.0, abs(t_next))
+        t = t_next
+        if done:
+            break
+        g, slope = log_modular(t)
+        if g > 0:
+            lo = t
+        elif g < 0:
+            hi = t
         else:
-            hi = mid
-        if hi - lo <= 1e-10 * hi:
             break
-    return 0.5 * (lo + hi)
+    return math.exp(t)
 
 
 def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
@@ -228,8 +238,9 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
     back after, so every norm is homogeneous at any float scale.  A
     segment whose exponent samples are all equal takes the closed form
     (sum v^p h)^{1/p}, in one pass over all segments when every sample
-    is equal; any other nonzero segment is solved by bisection.  Raises
-    NormOverflow for a norm beyond float range.
+    is equal; any other nonzero segment is solved by a safeguarded Newton
+    iteration on the log of the modular in log lam, to a step of 1e-12
+    relative.  Raises NormOverflow for a norm beyond float range.
     """
     if abs_vals.size == 0:
         return np.zeros(n)
@@ -257,8 +268,9 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
             vi, pi = v[sel], p_vals[sel]
             # a segment with one exponent value takes the closed form, as
             # it does on its own (vi has max 1, so this call is exact)
-            unit[i] = (lux_core(vi, pi, h)[0] if np.min(pi) == np.max(pi)
-                       else _bisect(vi, pi, h))
+            route = "closed" if np.min(pi) == np.max(pi) else "newton"
+            unit[i] = (lux_core(vi, pi, h)[0] if route == "closed"
+                       else _newton(vi, pi, h))
     with np.errstate(over="ignore"):
         norms = peak * unit
     if not np.all(np.isfinite(norms)):
@@ -268,7 +280,9 @@ def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
 
 def luxemburg_norm(f: GridFunction, p: ExponentFunction) -> float:
     """Luxemburg norm: the unique lam > 0 with modular(f, lam, p) = 1
-    (0 for the zero function)."""
+    (0 for the zero function); ``lux_core`` on the flattened grid, so a
+    constant exponent takes the closed form and any other the Newton
+    solve."""
     return float(lux_core(np.abs(f.values).reshape(-1),
                           p.on_grid(f.spec).reshape(-1),
                           f.spec.cell_volume)[0])

@@ -173,6 +173,23 @@ def test_cli_oracles(workdir, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("args, line, named", [
+    (["norm", "--matrix", "2 x"], "", "--matrix"),
+    (["norm", "--matrix", "2 1; 0"], "", "--matrix"),
+    (["norm"], "dilation.matrix = 2 x", "dilation.matrix"),
+    (["oracle", "--target", "grand_seq_dense"], "oracle.p = abc", "oracle.p"),
+    (["oracle", "--target", "grand_seq_dense"], "oracle.entries = 1, x",
+     "oracle.entries"),
+])
+def test_cli_rejects_malformed_matrix_and_oracle_value(workdir, capsys, args, line,
+                                                       named):
+    (workdir / "bad.txt").write_text(line + "\n")
+    if args[0] == "norm":
+        args = [*args, "--input", str(workdir / "f.csv")]
+    assert main([*args, "--config", str(workdir / "bad.txt")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_cli_matrix_flag_and_descriptor_input(workdir, capsys):
     (workdir / "desc.json").write_text(
         '{"family": "indicator", "lo": 0.0, "hi": 0.5}')
@@ -241,6 +258,11 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
     ("verify", "suite.families = const:abc"),
     ("norm", "herz.p = abc"),
     ("norm", "herz.homogeneous = yes"),
+    # integers and flags are rejected, not truncated
+    ("verify", "suite.seed = 1.5"),
+    ("norm", "herz.kmin = -2.7"),
+    ("norm", "herz.homogeneous = 0.5"),
+    ("norm", "herz.kmax = 3"),  # read only with herz.kmin
 ])
 def test_cli_rejects_malformed_config_value(workdir, capsys, command, line):
     (workdir / "bad.txt").write_text(line + "\n")

@@ -25,8 +25,8 @@ from herzlab.errors import (
     ReciprocalMismatch,
 )
 from herzlab.grid import GridFunction, GridSpec, zeros
-from herzlab.oracles import luxemburg_two_piece
-from herzlab.varlebesgue import _bisect, lux_core
+from herzlab.oracles import luxemburg_bisect, luxemburg_two_piece
+from herzlab.varlebesgue import lux_core
 
 from conftest import random_function
 
@@ -76,9 +76,9 @@ def test_bisect_matches_closed_form(line_spec):
         f = random_function(line_spec, rng)
         for pv in (1.5, 2.0, 4.0):
             p = ExponentFunction.constant(pv)
-            top = f.sup()  # bisection on max-scaled samples, as in lux_core
-            bisected = top * _bisect(np.abs(f.values) / top, p.on_grid(line_spec),
-                                     line_spec.cell_volume)
+            top = f.sup()  # the oracle takes max-scaled samples
+            bisected = top * luxemburg_bisect(np.abs(f.values) / top,
+                                              p.on_grid(line_spec), line_spec.cell_volume)
             assert bisected == pytest.approx(luxemburg_norm(f, p), rel=1e-8)
 
 
@@ -150,6 +150,41 @@ def test_lux_core_segments_match_separate_calls(seed, size, n_random, kind):
     for i in range(n):
         sel = seg == i
         assert norms[i] == lux_core(vals[sel], p_vals[sel], h)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       size=st.integers(min_value=1, max_value=80),
+       log10_h=st.floats(min_value=-12, max_value=2),
+       kind=st.sampled_from(["log", "two-piece", "random"]))
+def test_lux_core_matches_bisection_oracle(seed, size, log10_h, kind):
+    # segment 0 is a single cell; samples spread over 1e-300..1 and
+    # exponents over [1, 20]; every norm solves the modular to 1e-11
+    rng = np.random.default_rng(seed)
+    n = 4
+    seg = np.concatenate([[0], rng.integers(1, n, size=size)])
+    vals = 10.0 ** rng.uniform(-300, 0, seg.size)
+    x = rng.uniform(0.0, 50.0, seg.size)
+    q0, q1 = rng.uniform(1.0, 20.0, 2)
+    p_vals = {"log": ExponentFunction.log_family(q0, q1)(x[:, None]),
+              "two-piece": np.where(x < 25.0, q0, q1),
+              "random": rng.uniform(1.0, 20.0, seg.size)}[kind]
+    spec = GridSpec(radius=10.0 ** log10_h * seg.size / 2, dim=1,
+                    resolution=seg.size)
+    h = spec.cell_volume
+    f = GridFunction(spec, vals)
+    p = ExponentFunction.custom(fn=lambda pts: p_vals, p_minus=1.0, p_plus=20.0,
+                                at_origin=q0, at_infinity=q1)
+    norms = lux_core(vals, p_vals, h, seg, n)
+    for i in range(n):
+        sel = seg == i
+        if not np.any(sel):
+            assert norms[i] == 0.0
+            continue
+        top = np.max(vals[sel])
+        assert norms[i] == pytest.approx(
+            top * luxemburg_bisect(vals[sel] / top, p_vals[sel], h), rel=1e-9)
+        assert modular(f, norms[i], p, region=sel) == pytest.approx(1.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("dim, res", [(1, 512), (1, 257), (2, 64), (2, 65)])
