@@ -67,15 +67,30 @@ def _herz_params(raw: dict) -> HerzSpaceParams:
     )
 
 
+def _grid_spec(raw: dict, dim: int, resolution: int | None,
+               default_resolution: int) -> GridSpec:
+    """The grid of ``grid.radius`` and ``grid.resolution``, the latter
+    overridden by a ``--resolution`` flag; a value that no grid can have
+    raises a ConfigError naming its key."""
+    name = "--resolution"
+    if resolution is None:
+        name = "config key 'grid.resolution'"
+        resolution = config_value(raw, "grid.resolution", strict_int, default_resolution)
+    radius = config_value(raw, "grid.radius", float, 2.0)
+    if resolution < 2:
+        raise ConfigError(f"{name} must be at least 2, got {resolution}")
+    if not radius > 0:
+        raise ConfigError(f"config key 'grid.radius' must be positive, got {radius!r}")
+    return GridSpec(radius=radius, dim=dim, resolution=resolution)
+
+
 def _load_input(path, raw: dict | None = None, dim: int = 1) -> GridFunction:
     p = Path(path)
     if not p.exists():
         raise IoError(f"input file {path} not found")
     if p.suffix == ".json":
         # synthetic-family descriptor; grid geometry comes from the config
-        raw = raw or {}
-        spec = GridSpec(radius=config_value(raw, "grid.radius", float, 2.0), dim=dim,
-                        resolution=config_value(raw, "grid.resolution", strict_int, 1024))
+        spec = _grid_spec(raw or {}, dim, None, 1024)
         return from_descriptor(spec, descriptor_from_json(p.read_text()))
     return load_csv(p)
 
@@ -145,9 +160,7 @@ def _cmd_atoms(args) -> int:
     raw = load_config(args.config) if args.config else {}
     d = _dilation_from(raw, args.matrix)
     params = _herz_params(raw)
-    res = args.resolution or config_value(raw, "grid.resolution", strict_int, 1024)
-    radius = config_value(raw, "grid.radius", float, 2.0)
-    spec = GridSpec(radius=radius, dim=d.dim, resolution=res)
+    spec = _grid_spec(raw, d.dim, args.resolution, 1024)
 
     if args.action == "make":
         atom = at.atom_make(args.kind, args.k, args.s, d, params, spec)
@@ -241,9 +254,7 @@ def _write_svg_heatmap(rows: list[dict], path) -> None:
 def _cmd_sweep(args) -> int:
     raw = load_config(args.config) if args.config else {}
     d = _dilation_from(raw, args.matrix)
-    res = args.resolution or config_value(raw, "grid.resolution", strict_int, 512)
-    radius = config_value(raw, "grid.radius", float, 2.0)
-    spec = GridSpec(radius=radius, dim=d.dim, resolution=res)
+    spec = _grid_spec(raw, d.dim, args.resolution, 512)
 
     x = spec.points()
     r = spec.radii()

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -488,6 +489,44 @@ def annulus_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
     ``ORIGIN_INDEX``; rho there is 0 and every slice excludes them.
     """
     return _grid_index_map(d, spec.axis_centers())
+
+
+class AnnulusOrder(NamedTuple):
+    """The cells of a grid sorted by annulus (see ``annulus_order``).
+
+    ``cells`` holds flat (raster) cell indices: the origin cell first,
+    then C_k for increasing k, each annulus in raster order.  So the cells
+    of B_k are ``cells[:ball(k)]`` and those of C_k are
+    ``cells[ball(k - 1):ball(k)]``.  ``sizes[i]`` is the number of cells in
+    ``B_{k0 + i}``.
+    """
+
+    cells: np.ndarray
+    sizes: np.ndarray
+    k0: int
+
+    def ball(self, k):
+        """Number of cells in B_k, for an integer or an integer array k."""
+        return np.take(self.sizes, np.subtract(k, self.k0), mode="clip")
+
+
+@per_grid
+def annulus_order(d: Dilation, spec: GridSpec) -> AnnulusOrder:
+    """``annulus_index_map(d, spec)`` as a stable counting sort of its
+    cells, so each annulus and each ball B_k is one contiguous run."""
+    idx = annulus_index_map(d, spec).reshape(-1)
+    origin = idx == ORIGIN_INDEX
+    k0 = int(np.min(idx, where=~origin, initial=idx.max()))
+    # label 0 is the origin and label i >= 1 the index k0 - 1 + i; labels
+    # this small sort by radix
+    label = np.subtract(idx, k0 - 1)
+    label[origin] = 0
+    label = label.astype(np.min_scalar_type(int(label.max())))
+    cells = np.argsort(label, kind="stable")
+    sizes = np.cumsum(np.bincount(label))
+    cells.setflags(write=False)
+    sizes.setflags(write=False)
+    return AnnulusOrder(cells, sizes, k0)
 
 
 def _offset_axis(spec: GridSpec) -> np.ndarray:

@@ -58,6 +58,12 @@ class GridSpec:
         x, y = np.meshgrid(c, c, indexing="ij")
         return np.stack([x, y], axis=-1)
 
+    def cell_points(self, cells: np.ndarray) -> np.ndarray:
+        """Centers of the cells with flat (raster) indices ``cells``, shape
+        (cells.size, dim); the same values as ``points()`` there."""
+        c = self.axis_centers()
+        return np.stack([c[i] for i in np.unravel_index(cells, self.shape)], axis=-1)
+
     def radii(self) -> np.ndarray:
         """Euclidean |x| at each cell center."""
         c = self.axis_centers()

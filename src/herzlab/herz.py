@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dilation import Dilation, annulus_index_map, ball_diameter, per_grid
+from .dilation import (Dilation, annulus_index_map, annulus_order, ball_diameter,
+                       per_grid)
 from .errors import (
     BadParams,
     GridMismatch,
@@ -129,12 +130,19 @@ def annulus_slice(f: GridFunction, d: Dilation, k: int,
     corners = _box_corners(f.spec)
     if np.all(d.ball_contains(corners, k - 1)) and not (nonhomogeneous and k == 0):
         raise OutOfCoverage(f"C_{k} lies wholly outside the grid box")
-    return f.where(_slice_mask(annulus_index_map(d, f.spec), k, nonhomogeneous))
+    return _restrict(f, d, k, nonhomogeneous, 1.0)
 
 
-def _slice_mask(idx: np.ndarray, k: int, nonhomogeneous: bool) -> np.ndarray:
-    """The cells of C_k (of B_0 for k = 0 when nonhomogeneous)."""
-    return idx <= -1 if nonhomogeneous and k == 0 else idx == k - 1
+def _restrict(f: GridFunction, d: Dilation, k: int, nonhomogeneous: bool,
+              scale: float) -> GridFunction:
+    """scale * f on the cells of C_k (of B_0 for k = 0 when
+    nonhomogeneous), 0 elsewhere."""
+    order = annulus_order(d, f.spec)
+    lo = 0 if nonhomogeneous and k == 0 else order.ball(k - 1)
+    cells = order.cells[lo:order.ball(k)]
+    vals = np.zeros(f.spec.shape)
+    vals.reshape(-1)[cells] = f.values.reshape(-1)[cells] * scale
+    return GridFunction(f.spec, vals)
 
 
 # --- weighted slice norms ---------------------------------------------------
@@ -154,37 +162,44 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
         k_min = 0
     ks = np.arange(k_min, k_max + 1)
 
-    # each full-grid array is made once and then worked on in place
-    idx = annulus_index_map(d, spec).reshape(-1)
-    seg = idx + 1  # x in C_k with k = annulus_index + 1
+    # C_k is the run cells[ball(k - 1):ball(k)] of the annulus order, so
+    # the window is one run and its annuli are segments of it
+    order = annulus_order(d, spec)
+    bounds = order.ball(np.arange(k_min - 1, k_max + 1))
     if not params.homogeneous:
-        np.maximum(seg, 0, out=seg)
-    outside = seg < k_min
-    outside |= seg > k_max
+        bounds[0] = 0  # the 0-th slice is all of B_0, origin included
+    window = order.cells[bounds[0]:bounds[-1]]
+    bounds -= bounds[0]
+    vals = f.values.reshape(-1)[window]
+    np.abs(vals, out=vals)
+    q = params.q
+    q_vals = q.value if q.is_constant else q.on_grid(spec).reshape(-1)[window]
 
-    # weights only matter inside the window; clip before exponentiating so
-    # the origin sentinel cannot produce inf * 0
-    np.clip(seg, k_min, k_max, out=seg)
-    if split:
-        w = np.where(seg < 0, params.alpha.at_origin, params.alpha.at_infinity)
-        np.multiply(w, seg, out=w)
-    else:
-        w = np.multiply(seg, params.alpha.on_grid(spec).reshape(-1))
-    np.power(d.b, w, out=w)
-    # |w f| = w |f| exactly: a product rounds the same for either sign
-    with np.errstate(over="ignore"):
-        np.multiply(w, f.values.reshape(-1), out=w)
-    np.abs(w, out=w)
-    if not math.isfinite(np.max(w)):
+    alpha = params.alpha
+    if split or alpha.is_constant:
+        # one weight b^{k alpha_k} per annulus, applied after the solve:
+        # the norm is absolutely homogeneous
+        alpha_k = (np.where(ks < 0, alpha.at_origin, alpha.at_infinity) if split
+                   else alpha.value)
+        with np.errstate(over="ignore"):
+            w = np.power(d.b, ks * alpha_k)
+        t = lux_core(vals, q_vals, spec.cell_volume, bounds)
+        # a slice without mass stays 0 whatever its weight
+        with np.errstate(over="ignore"):
+            np.multiply(t, w, out=t, where=t > 0)
+        if not np.all(np.isfinite(t)):
+            raise NormOverflow(
+                "a slice norm b^{k alpha} ||f chi_k|| exceeds the float range")
+        return ks, t
+
+    w = alpha.on_grid(spec).reshape(-1)[window]
+    np.multiply(w, np.repeat(ks, np.diff(bounds)), out=w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.power(d.b, w, out=w)
+        np.multiply(vals, w, out=vals)
+    if not math.isfinite(np.max(vals, initial=0.0)):
         raise NormOverflow("a weighted sample b^{k alpha} |f| exceeds the float range")
-
-    # cells outside the window are zeroed, and zeros add nothing to the
-    # annulus they are clipped into
-    w[outside] = 0.0
-    np.subtract(seg, k_min, out=seg)
-    t = lux_core(w, params.q.on_grid(spec).reshape(-1), spec.cell_volume,
-                 seg, len(ks))
-    return ks, t
+    return ks, lux_core(vals, q_vals, spec.cell_volume, bounds)
 
 
 def _tail_bound(f: GridFunction, d: Dilation, params: HerzSpaceParams,
@@ -199,11 +214,13 @@ def _tail_bound(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     if rate_spec <= 0:
         raise TailUnbounded(
             f"alpha(0) + 1/q^- = {rate_spec:g} <= 0: scale tail diverges")
-    idx = annulus_index_map(d, f.spec)
-    inner = idx <= k_min - 1  # cells of B_{k_min}
-    if np.any(inner):
-        cap = float(np.max(np.abs(f.values)[inner]))
-        alpha_low = float(np.min(params.alpha.on_grid(f.spec)[inner]))
+    order = annulus_order(d, f.spec)
+    inner = order.cells[:order.ball(k_min)]  # cells of B_{k_min}
+    if inner.size:
+        cap = float(np.max(np.abs(f.values.reshape(-1)[inner])))
+        alpha = params.alpha
+        alpha_low = (alpha.value if alpha.is_constant
+                     else float(np.min(alpha(f.spec.cell_points(inner)))))
     else:
         cap = float(np.max(np.abs(f.values)))
         alpha_low = min(params.alpha.at_origin, params.alpha.at_infinity)
@@ -349,12 +366,10 @@ def block_decompose(f: GridFunction, d: Dilation,
     ks, t = slice_norms(f, d, params)
     if not np.any(t > 0):
         raise ZeroFunction("no annulus in the window carries mass")
-    idx = annulus_index_map(d, f.spec)
     blocks = {}
     for i, k in enumerate(ks):
         if t[i] > 0:
-            mask = _slice_mask(idx, k, not params.homogeneous)
-            blocks[int(k)] = f.where(mask) * (1.0 / t[i])
+            blocks[int(k)] = _restrict(f, d, k, not params.homogeneous, 1.0 / t[i])
     return BlockDecomposition(
         coefficients=Sequence(t, offset=int(ks[0])),
         blocks=blocks,

@@ -115,12 +115,14 @@ def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     enough to keep its wrap-around off the outputs that are read.
     """
     out = np.zeros([m - n + 1 for n, m in zip(f.shape, kernel.shape)])
-    support = np.nonzero(kernel)
+    # the support's extent along each axis: its nonzero lines there
+    axes = tuple(range(f.ndim))
+    support = [np.flatnonzero(kernel.any(axis=axes[:i] + axes[i + 1:])) for i in axes]
     if support[0].size == 0:
         return out
     box, dst, src, shape = [], [], [], []
     for n, m_out, ix in zip(f.shape, out.shape, support):
-        a, b = int(ix.min()), int(ix.max()) + 1
+        a, b = int(ix[0]), int(ix[-1]) + 1
         # output i reads the box convolution at t = i + n - 1 - a
         i0, i1 = max(0, a - n + 1), min(m_out, b)
         t0, t1 = i0 + n - 1 - a, i1 + n - 1 - a
@@ -128,7 +130,6 @@ def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         dst.append(slice(i0, i1))
         src.append(slice(t0, t1))
         shape.append(_fast_length(max(n, t1, n + b - a - 1 - t0)))
-    axes = tuple(range(f.ndim))
     spectrum = np.fft.rfftn(f, shape, axes) * np.fft.rfftn(kernel[tuple(box)], shape, axes)
     out[tuple(dst)] = np.fft.irfftn(spectrum, shape, axes)[tuple(src)]
     return out

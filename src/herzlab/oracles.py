@@ -87,13 +87,18 @@ def luxemburg_bisect(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _dense_log_max(log_fn, lo: float = 1e-8, hi: float = 1e8,
-                   points: int = 800_001) -> float:
-    """Dense scan of a log-valued function of eps with parabolic polish."""
+def _dense_log_max(log_fn, lo: float = 2.0**-53, hi: float = 1e8) -> float:
+    """Dense scan of a log-valued function of eps, 50,000 points per
+    decade, with parabolic polish.
+
+    Below eps = 2^-53, 1 + eps rounds to 1, so a lower floor finds nothing
+    larger."""
+    points = round(math.log10(hi / lo) * 50_000) + 1
     s = np.linspace(math.log(lo), math.log(hi), points)
     best_val = -math.inf
     best_s = s[0]
-    chunk = 200_000
+    # log_fn builds a (chunk, entries) table, so the scan goes in chunks
+    chunk = 50_000
     for start in range(0, points, chunk):
         seg = s[start:start + chunk]
         v = log_fn(seg)

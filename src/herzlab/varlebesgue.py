@@ -228,51 +228,53 @@ def _newton(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
     return math.exp(t)
 
 
-def lux_core(abs_vals: np.ndarray, p_vals: np.ndarray, h: float,
-             seg: Optional[np.ndarray] = None, n: int = 1) -> np.ndarray:
+def lux_core(abs_vals: np.ndarray, p_vals, h: float,
+             bounds: Optional[np.ndarray] = None) -> np.ndarray:
     """Luxemburg norms of flat nonnegative samples, one per segment.
 
-    ``seg`` labels each sample with its segment in [0, n) (all samples
-    form segment 0 by default); empty and all-zero segments give 0.  Each
-    segment is divided by its own max before any power and multiplied
-    back after, so every norm is homogeneous at any float scale.  A
-    segment whose exponent samples are all equal takes the closed form
-    (sum v^p h)^{1/p}, in one pass over all segments when every sample
-    is equal; any other nonzero segment is solved by a safeguarded Newton
-    iteration on the log of the modular in log lam, to a step of 1e-12
-    relative.  Raises NormOverflow for a norm beyond float range.
+    Segment i holds the samples ``bounds[i]:bounds[i + 1]``, with
+    ``bounds`` nondecreasing from 0 to ``abs_vals.size`` (one segment of
+    all samples by default); empty and all-zero segments give 0.
+    ``p_vals`` holds the exponent samples, or one float for a constant
+    exponent.  Each segment is divided by its own max before any power and
+    multiplied back after, so every norm is homogeneous at any float
+    scale.  A segment whose exponent samples are all equal takes the
+    closed form (sum v^p h)^{1/p}, in one pass over all segments when
+    every sample is equal; any other nonzero segment is solved by a
+    safeguarded Newton iteration on the log of the modular in log lam, to
+    a step of 1e-12 relative.  A segment's norm equals, bit for bit, a
+    one-segment call on its samples.  Raises NormOverflow for a norm
+    beyond float range.
     """
-    if abs_vals.size == 0:
-        return np.zeros(n)
-    # one segment needs no scatter of maxima, gather of scales or split
-    whole = seg is None or n == 1
-    peak = np.zeros(n)
-    if whole:
-        peak[0] = np.max(abs_vals)
-        v = abs_vals / (peak[0] if peak[0] > 0 else 1.0)
-    else:
-        np.maximum.at(peak, seg, abs_vals)
-        v = np.take(np.where(peak > 0, peak, 1.0), seg)
-        np.divide(abs_vals, v, out=v)
-    if np.min(p_vals) == np.max(p_vals):
-        pc = float(p_vals[0])
+    if bounds is None:
+        bounds = np.array([0, abs_vals.size])
+    norms = np.zeros(len(bounds) - 1)
+    lengths = np.diff(bounds)
+    live = np.flatnonzero(lengths)  # the nonempty segments
+    if live.size == 0:
+        return norms
+    # with the empty segments dropped, each start's run ends at the next
+    starts = bounds[live]
+    peak = np.maximum.reduceat(abs_vals, starts)
+    v = np.repeat(np.where(peak > 0, peak, 1.0), lengths[live])
+    np.divide(abs_vals, v, out=v)
+    if np.ndim(p_vals) == 0 or np.min(p_vals) == np.max(p_vals):
+        pc = float(np.ravel(p_vals)[0])
         np.power(v, pc, out=v)
-        # both sums run in order, so a segment equals a one-segment call
-        sums = (np.add.accumulate(v, out=v)[-1:] if whole
-                else np.bincount(seg, weights=v, minlength=n))
-        unit = (sums * h) ** (1.0 / pc)
+        unit = (np.add.reduceat(v, starts) * h) ** (1.0 / pc)
     else:
-        unit = np.zeros(n)
-        for i in np.flatnonzero(peak):
-            sel = slice(None) if whole else seg == i
-            vi, pi = v[sel], p_vals[sel]
+        p_lo = np.minimum.reduceat(p_vals, starts)
+        p_hi = np.maximum.reduceat(p_vals, starts)
+        unit = np.zeros(live.size)
+        for j in np.flatnonzero(peak):
+            seg = slice(starts[j], starts[j] + lengths[live[j]])
             # a segment with one exponent value takes the closed form, as
-            # it does on its own (vi has max 1, so this call is exact)
-            route = "closed" if np.min(pi) == np.max(pi) else "newton"
-            unit[i] = (lux_core(vi, pi, h)[0] if route == "closed"
-                       else _newton(vi, pi, h))
+            # it does on its own (v[seg] has max 1, so this call is exact)
+            route = "closed" if p_lo[j] == p_hi[j] else "newton"
+            unit[j] = (lux_core(v[seg], p_lo[j], h)[0] if route == "closed"
+                       else _newton(v[seg], p_vals[seg], h))
     with np.errstate(over="ignore"):
-        norms = peak * unit
+        norms[live] = peak * unit
     if not np.all(np.isfinite(norms)):
         raise NormOverflow("an L^{q(.)} norm exceeds the float range")
     return norms
@@ -283,8 +285,8 @@ def luxemburg_norm(f: GridFunction, p: ExponentFunction) -> float:
     (0 for the zero function); ``lux_core`` on the flattened grid, so a
     constant exponent takes the closed form and any other the Newton
     solve."""
-    return float(lux_core(np.abs(f.values).reshape(-1),
-                          p.on_grid(f.spec).reshape(-1),
+    p_vals = p.value if p.is_constant else p.on_grid(f.spec).reshape(-1)
+    return float(lux_core(np.abs(f.values).reshape(-1), p_vals,
                           f.spec.cell_volume)[0])
 
 

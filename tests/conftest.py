@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from herzlab import ExponentFunction, HerzSpaceParams, make_dilation
 from herzlab.grid import GridSpec
@@ -44,3 +45,26 @@ def herz_params(alpha=0.3, p=1.5, q=2.0, theta=1.0, lam=0.0, **kw):
         lambda_morrey=lam,
         **kw,
     )
+
+
+def similar_to_diagonal(l1, l2, s, t):
+    """S diag(l1, l2) S^{-1} with the skewed S = [[1 + s t, s], [t, 1]]
+    (det 1): a full matrix, non-normal unless s = t = 0, whose computed
+    powers lose the zero pattern a triangular matrix keeps."""
+    shear = np.array([[1.0 + s * t, s], [t, 1.0]])
+    return (shear @ np.diag([l1, l2]) @ np.linalg.inv(shear)).tolist()
+
+
+# upper and lower triangular 2x2 matrices (eigenvalues on the diagonal,
+# so all expansive), full non-normal matrices with real eigenvalues of
+# either sign, and two 1D dilations, one orientation-reversing
+eigenvalues = st.floats(min_value=1.2, max_value=3.0)
+expansive_matrices = st.one_of(
+    st.tuples(eigenvalues, st.floats(min_value=-2.0, max_value=2.0),
+              eigenvalues, st.booleans())
+    .map(lambda t: [[t[0], 0.0], [t[1], t[2]]] if t[3] else [[t[0], t[1]], [0.0, t[2]]]),
+    st.tuples(eigenvalues, eigenvalues, st.booleans(),
+              st.floats(min_value=-1.5, max_value=1.5),
+              st.floats(min_value=-1.5, max_value=1.5))
+    .map(lambda t: similar_to_diagonal(t[0], -t[1] if t[2] else t[1], t[3], t[4])),
+    st.sampled_from([[[-3.0]], [[1.5]]]))

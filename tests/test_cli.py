@@ -263,14 +263,26 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
     ("norm", "herz.kmin = -2.7"),
     ("norm", "herz.homogeneous = 0.5"),
     ("norm", "herz.kmax = 3"),  # read only with herz.kmin
+    # values no grid can have, in each command that builds a grid
+    ("norm-json", "grid.resolution = 1"),
+    ("norm-json", "grid.radius = 0"),
+    ("atoms", "grid.resolution = 1"),
+    ("sweep", "grid.radius = -1"),
+    # the flag overrides a valid config value and is named itself
+    ("sweep --resolution 1", "grid.resolution = 64"),
 ])
 def test_cli_rejects_malformed_config_value(workdir, capsys, command, line):
     (workdir / "bad.txt").write_text(line + "\n")
+    (workdir / "f.json").write_text('{"family": "noise", "seed": 1}\n')
     args = {"norm": ["norm", "--input", str(workdir / "f.csv")],
+            "norm-json": ["norm", "--input", str(workdir / "f.json")],
+            "atoms": ["atoms", "make", "--out", str(workdir / "atom")],
+            "sweep": ["sweep", "--out", str(workdir / "sweep.json")],
             "verify": ["verify", "--suite", "grandseq", "--out", str(workdir / "rv")]}
-    assert main([*args[command], "--config", str(workdir / "bad.txt")]) == 2
-    key = line.split(" =")[0]
-    assert key.split(".", 1)[1] in capsys.readouterr().err
+    command, *flag = command.split()
+    assert main([*args[command], *flag, "--config", str(workdir / "bad.txt")]) == 2
+    key = flag[0] if flag else line.split(" =")[0]
+    assert key.split(".", 1)[-1] in capsys.readouterr().err
     assert not (workdir / "rv").exists()
 
 

@@ -18,6 +18,7 @@ from herzlab.dilation import (
     ORIGIN_INDEX,
     _log_abs_det,
     annulus_index_map,
+    annulus_order,
     offset_index_map,
     offset_points,
 )
@@ -30,6 +31,8 @@ from herzlab.errors import (
     UnresolvableScale,
 )
 from herzlab.grid import GridSpec
+
+from conftest import expansive_matrices
 
 
 def linear_scan_index(d, pts):
@@ -306,29 +309,6 @@ def test_default_krange_cached(shear):
     assert first == default_krange.__wrapped__(shear, spec)
 
 
-def similar_to_diagonal(l1, l2, s, t):
-    """S diag(l1, l2) S^{-1} with the skewed S = [[1 + s t, s], [t, 1]]
-    (det 1): a full matrix, non-normal unless s = t = 0, whose computed
-    powers lose the zero pattern a triangular matrix keeps."""
-    shear = np.array([[1.0 + s * t, s], [t, 1.0]])
-    return (shear @ np.diag([l1, l2]) @ np.linalg.inv(shear)).tolist()
-
-
-# upper and lower triangular 2x2 matrices (eigenvalues on the diagonal,
-# so all expansive), full non-normal matrices with real eigenvalues of
-# either sign, and two 1D dilations, one orientation-reversing
-eigenvalues = st.floats(min_value=1.2, max_value=3.0)
-expansive_matrices = st.one_of(
-    st.tuples(eigenvalues, st.floats(min_value=-2.0, max_value=2.0),
-              eigenvalues, st.booleans())
-    .map(lambda t: [[t[0], 0.0], [t[1], t[2]]] if t[3] else [[t[0], t[1]], [0.0, t[2]]]),
-    st.tuples(eigenvalues, eigenvalues, st.booleans(),
-              st.floats(min_value=-1.5, max_value=1.5),
-              st.floats(min_value=-1.5, max_value=1.5))
-    .map(lambda t: similar_to_diagonal(t[0], -t[1] if t[2] else t[1], t[3], t[4])),
-    st.sampled_from([[[-3.0]], [[1.5]]]))
-
-
 @settings(max_examples=30, deadline=None)
 @given(matrix=expansive_matrices,
        half=st.integers(min_value=5, max_value=48),
@@ -341,6 +321,28 @@ def test_index_maps_match_linear_scan_random(matrix, half, odd, radius):
                           linear_scan_map(d, spec.points()))
     assert np.array_equal(offset_index_map(d, spec),
                           linear_scan_map(d, offset_points(spec)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix=expansive_matrices,
+       half=st.integers(min_value=2, max_value=48),
+       odd=st.booleans())
+def test_annulus_order_runs_are_the_annuli(matrix, half, odd):
+    # a permutation of the cells: the origin cell first, then each index
+    # j (the annulus C_{j+1}) as one run in raster order
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=d.dim, resolution=2 * half - odd)
+    idx = annulus_index_map(d, spec).reshape(-1)
+    order = annulus_order(d, spec)
+    assert np.array_equal(np.sort(order.cells), np.arange(idx.size))
+    assert np.array_equal(order.cells[:order.ball(-10**6)],
+                          np.flatnonzero(idx == ORIGIN_INDEX))
+    inside = idx[idx != ORIGIN_INDEX]
+    for j in range(int(inside.min()) - 2, int(inside.max()) + 3):
+        assert order.ball(j + 1) == np.count_nonzero(idx <= j)
+        assert np.array_equal(order.cells[order.ball(j):order.ball(j + 1)],
+                              np.flatnonzero(idx == j))
+    assert annulus_order(d, spec) is order
 
 
 def test_log_abs_det_is_exact():

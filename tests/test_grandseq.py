@@ -102,13 +102,11 @@ def test_grid_vs_denser_grid():
         assert a == pytest.approx(b, rel=1e-6)
 
 
-@pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
-def test_small_theta_against_analytic_sup(theta):
-    # n ones, p = 1: the norm is max over eps of
-    # exp((theta log eps + log n) / (1 + eps)); its derivative has the sign
-    # of g(eps) = theta (1 + eps) / eps - theta log eps - log n, which falls
-    # in eps, so bisect g on log eps over [1e-20, 1e3]
-    n = 100
+def analytic_ones_sup(theta, n):
+    """(norm, argmax eps) of n ones at p = 1: the max over eps of
+    exp((theta log eps + log n) / (1 + eps)).  Its derivative has the sign
+    of g(eps) = theta (1 + eps) / eps - theta log eps - log n, which falls
+    in eps, so g is bisected on log eps over [1e-20, 1e3]."""
     lo, hi = math.log(1e-20), math.log(1e3)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -118,12 +116,30 @@ def test_small_theta_against_analytic_sup(theta):
         else:
             hi = mid
     eps = math.exp(0.5 * (lo + hi))
-    ref = math.exp((theta * math.log(eps) + math.log(n)) / (1.0 + eps))
+    return math.exp((theta * math.log(eps) + math.log(n)) / (1.0 + eps)), eps
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
+def test_small_theta_against_analytic_sup(theta):
+    n = 100
+    ref, eps = analytic_ones_sup(theta, n)
     value, arg_eps = grand_seq_norm(Sequence(np.ones(n)),
                                     GrandSequenceParams(p=1.0, theta=theta),
                                     with_argmax=True)
     assert value == pytest.approx(ref, rel=1e-9)
     assert arg_eps == pytest.approx(eps, rel=1e-2)
+
+
+@pytest.mark.parametrize("theta", [1e-8, 1e-9, 1e-10])
+def test_dense_oracle_reaches_small_eps(theta):
+    # the maximiser theta / log n lies below 1e-8, so the dense scan must
+    # reach down to the 2^-53 floor to see it
+    n = 100
+    ref, _ = analytic_ones_sup(theta, n)
+    oracle = grand_seq_dense(np.ones(n), 1.0, theta)
+    value = grand_seq_norm(Sequence(np.ones(n)), GrandSequenceParams(p=1.0, theta=theta))
+    assert oracle == pytest.approx(ref, rel=1e-12)
+    assert oracle == pytest.approx(value, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from herzlab import (
     ExponentFunction,
+    HerzSpaceParams,
     annulus_slice,
     block_decompose,
     block_reconstruct,
@@ -16,12 +17,13 @@ from herzlab import (
     herz_morrey_norm,
     herz_norm_report,
     luxemburg_norm,
+    make_dilation,
     product_check,
     seq_functional,
     split_norm,
     sum_check,
 )
-from herzlab.dilation import annulus_index_map
+from herzlab.dilation import ORIGIN_INDEX, annulus_index_map
 from herzlab.errors import (
     BadParams,
     NormOverflow,
@@ -33,9 +35,12 @@ from herzlab.errors import (
 )
 from herzlab.grid import GridFunction, GridSpec, zeros
 from herzlab.herz import _split_morrey_sup, combine_product_params, slice_norms
-from herzlab.oracles import constant_herz_reference, morrey_double_sup_reference
+from herzlab.oracles import (constant_herz_reference, luxemburg_bisect,
+                              morrey_double_sup_reference)
+from herzlab.varlebesgue import lux_core
 
-from conftest import annulus_supported_function, herz_params, random_function
+from conftest import (annulus_supported_function, expansive_matrices, herz_params,
+                      random_function)
 
 
 def ball_indicator(spec, d, k=0):
@@ -511,3 +516,57 @@ def test_norms_beyond_float_range_are_typed(shear):
         with pytest.raises(NormOverflow):
             _split_morrey_sup(np.arange(-1, 2), np.full(3, 1e308),
                               herz_params(lam=0.1), shear.b)
+
+
+def exponents(lo, hi):
+    values = st.floats(min_value=lo, max_value=hi)
+    return st.one_of(values.map(ExponentFunction.constant),
+                     st.tuples(values, values).map(
+                         lambda t: ExponentFunction.log_family(*t)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix=st.one_of(st.sampled_from([[[2.0]], [[2.0, 1.0], [0.0, 2.0]]]),
+                        expansive_matrices),
+       half=st.integers(min_value=4, max_value=24),
+       odd=st.booleans(),
+       alpha=exponents(-0.5, 1.5),
+       q=exponents(1.2, 4.0),
+       homogeneous=st.booleans(),
+       split=st.booleans(),
+       wide=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_slice_norms_match_mask_per_annulus(matrix, half, odd, alpha, q, homogeneous,
+                                            split, wide, seed):
+    # each t_k is the norm of b^{k alpha} |f| on the mask of C_k (of B_0
+    # for the non-homogeneous k = 0) solved on its own; a wide window runs
+    # past the map's indices at both ends, so some slices are empty
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=d.dim, resolution=2 * half - odd)
+    f = random_function(spec, np.random.default_rng(seed))
+    idx = annulus_index_map(d, spec).reshape(-1)
+    cell_k = idx[idx != ORIGIN_INDEX] + 1
+    krange = (int(cell_k.min()) - 2, int(cell_k.max()) + 3) if wide else None
+    params = HerzSpaceParams(alpha=alpha, p=1.0, q=q, homogeneous=homogeneous,
+                             krange=krange)
+    ks, t = slice_norms(f, d, params, split=split)
+
+    k_min, k_max = krange or default_krange(d, spec)
+    assert np.array_equal(ks, np.arange(k_min if homogeneous else 0, k_max + 1))
+    h = spec.cell_volume
+    abs_f = np.abs(f.values).reshape(-1)
+    alpha_vals = alpha.on_grid(spec).reshape(-1)
+    q_vals = q.on_grid(spec).reshape(-1)
+    for k, t_k in zip(ks, t):
+        mask = idx <= -1 if not homogeneous and k == 0 else idx == k - 1
+        a = params.alpha_split(k) if split else alpha_vals[mask]
+        v = d.b ** (k * a) * abs_f[mask]
+        if not np.any(v > 0):
+            assert t_k == 0.0
+            continue
+        # the library's own one-segment solve, then the bisection oracle
+        ref = lux_core(v, q_vals[mask], h)[0]
+        assert t_k == pytest.approx(ref, rel=1e-13)
+        top = np.max(v)
+        assert ref == pytest.approx(top * luxemburg_bisect(v / top, q_vals[mask], h),
+                                    rel=1e-9)

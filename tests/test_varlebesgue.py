@@ -125,6 +125,14 @@ def test_unit_modular_identity(seed):
         assert modular(f, lam, p) == pytest.approx(1.0, abs=1e-8)
 
 
+def contiguous(seg, n, vals, p_vals, h):
+    """``lux_core`` arguments with the samples grouped by their label in
+    [0, n) by a stable sort, so each segment keeps its samples' order."""
+    order = np.argsort(seg, kind="stable")
+    bounds = np.searchsorted(seg[order], np.arange(n + 1))
+    return vals[order], p_vals[order], h, bounds
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31),
        size=st.integers(min_value=0, max_value=60),
@@ -145,8 +153,11 @@ def test_lux_core_segments_match_separate_calls(seed, size, n_random, kind):
               "log": ExponentFunction.log_family(2.0, 3.0)(x[:, None]),
               "two-piece": np.where(x < 1.0, 2.0, 4.0)}[kind]
     h = 0.01
-    norms = lux_core(vals, p_vals, h, seg, n)
+    grouped, _, _, bounds = args = contiguous(seg, n, vals, p_vals, h)
+    norms = lux_core(*args)
     assert norms.shape == (n,) and norms[0] == 0.0 and norms[1] == 0.0
+    if kind == "constant":  # the exponent passed as one number
+        assert np.array_equal(lux_core(grouped, 2.5, h, bounds), norms)
     for i in range(n):
         sel = seg == i
         assert norms[i] == lux_core(vals[sel], p_vals[sel], h)[0]
@@ -175,7 +186,7 @@ def test_lux_core_matches_bisection_oracle(seed, size, log10_h, kind):
     f = GridFunction(spec, vals)
     p = ExponentFunction.custom(fn=lambda pts: p_vals, p_minus=1.0, p_plus=20.0,
                                 at_origin=q0, at_infinity=q1)
-    norms = lux_core(vals, p_vals, h, seg, n)
+    norms = lux_core(*contiguous(seg, n, vals, p_vals, h))
     for i in range(n):
         sel = seg == i
         if not np.any(sel):
