@@ -294,19 +294,27 @@ def check_quasi_triangle(d: Dilation, xs, ys) -> dict:
 # --- per-grid index maps (cached: every Herz norm and kernel needs one) ---
 
 def per_grid(build):
-    """Cache ``build(d, spec)`` per (dilation, grid); results are shared,
-    so ``build`` must return immutable values."""
+    """Cache ``build(d, spec, *key)`` per (dilation, grid, *key), with
+    ``key`` any further hashable arguments; results are shared, so
+    ``build`` must return immutable values.
+
+    Each builder keeps at most 64 entries and drops them all when a 65th
+    arrives.  A builder that returns one 8-byte value per cell therefore
+    holds at most 64 x 8 bytes per cell of its largest grid: 512 MB if
+    every entry were a 1024^2 grid, 8 MB per entry.
+    """
     cache: dict = {}
 
     @functools.wraps(build)
-    def cached(d: Dilation, spec: GridSpec):
-        key = (d.cache_key(), spec)
-        value = cache.get(key)
+    def cached(d: Dilation, spec: GridSpec, *key):
+        full = (d.cache_key(), spec, *key)
+        value = cache.get(full)
         if value is None:
-            if len(cache) > 64:
+            if len(cache) >= 64:
                 cache.clear()
-            value = cache[key] = build(d, spec)
+            value = cache[full] = build(d, spec, *key)
         return value
+    cached.cache_clear = cache.clear
     return cached
 
 

@@ -65,10 +65,11 @@ class GridSpec:
         return np.stack([c[i] for i in np.unravel_index(cells, self.shape)], axis=-1)
 
     def radii(self) -> np.ndarray:
-        """Euclidean |x| at each cell center."""
+        """Euclidean |x| at each cell center, a fresh array on each call."""
         c = self.axis_centers()
         c2 = c * c
-        return np.sqrt(c2 if self.dim == 1 else np.add.outer(c2, c2))
+        r = c2 if self.dim == 1 else np.add.outer(c2, c2)
+        return np.sqrt(r, out=r)
 
 
 class GridFunction:
@@ -129,7 +130,10 @@ class GridFunction:
         return float(np.sum(np.abs(self.values)) * self.spec.cell_volume)
 
     def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        """max |f|, without an |f| temporary (exact: the values are finite);
+        +0.0 for the zero function."""
+        v = self.values
+        return float(max(np.max(v), -np.min(v))) + 0.0
 
     def is_zero(self) -> bool:
         return not np.any(self.values)

@@ -168,12 +168,12 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     bounds = order.ball(np.arange(k_min - 1, k_max + 1))
     if not params.homogeneous:
         bounds[0] = 0  # the 0-th slice is all of B_0, origin included
-    window = order.cells[bounds[0]:bounds[-1]]
-    bounds -= bounds[0]
-    vals = f.values.reshape(-1)[window]
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    bounds -= lo
+    vals = f.values.reshape(-1)[order.cells[lo:hi]]
     np.abs(vals, out=vals)
     q = params.q
-    q_vals = q.value if q.is_constant else q.on_grid(spec).reshape(-1)[window]
+    q_vals = q.value if q.is_constant else _ordered_exponent(q, d, spec, lo, hi)
 
     alpha = params.alpha
     if split or alpha.is_constant:
@@ -192,14 +192,40 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
                 "a slice norm b^{k alpha} ||f chi_k|| exceeds the float range")
         return ks, t
 
-    w = alpha.on_grid(spec).reshape(-1)[window]
-    np.multiply(w, np.repeat(ks, np.diff(bounds)), out=w)
+    w = np.repeat(ks.astype(float), np.diff(bounds))
+    np.multiply(_ordered_exponent(alpha, d, spec, lo, hi), w, out=w)
     with np.errstate(over="ignore", invalid="ignore"):
         np.power(d.b, w, out=w)
         np.multiply(vals, w, out=vals)
     if not math.isfinite(np.max(vals, initial=0.0)):
         raise NormOverflow("a weighted sample b^{k alpha} |f| exceeds the float range")
     return ks, lux_core(vals, q_vals, spec.cell_volume, bounds)
+
+
+@per_grid
+def ordered_log_family(d: Dilation, spec: GridSpec, p0: float,
+                       p_inf: float) -> np.ndarray:
+    """The log-family exponent ``log:p0,p_inf`` at the cells of ``spec``
+    in annulus order (``annulus_order(d, spec).cells``), read-only.
+
+    Cached per (dilation, grid, p0, p_inf) at 8 bytes per cell, so the
+    slice norms take any window of it as a view, with no gather.
+    """
+    vals = ExponentFunction.log_family(p0, p_inf).on_grid(spec).reshape(-1)
+    vals = vals[annulus_order(d, spec).cells]
+    vals.setflags(write=False)
+    return vals
+
+
+def _ordered_exponent(e: ExponentFunction, d: Dilation, spec: GridSpec,
+                      lo: int, hi: int) -> np.ndarray:
+    """Samples of the exponent e at the cells ``cells[lo:hi]`` of the
+    annulus order: a read-only view of the cached array for the log
+    family, a fresh gather for the other kinds (their keys would hold
+    their ``fn``, so a cache would only churn)."""
+    if e.kind == "log":
+        return ordered_log_family(d, spec, e.at_origin, e.at_infinity)[lo:hi]
+    return e.on_grid(spec).reshape(-1)[annulus_order(d, spec).cells[lo:hi]]
 
 
 def _tail_bound(f: GridFunction, d: Dilation, params: HerzSpaceParams,
@@ -222,7 +248,7 @@ def _tail_bound(f: GridFunction, d: Dilation, params: HerzSpaceParams,
         alpha_low = (alpha.value if alpha.is_constant
                      else float(np.min(alpha(f.spec.cell_points(inner)))))
     else:
-        cap = float(np.max(np.abs(f.values)))
+        cap = f.sup()
         alpha_low = min(params.alpha.at_origin, params.alpha.at_infinity)
     if cap == 0.0:
         return 0.0

@@ -120,7 +120,8 @@ class ExponentFunction:
         if self.kind == "constant":
             return np.full(pts.shape[:-1], self.value)
         if self.kind == "log":
-            return self._log_of_radius(np.sqrt(np.sum(pts * pts, axis=-1)))
+            r = np.sqrt(np.sum(pts * pts, axis=-1))
+            return self._log_of_radius(np.asarray(r))[()]
         if self.kind == "conjugate":
             p = self.base(pts)
             return p / (p - 1.0)
@@ -138,7 +139,13 @@ class ExponentFunction:
         return self(spec.points())
 
     def _log_of_radius(self, r: np.ndarray) -> np.ndarray:
-        return self.at_infinity + (self.at_origin - self.at_infinity) / np.log(math.e + r)
+        """p_inf + (p0 - p_inf)/log(e + r), computed in place in ``r``,
+        which must be a fresh array (both callers pass new radii)."""
+        r += math.e
+        np.log(r, out=r)
+        np.divide(self.at_origin - self.at_infinity, r, out=r)
+        r += self.at_infinity
+        return r
 
 
 def conjugate(p: ExponentFunction) -> ExponentFunction:
@@ -190,8 +197,10 @@ def _newton(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
     overshoot; a step that leaves the bracket is replaced by bisection.
     """
     nz = v > 0
-    q = p_vals[nz]
-    a = np.log(v[nz])
+    if nz.all():  # no zero sample: no copies of the segment
+        q, a = p_vals, np.log(v)
+    else:
+        q, a = p_vals[nz], np.log(v[nz])
     a *= q
     log_h = math.log(h)
     z = np.empty_like(a)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,24 @@ def test_indicator_and_restriction(line_spec):
     f = indicator(line_spec, x > 0)
     g = f.where(x > 1)
     assert g.integral() == pytest.approx(1.0, abs=2 * line_spec.cell_width)
+
+
+@pytest.mark.parametrize("values", [[[0.5, -2.0], [1.5, 0.25]],
+                                    [[-0.5, -2.0], [-1.5, -0.25]],
+                                    [[0.0, -0.0], [-0.0, 0.0]],
+                                    [[-0.0, -0.0], [-0.0, -0.0]]])
+def test_sup_is_max_abs(values):
+    spec = GridSpec(radius=1.0, dim=2, resolution=2)
+    f = GridFunction(spec, np.array(values))
+    assert f.sup() == np.max(np.abs(f.values))
+    if not np.any(f.values):
+        assert math.copysign(1.0, f.sup()) == 1.0  # +0.0, as max |f| gives
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radii_fresh_on_each_call(dim):
+    spec = GridSpec(radius=2.0, dim=dim, resolution=9)
+    first, second = spec.radii(), spec.radii()
+    assert not np.shares_memory(first, second)
+    first[...] = -1.0
+    assert np.array_equal(spec.radii(), second)

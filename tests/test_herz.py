@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from herzlab import (
     split_norm,
     sum_check,
 )
-from herzlab.dilation import ORIGIN_INDEX, annulus_index_map
+from herzlab.dilation import ORIGIN_INDEX, annulus_index_map, annulus_order
 from herzlab.errors import (
     BadParams,
     NormOverflow,
@@ -34,7 +35,8 @@ from herzlab.errors import (
     ZeroFunction,
 )
 from herzlab.grid import GridFunction, GridSpec, zeros
-from herzlab.herz import _split_morrey_sup, combine_product_params, slice_norms
+from herzlab.herz import (_split_morrey_sup, combine_product_params,
+                          ordered_log_family, slice_norms)
 from herzlab.oracles import (constant_herz_reference, luxemburg_bisect,
                               morrey_double_sup_reference)
 from herzlab.varlebesgue import lux_core
@@ -570,3 +572,52 @@ def test_slice_norms_match_mask_per_annulus(matrix, half, odd, alpha, q, homogen
         top = np.max(v)
         assert ref == pytest.approx(top * luxemburg_bisect(v / top, q_vals[mask], h),
                                     rel=1e-9)
+
+
+def test_ordered_log_family_is_the_gather(shear, iso2):
+    # one read-only entry per (dilation, grid, family), equal to the
+    # uncached gather of on_grid into annulus order
+    families = [ExponentFunction.log_family(2.0, 3.0),
+                ExponentFunction.log_family(3.0, 1.5)]
+    seen = []
+    for d in (shear, iso2):
+        for spec in (GridSpec(2.0, 2, 32), GridSpec(2.0, 2, 33)):
+            for e in families:
+                got = ordered_log_family(d, spec, e.at_origin, e.at_infinity)
+                want = e.on_grid(spec).reshape(-1)[annulus_order(d, spec).cells]
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0.0
+                assert ordered_log_family(d, spec, e.at_origin, e.at_infinity) is got
+                seen.append(got)
+    assert len({id(a) for a in seen}) == 8
+
+
+def test_log_report_same_cold_and_warm(shear):
+    spec = GridSpec(2.0, 2, 48)
+    f = random_function(spec, np.random.default_rng(21))
+    params = herz_params(alpha=ExponentFunction.log_family(0.2, 0.3), p=1.0,
+                         q=ExponentFunction.log_family(2.0, 3.0), lam=0.1)
+    ordered_log_family.cache_clear()
+    cold = herz_norm_report(f, shear, params, "herz-morrey")
+    warm = herz_norm_report(f, shear, params, "herz-morrey")
+    assert repr(cold) == repr(warm)
+
+
+def test_warm_log_report_transient_memory(shear):
+    # a warm log-q report holds at most three grid-sized float arrays at
+    # once (2.86 measured), so the cached exponent costs no peak memory
+    n = 512
+    spec = GridSpec(2.0, 2, n)
+    f = random_function(spec, np.random.default_rng(22))
+    params = herz_params(alpha=0.5, p=1.0, q=ExponentFunction.log_family(2.0, 3.0),
+                         lam=0.1)
+    herz_norm_report(f, shear, params, "herz-morrey")
+    tracemalloc.start()
+    try:
+        herz_norm_report(f, shear, params, "herz-morrey")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * n

@@ -354,3 +354,22 @@ def test_modular_region_mask(line_spec):
     part = modular(f, 1.0, p2, region=half)
     assert part == pytest.approx(0.5, abs=2 * line_spec.cell_width)
     assert part < full
+
+
+@pytest.mark.parametrize("dim, res", [(1, 257), (2, 64), (2, 65)])
+def test_log_family_in_place_evaluation(dim, res):
+    # the in-place evaluation equals the plain expression bit for bit and
+    # writes into none of its inputs
+    spec = GridSpec(radius=3.0, dim=dim, resolution=res)
+    c2 = spec.axis_centers() ** 2
+    r = np.sqrt(c2 if dim == 1 else np.add.outer(c2, c2))
+    for p0, p_inf in ((2.0, 3.0), (4.0, 1.5), (0.2, 0.3)):
+        e = ExponentFunction.log_family(p0, p_inf)
+        assert np.array_equal(e.on_grid(spec), p_inf + (p0 - p_inf) / np.log(math.e + r))
+        pts = spec.points()
+        before = pts.copy()
+        assert np.array_equal(e(pts), e.on_grid(spec))
+        assert np.array_equal(pts, before)
+    one = e(np.array([0.3, -0.4]))
+    r1 = np.sqrt(0.3 * 0.3 + 0.4 * 0.4)
+    assert np.ndim(one) == 0 and one == p_inf + (p0 - p_inf) / np.log(math.e + r1)
