@@ -251,33 +251,40 @@ def _write_svg_heatmap(rows: list[dict], path) -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
+def _family_scales(text: str) -> int:
+    """The count N of a ``--family`` value ``scales=N`` (5 when empty); any
+    other entry raises a ConfigError naming --family."""
+    scales = 5
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        key, _, val = part.partition("=")
+        if key.strip() != "scales" or not val.strip().isdecimal() or int(val) < 1:
+            raise ConfigError(f"--family expects scales=N with N >= 1, got {part!r}")
+        scales = int(val)
+    return scales
+
+
 def _cmd_sweep(args) -> int:
     raw = load_config(args.config) if args.config else {}
     d = _dilation_from(raw, args.matrix)
     spec = _grid_spec(raw, d.dim, args.resolution, 512)
+    scales = _family_scales(args.family)
+    norm_args = {"p": config_value(raw, "herz.p", float, 1.0),
+                 "q": config_value(raw, "herz.q", parse_exponent, "const:2"),
+                 "theta": config_value(raw, "herz.theta", float, 1.0),
+                 "delta2": config_value(raw, "herz.delta2", float, 0.5)}
 
-    x = spec.points()
     r = spec.radii()
     seeds = [
         GridFunction(spec, (r < 0.5).astype(float)),
         GridFunction(spec, np.exp(-8.0 * r**2)),
         GridFunction(spec, ((r >= 0.5) & (r < 1.0)).astype(float)),
     ]
-    scales = 5
-    if args.family:
-        for part in args.family.split(","):
-            key, _, val = part.partition("=")
-            if key.strip() == "scales":
-                scales = int(val)
-    family = ops.scale_translate_family(seeds, d, scales * len(seeds),
-                                        seed=args.seed)
+    family = ops.scale_translate_family(seeds, d, scales * len(seeds), seed=args.seed)
 
     t_spec = ops.OperatorSpec(kind=args.operator, cutoff=args.cutoff)
     alphas = _parse_range(args.alpha)
     lams = _parse_range(getattr(args, "lambda"))
-    delta2 = config_value(raw, "herz.delta2", float, 0.5)
-    rows = ops.boundedness_sweep(t_spec, d, alphas, lams, family,
-                                 delta2=delta2)
+    rows = ops.boundedness_sweep(t_spec, d, alphas, lams, family, **norm_args)
 
     out = Path(args.out or "sweep.csv")
     with open(out, "w", newline="") as fh:

@@ -257,16 +257,14 @@ def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
     return value, arg_eps, int(np.argmax(row))
 
 
-def grand_seq_norm(x: Sequence, params: GrandSequenceParams,
-                   *, with_argmax: bool = False):
+def grand_seq_norm(x: Sequence, params: GrandSequenceParams) -> float:
     """Grand Lebesgue sequence norm (Sequence variant of the definition).
 
     Maximizes h(eps) = (theta/(p(1+eps))) log eps + log |x|_{l^{p(1+eps)}}
     by the scan and zoom of ``sup_over_eps``, then takes the max with the
     analytic eps -> infinity limit |x|_inf.
     """
-    value, arg_eps, _ = partial_sum_sup(x.values, params)
-    return (value, arg_eps) if with_argmax else value
+    return partial_sum_sup(x.values, params)[0]
 
 
 def eps_factor(p: float, theta: float) -> float:

@@ -108,14 +108,12 @@ def _box_corners(spec: GridSpec) -> np.ndarray:
 
 @per_grid
 def default_krange(d: Dilation, spec: GridSpec) -> tuple[int, int]:
-    """Truncation window: k_max the smallest k with B_k covering the box,
-    k_min the largest k whose ball diameter is under 4 grid cells."""
+    """Truncation window: k_max the smallest k >= 0 with B_k covering the
+    box, k_min the largest k whose ball diameter is under 4 grid cells."""
     corners = _box_corners(spec)
     k_max = 0
     while not np.all(d.ball_contains(corners, k_max)):
         k_max += 1
-    while k_max > 0 and np.all(d.ball_contains(corners, k_max - 1)):
-        k_max -= 1
     limit = 4.0 * spec.cell_width
     k_min = k_max
     while ball_diameter(d, k_min) >= limit:
@@ -230,28 +228,29 @@ def _ordered_exponent(e: ExponentFunction, d: Dilation, spec: GridSpec,
 
 def _tail_bound(f: GridFunction, d: Dilation, params: HerzSpaceParams,
                 k_min: int) -> float:
-    """Geometric surrogate for the dropped scales k < k_min (homogeneous).
+    """Geometric surrogate for the dropped scales k < k_min (0 for the
+    non-homogeneous norm, which drops none).
 
     Per-term bound: t_k <= cap * b^{k (alpha_low + 1/q^+)} with cap the
-    sup of |f| on the smallest resolvable ball.  Raises TailUnbounded
-    when alpha(0) + 1/q^- <= 0 makes the true tail non-summable.
+    sup of |f| and alpha_low the min of alpha on the cells of B_{k_min},
+    or of the smallest ball above it that holds a cell.  Raises
+    TailUnbounded when alpha(0) + 1/q^- <= 0 makes the true tail
+    non-summable.
     """
+    if not params.homogeneous:
+        return 0.0
     rate_spec = params.alpha.at_origin + 1.0 / params.q.p_minus
     if rate_spec <= 0:
         raise TailUnbounded(
             f"alpha(0) + 1/q^- = {rate_spec:g} <= 0: scale tail diverges")
     order = annulus_order(d, f.spec)
-    inner = order.cells[:order.ball(k_min)]  # cells of B_{k_min}
-    if inner.size:
-        cap = float(np.max(np.abs(f.values.reshape(-1)[inner])))
-        alpha = params.alpha
-        alpha_low = (alpha.value if alpha.is_constant
-                     else float(np.min(alpha(f.spec.cell_points(inner)))))
-    else:
-        cap = f.sup()
-        alpha_low = min(params.alpha.at_origin, params.alpha.at_infinity)
+    inner = order.cells[:order.ball(k_min) or order.ball(order.k0 + 1)]
+    cap = float(np.max(np.abs(f.values.reshape(-1)[inner])))
     if cap == 0.0:
         return 0.0
+    alpha = params.alpha
+    alpha_low = (alpha.value if alpha.is_constant
+                 else float(np.min(alpha(f.spec.cell_points(inner)))))
     rate = alpha_low + 1.0 / params.q.p_plus
     if rate <= 0:
         return math.inf
@@ -259,6 +258,17 @@ def _tail_bound(f: GridFunction, d: Dilation, params: HerzSpaceParams,
 
 
 # --- the norms --------------------------------------------------------------
+
+def _assemble(f: GridFunction, d: Dilation, params: HerzSpaceParams, lam: float,
+              split: bool = False) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """The one Herz-type assembly: the weighted slice norms t_k over the
+    window and the sup over eps and L of their partial sums weighted by
+    b^{-L lam}.  Returns (ks, t, value, arg_eps, arg_pos)."""
+    ks, t = slice_norms(f, d, params, split=split)
+    value, arg_eps, arg_pos = partial_sum_sup(
+        t, params.seq_params(), -lam * math.log(d.b) * ks)
+    return ks, t, value, arg_eps, arg_pos
+
 
 def grand_herz_norm(f: GridFunction, d: Dilation,
                     params: HerzSpaceParams) -> tuple[float, float]:
@@ -268,10 +278,8 @@ def grand_herz_norm(f: GridFunction, d: Dilation,
     the k window, plus the geometric bound for the dropped scales.
     Non-homogeneous: the k >= 0 sum with B_0 as the 0-th slice (no tail).
     """
-    ks, t = slice_norms(f, d, params)
-    norm = grand_seq_norm(Sequence(t, offset=int(ks[0])), params.seq_params())
-    tail = _tail_bound(f, d, params, int(ks[0])) if params.homogeneous else 0.0
-    return norm, tail
+    ks, _, norm, _, _ = _assemble(f, d, params, 0.0)
+    return norm, _tail_bound(f, d, params, int(ks[0]))
 
 
 def split_norm(f: GridFunction, d: Dilation, params: HerzSpaceParams) -> float:
@@ -288,10 +296,9 @@ def split_norm(f: GridFunction, d: Dilation, params: HerzSpaceParams) -> float:
     """
     if params.alpha.kind not in ("constant", "log"):
         raise BadParams("split form needs a constant or log-family alpha")
-    ks, t = slice_norms(f, d, params, split=True)
     if params.lambda_morrey == 0:
-        return grand_seq_norm(Sequence(t, offset=int(ks[0])),
-                              params.seq_params())
+        return _assemble(f, d, params, 0.0, split=True)[2]
+    ks, t = slice_norms(f, d, params, split=True)
     return _split_morrey_sup(ks, t, params, d.b)
 
 
@@ -341,9 +348,7 @@ def herz_morrey_norm(f: GridFunction, d: Dilation,
                      params: HerzSpaceParams) -> float:
     """Grand Herz-Morrey norm; lambda_morrey = 0 reduces exactly to the
     grand Herz norm."""
-    ks, t = slice_norms(f, d, params)
-    log_w = -params.lambda_morrey * math.log(d.b) * ks  # log b^{-L lam}
-    return partial_sum_sup(t, params.seq_params(), log_w)[0]
+    return _assemble(f, d, params, params.lambda_morrey)[2]
 
 
 def herz_norm_report(f: GridFunction, d: Dilation, params: HerzSpaceParams,
@@ -351,19 +356,16 @@ def herz_norm_report(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     """Full record for CLI output: norm, tail bound, per-k terms, argmaxes."""
     if space == "nonhomog" and params.homogeneous:
         params = replace(params, homogeneous=False)
-    ks, t = slice_norms(f, d, params)
-    lam = params.lambda_morrey if space == "herz-morrey" else 0.0
-    norm, arg_eps, arg_pos = partial_sum_sup(
-        t, params.seq_params(), -lam * math.log(d.b) * ks)
-    arg_l = int(ks[arg_pos]) if space == "herz-morrey" else None
-    tail = _tail_bound(f, d, params, int(ks[0])) if params.homogeneous else 0.0
+    morrey = space == "herz-morrey"
+    ks, t, norm, arg_eps, arg_pos = _assemble(
+        f, d, params, params.lambda_morrey if morrey else 0.0)
     return {
         "space": space,
         "norm": norm,
-        "tail_bound": tail,
+        "tail_bound": _tail_bound(f, d, params, int(ks[0])),
         "per_k_terms": {int(k): float(v) for k, v in zip(ks, t)},
         "argmax_eps": arg_eps,
-        "argmax_L": arg_l,
+        "argmax_L": int(ks[arg_pos]) if morrey else None,
     }
 
 

@@ -21,17 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .dilation import (
-    ORIGIN_INDEX,
-    Dilation,
-    annulus_index_map,
-    offset_index_map,
-    offset_points,
-)
+from .dilation import Dilation, annulus_order, offset_index_map, offset_points
 from .errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from .grid import GridFunction
 from .herz import HerzSpaceParams, default_krange, herz_morrey_norm
@@ -53,45 +46,32 @@ class OperatorSpec:
     """Which concrete operator to run and its knobs."""
 
     kind: str  # hardy | truncated_riesz | maximal | identity
-    cutoff: float = 1.0         # truncated_riesz only
-    krange: Optional[tuple[int, int]] = None  # maximal only
-    balls: str = "anisotropic"  # maximal: anisotropic | euclidean
+    cutoff: float = 1.0  # truncated_riesz only
 
     def __post_init__(self):
         if self.kind not in ("hardy", "truncated_riesz", "maximal", "identity"):
             raise BadParams(f"unknown operator kind {self.kind!r}")
         if self.kind == "truncated_riesz" and not self.cutoff > 0:
             raise BadParams("truncated_riesz needs a positive cutoff")
-        if self.kind == "maximal" and self.krange is not None \
-                and self.krange[1] < self.krange[0]:
-            raise BadParams("maximal needs a nonempty scale range")
 
 
 def hardy_apply(f: GridFunction, d: Dilation) -> GridFunction:
     """Hf(x) = rho(x)^{-1} integral over {rho(y) <= rho(x)} of f; 0 at x=0.
 
     On the grid the inner region is a union of whole annuli, so the
-    integral is a cumulative sum of per-annulus masses.
+    integral is a cumulative sum of per-annulus masses, read off the runs
+    of the annulus order.
     """
     spec = f.spec
-    idx = annulus_index_map(d, spec).reshape(-1)
-    vals = f.values.reshape(-1)
-    h = spec.cell_volume
-
-    nonzero = idx != ORIGIN_INDEX
-    if not np.any(nonzero):
-        return GridFunction(spec, np.zeros(spec.shape))
-    k_lo = int(np.min(idx[nonzero]))
-    k_hi = int(np.max(idx[nonzero]))
-    shifted = np.where(nonzero, idx - k_lo, 0)
-    masses = np.bincount(shifted[nonzero], weights=vals[nonzero] * h,
-                         minlength=k_hi - k_lo + 1)
-    cumulative = np.cumsum(masses)
-
-    rho_vals = np.power(d.b, np.where(nonzero, idx, 0).astype(float))
-    out = np.zeros_like(vals)
-    out[nonzero] = cumulative[shifted[nonzero]] / rho_vals[nonzero]
-    return GridFunction(spec, out.reshape(spec.shape))
+    order = annulus_order(d, spec)
+    cells = order.cells[order.sizes[0]:]  # every cell but the origin
+    # label i: the run of C_{k0+1+i}, the cells with rho = b^{k0+i}
+    label = np.repeat(np.arange(len(order.sizes) - 1), np.diff(order.sizes))
+    masses = np.bincount(label, weights=f.values.reshape(-1)[cells] * spec.cell_volume)
+    rho = np.power(d.b, np.arange(order.k0, order.k0 + len(masses), dtype=float))
+    out = np.zeros(spec.shape)
+    out.reshape(-1)[cells] = (np.cumsum(masses) / rho)[label]
+    return GridFunction(spec, out)
 
 
 def _fast_length(n: int) -> int:
@@ -203,10 +183,7 @@ def apply_operator(spec_op: OperatorSpec, f: GridFunction,
         return hardy_apply(f, d)
     if spec_op.kind == "truncated_riesz":
         return truncated_riesz_apply(f, d, spec_op.cutoff)
-    krange = spec_op.krange
-    if krange is None:
-        krange = default_krange(d, f.spec)
-    return maximal_apply(f, d, krange, balls=spec_op.balls)
+    return maximal_apply(f, d, default_krange(d, f.spec))
 
 
 def op_ratio(t_spec: OperatorSpec, f: GridFunction, d: Dilation,

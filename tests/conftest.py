@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from herzlab import ExponentFunction, HerzSpaceParams, make_dilation
-from herzlab.grid import GridSpec
+from herzlab.grid import GridFunction, GridSpec
 # the verification suites' seeded generators, shared so tests and suites
 # draw the same functions from the same RNG calls
 from herzlab.suites import _random_function as random_function
@@ -33,6 +33,12 @@ def line_spec():
 @pytest.fixture
 def plane_spec():
     return GridSpec(radius=2.0, dim=2, resolution=64)
+
+
+def ball_indicator(spec, d, k=0):
+    """The indicator of the dilation ball B_k on the cells of spec."""
+    mask = d.ball_contains(spec.points().reshape(-1, d.dim), k)
+    return GridFunction(spec, mask.reshape(spec.shape).astype(float))
 
 
 def herz_params(alpha=0.3, p=1.5, q=2.0, theta=1.0, lam=0.0, **kw):

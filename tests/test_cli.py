@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from herzlab import ExponentFunction, make_dilation
 from herzlab.cli import main
 from herzlab.config import SuiteConfig, load_config, parse_config, parse_exponent
 from herzlab.errors import ConfigError
@@ -143,6 +144,34 @@ def test_cli_sweep(workdir):
     assert (workdir / "sweep.svg").exists()
 
 
+def test_cli_sweep_reads_norm_keys(workdir, monkeypatch):
+    # herz.p, herz.q and herz.theta reach the sweep: its table is the one
+    # boundedness_sweep gives for them on the same family
+    import herzlab.operators as ops
+
+    families = []
+    make_family = ops.scale_translate_family
+
+    def recorded_family(*args, **kwargs):
+        families.append(make_family(*args, **kwargs))
+        return families[-1]
+
+    monkeypatch.setattr(ops, "scale_translate_family", recorded_family)
+    (workdir / "sweep.txt").write_text("herz.q = log:2,3\nherz.p = 3\nherz.theta = 0.5\n")
+    rc = main(["sweep", "--alpha", "0.1:0.2:0.1", "--lambda", "0", "--resolution", "64",
+               "--family", "scales=1", "--config", str(workdir / "sweep.txt"),
+               "--out", str(workdir / "sweep.csv")])
+    assert rc == 0
+    got = [line.split(",")[3] for line in
+           (workdir / "sweep.csv").read_text().strip().splitlines()[1:]]
+    hardy, d = ops.OperatorSpec(kind="hardy"), make_dilation([[2.0]])
+    want = ops.boundedness_sweep(hardy, d, [0.1, 0.2], [0.0], families[0], p=3.0,
+                                 q=ExponentFunction.log_family(2.0, 3.0), theta=0.5)
+    assert got == [repr(row["sup_ratio"]) for row in want]
+    default = ops.boundedness_sweep(hardy, d, [0.1, 0.2], [0.0], families[0])
+    assert got != [repr(row["sup_ratio"]) for row in default]
+
+
 def test_cli_verify_deterministic(workdir):
     rc1 = main(["verify", "--suite", "grandseq", "--seed", "7",
                 "--out", str(workdir / "r1")])
@@ -270,6 +299,9 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
     ("sweep", "grid.radius = -1"),
     # the flag overrides a valid config value and is named itself
     ("sweep --resolution 1", "grid.resolution = 64"),
+    # a --family entry other than scales=N, N a positive integer
+    ("sweep --family scales=1.5", "grid.resolution = 64"),
+    ("sweep --family sizes=2", "grid.resolution = 64"),
 ])
 def test_cli_rejects_malformed_config_value(workdir, capsys, command, line):
     (workdir / "bad.txt").write_text(line + "\n")

@@ -41,13 +41,8 @@ from herzlab.oracles import (constant_herz_reference, luxemburg_bisect,
                               morrey_double_sup_reference)
 from herzlab.varlebesgue import lux_core
 
-from conftest import (annulus_supported_function, expansive_matrices, herz_params,
-                      random_function)
-
-
-def ball_indicator(spec, d, k=0):
-    mask = d.ball_contains(spec.points().reshape(-1, d.dim), k)
-    return GridFunction(spec, mask.reshape(spec.shape).astype(float))
+from conftest import (annulus_supported_function, ball_indicator, expansive_matrices,
+                      herz_params, random_function)
 
 
 def test_params_validation():
@@ -119,6 +114,57 @@ def test_tail_unbounded(dyadic, line_spec):
     params = herz_params(alpha=-0.75, p=1.0, q=2.0)
     with pytest.raises(TailUnbounded):
         grand_herz_norm(f, dyadic, params)
+    # only the homogeneous Herz norm drops scales; the others take no tail
+    assert herz_morrey_norm(f, dyadic, params) > 0
+    assert grand_herz_norm(f, dyadic, dataclasses.replace(params, homogeneous=False))[1] == 0.0
+
+
+@pytest.mark.parametrize("matrix, resolution", [([[2.0, 1.0], [0.0, 2.0]], 128),
+                                                ([[3.0, 0.0], [1.0, 2.0]], 64)])
+def test_tail_bound_over_nearest_nonempty_ball(matrix, resolution):
+    # B_{k_min} holds no cell here: the tail takes cap and alpha_low from
+    # the smallest ball above it that does, and is no larger than the
+    # bound from the sup of |f| over the grid and min(alpha(0), alpha_inf)
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=2, resolution=resolution)
+    f = GridFunction(spec, np.random.default_rng(resolution).uniform(-1, 1, spec.shape))
+    idx = annulus_index_map(d, spec)
+    k_min = default_krange(d, spec)[0]
+    assert not np.any(idx <= k_min - 1)
+    k = k_min + 1
+    while not np.any(idx <= k - 1):
+        k += 1
+    inner = idx <= k - 1
+    cap = np.max(np.abs(f.values[inner]))
+    for alpha in (ExponentFunction.constant(0.3), ExponentFunction.log_family(0.2, 0.3),
+                  ExponentFunction.log_family(0.6, 0.3)):
+        for q in (ExponentFunction.constant(2.0), ExponentFunction.log_family(2.0, 3.0)):
+            _, tail = grand_herz_norm(f, d, herz_params(alpha=alpha, p=1.0, q=q))
+            rate = np.min(alpha.on_grid(spec)[inner]) + 1.0 / q.p_plus
+            want = cap * d.b ** ((k_min - 1) * rate) / (1.0 - d.b ** -rate)
+            assert tail == pytest.approx(want, rel=1e-13)
+            rate = min(alpha.at_origin, alpha.at_infinity) + 1.0 / q.p_plus
+            assert tail <= f.sup() * d.b ** ((k_min - 1) * rate) / (1.0 - d.b ** -rate)
+
+
+@pytest.mark.parametrize("alpha, q", [(0.3, 2.0),
+                                      (ExponentFunction.log_family(0.2, 0.3),
+                                       ExponentFunction.log_family(2.0, 3.0))])
+def test_norms_share_one_assembly(shear, alpha, q):
+    # at lambda = 0 the Herz and Herz-Morrey norms and both report spaces
+    # are the same number, and the report's tail is the norm's
+    spec = GridSpec(radius=2.0, dim=2, resolution=64)
+    f = random_function(spec, np.random.default_rng(23))
+    params = herz_params(alpha=alpha, p=1.5, q=q, lam=0.0)
+    norm, tail = grand_herz_norm(f, shear, params)
+    assert herz_morrey_norm(f, shear, params) == norm
+    for space in ("herz", "herz-morrey"):
+        rep = herz_norm_report(f, shear, params, space)
+        assert (rep["norm"], rep["tail_bound"]) == (norm, tail)
+    nonhomog = dataclasses.replace(params, homogeneous=False)
+    rep = herz_norm_report(f, shear, params, "nonhomog")
+    assert (rep["norm"], rep["tail_bound"]) == grand_herz_norm(f, shear, nonhomog)
+    assert rep["tail_bound"] == 0.0
 
 
 def test_split_equals_direct_for_constant(dyadic, line_spec):

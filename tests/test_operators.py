@@ -7,6 +7,7 @@ from herzlab import (
     boundedness_sweep,
     default_krange,
     hardy_apply,
+    make_dilation,
     maximal_apply,
     op_ratio,
     scale_translate_family,
@@ -14,15 +15,10 @@ from herzlab import (
 )
 from herzlab.dilation import ORIGIN_INDEX, annulus_index_map
 from herzlab.errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
-from herzlab.grid import GridFunction, zeros
+from herzlab.grid import GridFunction, GridSpec, zeros
 from herzlab.operators import fft_convolve_valid
 
-from conftest import herz_params, random_function
-
-
-def ball_indicator(spec, d, k=0):
-    mask = d.ball_contains(spec.points().reshape(-1, d.dim), k)
-    return GridFunction(spec, mask.reshape(spec.shape).astype(float))
+from conftest import ball_indicator, herz_params, random_function
 
 
 def rho_map(d, spec):
@@ -68,6 +64,31 @@ def test_hardy_size_bound(dyadic, line_spec):
         f = random_function(line_spec, rng)
         hf = hardy_apply(f, dyadic)
         assert np.all(np.abs(hf.values[nz]) <= f.l1() / rho[nz] * (1 + 1e-12))
+
+
+def hardy_by_index_map(f, d):
+    """Reference Hardy sums from per-cell labels of the index map: masses
+    summed per annulus in raster order, divided by a per-cell rho."""
+    spec = f.spec
+    idx = annulus_index_map(d, spec).reshape(-1)
+    nz = idx != ORIGIN_INDEX
+    label = idx[nz] - np.min(idx[nz])
+    masses = np.bincount(label, weights=f.values.reshape(-1)[nz] * spec.cell_volume)
+    out = np.zeros(idx.shape)
+    out[nz] = np.cumsum(masses)[label] / np.power(d.b, idx[nz].astype(float))
+    return out.reshape(spec.shape)
+
+
+@pytest.mark.parametrize("matrix", [[[2.0]], [[-3.0]], [[2.0, 1.0], [0.0, 2.0]],
+                                    [[3.0, 0.0], [1.0, 2.0]]])
+@pytest.mark.parametrize("resolution", [63, 64, 255, 256])
+def test_hardy_matches_index_map_algorithm(matrix, resolution):
+    # the sums read off the annulus order's runs are the index-map sums,
+    # bit for bit, with and without an origin cell
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=d.dim, resolution=resolution)
+    f = GridFunction(spec, np.random.default_rng(resolution).uniform(-1, 1, spec.shape))
+    assert np.array_equal(hardy_apply(f, d).values, hardy_by_index_map(f, d))
 
 
 def test_riesz_cutoff_guard(dyadic, line_spec):
@@ -225,11 +246,6 @@ def test_maximal_euclidean_variant(dyadic, line_spec):
     me = maximal_apply(f, dyadic, kr, balls="euclidean")
     # in one dimension with A = [2] the two ball systems coincide
     assert np.max(np.abs(ma.values - me.values)) <= 1e-12
-
-
-def test_maximal_krange_validation():
-    with pytest.raises(BadParams):
-        OperatorSpec(kind="maximal", krange=(3, 1))
 
 
 def direct_valid_convolve(f, kernel):
