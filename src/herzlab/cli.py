@@ -265,6 +265,12 @@ def _family_scales(text: str) -> int:
 
 def _cmd_sweep(args) -> int:
     raw = load_config(args.config) if args.config else {}
+    for key in ("herz.alpha", "herz.lambda", "herz.homogeneous",
+                "herz.kmin", "herz.kmax"):
+        if key in raw:
+            raise ConfigError(f"config key {key!r} is not read by sweep, which "
+                              "sweeps --alpha and --lambda on the homogeneous "
+                              "norm over its default window")
     d = _dilation_from(raw, args.matrix)
     spec = _grid_spec(raw, d.dim, args.resolution, 512)
     scales = _family_scales(args.family)

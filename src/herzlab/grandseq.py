@@ -5,8 +5,8 @@ The grand norm of a finite-support sequence is
     sup_{eps > 0} eps^{theta/(p(1+eps))} * |x|_{l^{p(1+eps)}}.
 
 The supremum is located by a fixed log-spaced scan of eps over
-[2^-53, 1e6] followed by a vectorised zoom into every local-max
-bracket, and competes with the analytic eps -> infinity limit |x|_inf.
+[2^-53, 1e6] followed by a zoom into the (up to 8) local-max
+brackets, and competes with the analytic eps -> infinity limit |x|_inf.
 Below 2^-53 the sum 1 + eps rounds to 1, so the log value only grows
 with eps there and no smaller eps beats the scan floor; above eps = 4
 both of its terms fall.  All l^P norms are evaluated in log space so
@@ -156,6 +156,9 @@ def sup_over_eps(log_value: Callable, log_eps: np.ndarray) -> tuple[float, float
     call, then narrows each bracket to the neighbours of its best point,
     until the bracket is under 1e-10 relative.  Returns (log_sup,
     argmax_eps); the largest value wins, then the smallest eps.
+
+    The brackets are kept in Python floats: there are at most 8, too few
+    for numpy's per-call cost to pay off in their bookkeeping.
     """
     s = np.asarray(log_eps, dtype=float)
     v = np.asarray(log_value(s), dtype=float)
@@ -172,31 +175,34 @@ def sup_over_eps(log_value: Callable, log_eps: np.ndarray) -> tuple[float, float
         local_max = np.sort(local_max[np.argsort(v[local_max])[-8:]])
 
     # the best point of each bracket so far, and the brackets
-    best_t, best_v = s[local_max], v[local_max]
-    a = s[np.maximum(local_max - 1, 0)]
-    b = s[np.minimum(local_max + 1, n - 1)]
-    frac = np.arange(1, _ZOOM + 1) / (_ZOOM + 1)
+    best_t, best_v = s[local_max].tolist(), v[local_max].tolist()
+    a = s[np.maximum(local_max - 1, 0)].tolist()
+    b = s[np.minimum(local_max + 1, n - 1)].tolist()
+    frac = (np.arange(1, _ZOOM + 1) / (_ZOOM + 1)).tolist()
 
-    def wide(a, b):
-        return b - a > 1e-10 * np.maximum(1.0, np.abs(a) + np.abs(b))
+    def wide(i):
+        return b[i] - a[i] > 1e-10 * max(1.0, abs(a[i]) + abs(b[i]))
 
-    live = np.flatnonzero(wide(a, b))
-    while len(live):
-        # each row: the bracket ends around _ZOOM evenly spaced inner points
-        pts = np.column_stack((a[live], a[live, None] + (b - a)[live, None] * frac,
-                               b[live]))
-        vals = np.asarray(log_value(pts[:, 1:-1].ravel()), dtype=float)
+    live = [i for i in range(len(a)) if wide(i)]
+    while live:
+        # each bracket's _ZOOM evenly spaced inner points, all in one call
+        pts = [[a[i] + (b[i] - a[i]) * f for f in frac] for i in live]
+        vals = np.asarray(log_value(np.array(pts).ravel()), dtype=float)
         vals = np.where(np.isfinite(vals), vals, -np.inf).reshape(len(live), _ZOOM)
-        rows = np.arange(len(live))
-        j = np.argmax(vals, axis=1)  # first maximum: the smallest eps
-        t_j, v_j = pts[rows, j + 1], vals[rows, j]
-        better = (v_j > best_v[live]) | ((v_j == best_v[live]) & (t_j < best_t[live]))
-        best_t[live[better]], best_v[live[better]] = t_j[better], v_j[better]
-        a[live], b[live] = pts[rows, j], pts[rows, j + 2]
-        live = live[wide(a[live], b[live])]
+        # first maximum: the smallest eps
+        for i, row, v_row, j in zip(live, pts, vals.tolist(),
+                                    vals.argmax(axis=1).tolist()):
+            t_j, v_j = row[j], v_row[j]
+            if v_j > best_v[i] or (v_j == best_v[i] and t_j < best_t[i]):
+                best_t[i], best_v[i] = t_j, v_j
+            if j > 0:
+                a[i] = row[j - 1]
+            if j < _ZOOM - 1:
+                b[i] = row[j + 1]
+        live = [i for i in live if wide(i)]
 
-    top = np.max(best_v)
-    return float(top), math.exp(np.min(best_t[best_v == top]))
+    top = float(np.max(best_v))  # numpy's pick among signed zeros
+    return top, math.exp(min(t for t, v in zip(best_t, best_v) if v == top))
 
 
 # --- the grand norm -------------------------------------------------------
@@ -230,16 +236,18 @@ def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
         # equal weights: the partial sums grow with L, so the sup over L is
         # the full l^P sum, and an exp-sum shifted by max log|x| gives it
         # at a fraction of the cost of the accumulated table
+        # (ufunc methods stand for np.sum and np.max: the same reductions,
+        # without the wrapper's per-call cost)
         top = np.max(log_x)
         shifted = log_x - top
 
         def log_value(log_eps: np.ndarray) -> np.ndarray:
             big_p = p * (1.0 + np.exp(log_eps))
-            s = np.sum(np.exp(np.multiply.outer(big_p, shifted)), axis=-1)
+            s = np.add.reduce(np.exp(np.multiply.outer(big_p, shifted)), axis=-1)
             return (theta / big_p) * log_eps + (top + np.log(s) / big_p) + log_w[0]
     else:
         def log_value(log_eps: np.ndarray) -> np.ndarray:
-            return np.max(weighted(log_eps), axis=-1)
+            return np.maximum.reduce(weighted(log_eps), axis=-1)
 
     log_sup, arg_eps = sup_over_eps(log_value, _LOG_EPS)
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDim, ConfigError, GridMismatch
+from .errors import BadDim, ConfigError, GridMismatch, IoError
 
 
 @dataclass(frozen=True)
@@ -160,22 +160,27 @@ def save_csv(f: GridFunction, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{float(f.spec.radius)!r},{f.spec.dim},{f.spec.resolution}\n")
         vals = f.values if f.spec.dim == 2 else f.values[None, :]
-        for row in vals:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in vals:  # row by row: no list of every value at once
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_csv(path) -> GridFunction:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    """The grid function written by :func:`save_csv`; a file that holds no
+    such function raises an IoError naming it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            body = fh.read()
         if len(header) != 3:
-            raise ConfigError(f"bad grid CSV header in {path}")
-        radius, dim, resolution = float(header[0]), int(header[1]), int(header[2])
-        spec = GridSpec(radius=radius, dim=dim, resolution=resolution)
-        body = fh.read()
-    vals = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    if dim == 1:
-        vals = vals.reshape(-1)
-    return GridFunction(spec, vals)
+            raise IoError(f"bad grid CSV header in {path}")
+        spec = GridSpec(radius=float(header[0]), dim=int(header[1]),
+                        resolution=int(header[2]))
+        if not body or body.isspace():
+            raise IoError(f"grid CSV {path} holds no values")
+        vals = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        return GridFunction(spec, vals.reshape(-1) if spec.dim == 1 else vals)
+    except (OSError, ValueError, BadDim, GridMismatch) as exc:
+        raise IoError(f"bad grid CSV {path}: {exc}") from None
 
 
 def bump_profile(t2: np.ndarray) -> np.ndarray:

@@ -193,6 +193,23 @@ def test_cli_missing_input(workdir):
     assert main(["norm", "--input", str(workdir / "missing.csv")]) == 2
 
 
+@pytest.mark.parametrize("text, why", [
+    ("2.0,1,4\n", "no values"),  # header only
+    ("2.0,1,4\n1,2,abc,4\n", "abc"),
+    ("2.0,2,2\n1,2\n3\n", "columns"),  # ragged rows
+    ("2.0,1,4\n1,nan,2,3\n", "finite"),
+    ("2.0,1.5,4\n1,2,3,4\n", "1.5"),  # non-integer header field
+    ("2.0,1,4\n1,2,3\n", "(3,)"),  # short body
+    ("2.0,1\n1,2\n", "header"),
+    ("2.0,3,4\n1,2,3,4\n", "dim"),
+])
+def test_cli_rejects_malformed_csv(workdir, capsys, text, why):
+    (workdir / "bad.csv").write_text(text)
+    assert main(["norm", "--input", str(workdir / "bad.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(workdir / "bad.csv") in err and why in err
+
+
 def test_cli_oracles(workdir, capsys):
     rc = main(["oracle", "--target", "luxemburg_algebraic"])
     assert rc == 0
@@ -302,6 +319,13 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
     # a --family entry other than scales=N, N a positive integer
     ("sweep --family scales=1.5", "grid.resolution = 64"),
     ("sweep --family sizes=2", "grid.resolution = 64"),
+    # keys sweep does not read: alpha and lambda are swept, and it has no
+    # window or non-homogeneous form
+    ("sweep", "herz.alpha = const:0.9"),
+    ("sweep", "herz.lambda = 0.1"),
+    ("sweep", "herz.homogeneous = 0"),
+    ("sweep", "herz.kmin = -3"),
+    ("sweep", "herz.kmax = 2"),
 ])
 def test_cli_rejects_malformed_config_value(workdir, capsys, command, line):
     (workdir / "bad.txt").write_text(line + "\n")

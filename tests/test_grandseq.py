@@ -102,6 +102,52 @@ def test_grid_vs_denser_grid():
         assert a == pytest.approx(b, rel=1e-6)
 
 
+def _smooth(s):
+    return -(s - 0.3) ** 2 + 0.25 * np.sin(s)
+
+
+def _plateau(s):
+    # flat 0 over |log eps| <= 10: about 100 scan points are local maxima
+    return np.minimum(0.0, 10.0 - np.abs(s)) + 0.0
+
+
+def _holes(s):
+    v = -(s - 1.0) ** 2
+    v = np.where(np.sin(37.0 * s) > 0.5, np.nan, v)
+    return np.where(s < -20.0, -np.inf, v)
+
+
+def _twin(s):
+    # two plateaus of exactly 0: the tie goes to the smaller eps
+    def bump(c):
+        return np.minimum(0.0, 1.0 - 10.0 * (s - c) ** 2)
+    return np.maximum(bump(-7.3), bump(2.45))
+
+
+# golden values: (log_sup, arg_eps) as float.hex, then the callback's
+# call count and total point count
+@pytest.mark.parametrize("log_value, log_sup, arg_eps, calls, points", [
+    (_smooth, "0x1.66b2c6895d66ep-4", "0x1.837423015e372p+0", 11, 436),
+    (lambda s: s, "0x1.ba18a998fffa0p+3", "0x1.e847ffffffffcp+19", 10, 418),
+    (lambda s: -2.0 * s, "0x1.25e4f7b2737fap+6", "0x1.0000000000003p-53", 9, 400),
+    (_plateau, "0x0.0p+0", "0x1.e585ee76c69e9p+11", 10, 1552),
+    (_holes, "-0x1.0a39a10000000p-76", "0x1.5bf0a8b14b01ep+1", 11, 1678),
+    (lambda s: np.full(s.shape, -np.inf), "-inf", "0x1.0000000000003p-53", 1, 256),
+    (_twin, "0x0.0p+0", "0x1.02283da2550ecp-11", 11, 1444),
+], ids=["smooth", "max-at-255", "max-at-0", "plateau", "nan-and-inf",
+        "all-inf", "twin"])
+def test_sup_over_eps_golden(log_value, log_sup, arg_eps, calls, points):
+    sizes = []
+
+    def counted(log_eps):
+        sizes.append(len(log_eps))
+        return log_value(log_eps)
+
+    got = sup_over_eps(counted, _LOG_EPS)
+    assert tuple(float(v).hex() for v in got) == (log_sup, arg_eps)
+    assert (len(sizes), sum(sizes)) == (calls, points)
+
+
 def analytic_ones_sup(theta, n):
     """(norm, argmax eps) of n ones at p = 1: the max over eps of
     exp((theta log eps + log n) / (1 + eps)).  Its derivative has the sign

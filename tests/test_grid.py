@@ -71,6 +71,18 @@ def test_csv_roundtrip_2d(tmp_path, plane_spec):
     assert np.array_equal(load_csv(path).values, f.values)
 
 
+def test_csv_text_is_float_repr(tmp_path):
+    # every value is written as Python's shortest round-trip repr
+    vals = [-0.0, 5e-324, 1e16, 1e-05, 0.1, 1.0000000000000002]
+    spec = GridSpec(radius=0.1, dim=1, resolution=len(vals))
+    path = tmp_path / "f.csv"
+    save_csv(GridFunction(spec, np.array(vals)), path)
+    assert path.read_text() == (
+        "0.1,1,6\n-0.0,5e-324,1e+16,1e-05,0.1,1.0000000000000002\n")
+    assert [v.hex() for v in load_csv(path).values.tolist()] == \
+        [v.hex() for v in vals]
+
+
 def test_descriptors(line_spec):
     ind = from_descriptor(line_spec, {"family": "indicator", "lo": 0.0, "hi": 1.0})
     assert ind.integral() == pytest.approx(1.0, abs=2 * line_spec.cell_width)
