@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Subcommands: norm, decompose, atoms, sweep, verify, oracle.
-Exit codes: 0 pass, 1 check failure, 2 usage/config error.
+Exit codes: 0 pass, 1 check failure, 2 usage, config or input error.
+
+The verification modules (suites, oracles, reports) are imported by
+the verify and oracle subcommands alone, so the other subcommands'
+processes do not load them.
 
 Outputs are deterministic for a fixed config and seed; per-check
 runtimes are only written when --timings is passed so report files
@@ -46,9 +50,6 @@ from .herz import (
     block_decompose,
     herz_norm_report,
 )
-from .oracles import oracle_run
-from .reports import VerificationReport, all_passed, write_csv_summary, write_json
-from .suites import run_suite
 
 
 def _herz_params(raw: dict) -> HerzSpaceParams:
@@ -307,6 +308,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .reports import VerificationReport, all_passed, write_csv_summary, write_json
+    from .suites import run_suite
+
     cfg = SuiteConfig.from_file(args.config) if args.config else SuiteConfig()
     if args.seed is not None:
         cfg.seed = args.seed
@@ -333,6 +337,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracles import oracle_run
+
     cfg = load_config(args.config) if args.config else {}
     # every oracle value is a number but the entries, a list of numbers
     sub = {k.split(".", 1)[1]: config_value(
@@ -421,8 +427,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, IoError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return 2
+    except IoError as exc:
+        sys.stderr.write(f"input error: {exc}\n")
         return 2
     except HerzlabError as exc:
         sys.stderr.write(f"error: {exc}\n")

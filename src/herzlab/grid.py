@@ -9,7 +9,7 @@ instead of resampling silently.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -157,27 +157,46 @@ def indicator(spec: GridSpec, mask: np.ndarray) -> GridFunction:
 # sample values, one grid row per line.
 
 def save_csv(f: GridFunction, path) -> None:
+    vals = f.values if f.spec.dim == 2 else f.values[None, :]
+    # +0.0 is the only float64 whose bits are all zero, and its repr is
+    # "0.0"; -0.0 and every other value are written by repr
+    nonzero = vals.view(np.uint64) != 0
     with open(path, "w") as fh:
         fh.write(f"{float(f.spec.radius)!r},{f.spec.dim},{f.spec.resolution}\n")
-        vals = f.values if f.spec.dim == 2 else f.values[None, :]
-        for row in vals:  # row by row: no list of every value at once
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        # row by row: no list of every value at once
+        for row, keep in zip(vals, nonzero):
+            if keep.all():
+                text = ",".join(map(repr, row.tolist()))
+            else:
+                cells = ["0.0"] * row.size
+                at = np.flatnonzero(keep)
+                for i, cell in zip(at.tolist(), map(repr, row[at].tolist())):
+                    cells[i] = cell
+                text = ",".join(cells)
+            fh.write(text + "\n")
 
 
 def load_csv(path) -> GridFunction:
     """The grid function written by :func:`save_csv`; a file that holds no
-    such function raises an IoError naming it."""
+    such function raises an IoError naming it.  The rows stream from the
+    file to ``np.loadtxt``, so no copy of the body text is made."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            body = fh.read()
-        if len(header) != 3:
-            raise IoError(f"bad grid CSV header in {path}")
-        spec = GridSpec(radius=float(header[0]), dim=int(header[1]),
-                        resolution=int(header[2]))
-        if not body or body.isspace():
-            raise IoError(f"grid CSV {path} holds no values")
-        vals = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+            if len(header) != 3:
+                raise IoError(f"bad grid CSV header in {path}")
+            spec = GridSpec(radius=float(header[0]), dim=int(header[1]),
+                            resolution=int(header[2]))
+            # lines up to the first that is not blank; a body of blank
+            # lines alone would make np.loadtxt warn
+            head = []
+            for line in fh:
+                head.append(line)
+                if not line.isspace():
+                    break
+            else:
+                raise IoError(f"grid CSV {path} holds no values")
+            vals = np.loadtxt(itertools.chain(head, fh), delimiter=",", ndmin=2)
         return GridFunction(spec, vals.reshape(-1) if spec.dim == 1 else vals)
     except (OSError, ValueError, BadDim, GridMismatch) as exc:
         raise IoError(f"bad grid CSV {path}: {exc}") from None

@@ -189,8 +189,10 @@ def test_cli_verify_unknown_suite(workdir):
                  "--out", str(workdir / "r")]) == 2
 
 
-def test_cli_missing_input(workdir):
+def test_cli_missing_input(workdir, capsys):
     assert main(["norm", "--input", str(workdir / "missing.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(workdir / "missing.csv") in err
 
 
 @pytest.mark.parametrize("text, why", [
@@ -207,6 +209,7 @@ def test_cli_rejects_malformed_csv(workdir, capsys, text, why):
     (workdir / "bad.csv").write_text(text)
     assert main(["norm", "--input", str(workdir / "bad.csv")]) == 2
     err = capsys.readouterr().err
+    assert err.startswith("input error:")
     assert str(workdir / "bad.csv") in err and why in err
 
 
@@ -338,7 +341,8 @@ def test_cli_rejects_malformed_config_value(workdir, capsys, command, line):
     command, *flag = command.split()
     assert main([*args[command], *flag, "--config", str(workdir / "bad.txt")]) == 2
     key = flag[0] if flag else line.split(" =")[0]
-    assert key.split(".", 1)[-1] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key.split(".", 1)[-1] in err
     assert not (workdir / "rv").exists()
 
 
@@ -349,7 +353,8 @@ def test_cli_rejects_unknown_config_key(workdir, capsys, command, key):
     args = {"norm": ["norm", "--input", str(workdir / "f.csv")],
             "verify": ["verify", "--suite", "geometry", "--out", str(workdir / "rv")]}
     assert main([*args[command], "--config", str(workdir / "bad.txt")]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
 
 
 def test_documented_and_bench_configs_load(tmp_path):
@@ -381,6 +386,29 @@ def test_import_leaves_scipy_unloaded():
          "import sys, herzlab, herzlab.cli; print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_norm_and_decompose_leave_verification_modules_unloaded(workdir):
+    import os
+    import subprocess
+    import sys
+
+    import herzlab
+
+    src = os.path.dirname(os.path.dirname(herzlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = """import sys
+from herzlab.cli import main
+w = sys.argv[1]
+args = ["--config", w + "/cfg.txt", "--input", w + "/f.csv", "--out"]
+assert main(["norm", *args, w + "/n.json"]) == 0
+assert main(["decompose", *args, w + "/dec"]) == 0
+print(sorted({"herzlab.suites", "herzlab.oracles", "herzlab.reports"} & set(sys.modules)))
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(workdir)], capture_output=True,
+                         text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+    assert (workdir / "n.json").exists() and (workdir / "dec" / "manifest.json").exists()
 
 
 def test_recorder_rows_get_their_own_interval(monkeypatch):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from herzlab.errors import GridMismatch
+from herzlab.errors import GridMismatch, IoError
 from herzlab.grid import (
     GridFunction,
     GridSpec,
@@ -81,6 +84,75 @@ def test_csv_text_is_float_repr(tmp_path):
         "0.1,1,6\n-0.0,5e-324,1e+16,1e-05,0.1,1.0000000000000002\n")
     assert [v.hex() for v in load_csv(path).values.tolist()] == \
         [v.hex() for v in vals]
+
+
+# the writer's edge values: signed zeros, the smallest subnormal, huge and
+# tiny magnitudes
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300]
+_MIXED = st.one_of(st.sampled_from(_EDGE),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_DENSE = _MIXED.map(lambda v: v or -0.0)  # no +0.0
+
+
+@st.composite
+def _csv_rows(draw):
+    """(dim, rows): all-zero, dense (no +0.0) and mixed rows of one grid."""
+    dim, n = draw(st.sampled_from([1, 2])), draw(st.integers(2, 6))
+    kinds = {"zero": st.just(0.0), "dense": _DENSE, "mixed": _MIXED}
+    return dim, [draw(st.lists(kinds[draw(st.sampled_from(sorted(kinds)))],
+                               min_size=n, max_size=n))
+                 for _ in range(n if dim == 2 else 1)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_rows())
+def test_csv_text_matches_row_repr(tmp_path, case):
+    # the writer's text is the plain per-row repr join, however many of
+    # a row's cells are +0.0
+    dim, rows = case
+    spec = GridSpec(radius=1.5, dim=dim, resolution=len(rows[0]))
+    vals = np.array(rows if dim == 2 else rows[0])
+    path = tmp_path / "f.csv"
+    save_csv(GridFunction(spec, vals), path)
+    assert path.read_text() == "".join(
+        [f"1.5,{dim},{spec.resolution}\n"]
+        + [",".join(map(repr, row.tolist())) + "\n"
+           for row in (vals if dim == 2 else vals[None, :])])
+
+
+def test_csv_accepts_blank_lines_in_body(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("2.0,2,2\n\n1.0,-0.0\n\n3.5,4\n")
+    g = load_csv(path)
+    assert g.spec == GridSpec(radius=2.0, dim=2, resolution=2)
+    assert g.values.tolist() == [[1.0, -0.0], [3.5, 4.0]]
+
+
+def test_csv_blank_body_rejected_without_warning(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("2.0,1,2\n\n \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IoError, match="no values"):
+            load_csv(path)
+
+
+def test_csv_load_streams(tmp_path):
+    # the reader holds no copy of the file's text: its peak allocation is
+    # the parsed array and the GridFunction's own copy of it
+    spec = GridSpec(radius=2.0, dim=2, resolution=256)
+    f = GridFunction(spec, np.random.default_rng(3).uniform(-1, 1, spec.shape))
+    path = tmp_path / "f.csv"
+    save_csv(f, path)
+    tracemalloc.start()
+    try:
+        g = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.values, f.values)
+    assert peak < 3 * f.values.nbytes
 
 
 def test_descriptors(line_spec):
