@@ -162,8 +162,7 @@ def min_moment_order(d: Dilation, params: HerzSpaceParams) -> int:
     """Smallest admissible s: floor((alpha - delta_2) log b / log lambda_-),
     clamped to >= 0; alpha enters as max(alpha(0), alpha_inf)."""
     alpha = max(params.alpha.at_origin, params.alpha.at_infinity)
-    delta2 = params.delta2 if params.delta2 is not None else 0.5
-    raw = (alpha - delta2) * math.log(d.b) / math.log(d.lambda_minus)
+    raw = (alpha - params.delta2) * math.log(d.b) / math.log(d.lambda_minus)
     return max(0, math.floor(raw))
 
 
@@ -291,10 +290,9 @@ def atomic_sum_check(atoms: list[Atom], lambdas: Sequence,
         if not rep["pass"]:
             raise InvalidAtom(f"atom at scale {atom.scale_index} fails validation")
     # admissible weight window for the atomic characterization
-    delta2 = params.delta2 if params.delta2 is not None else 0.5
-    upper = delta2 + math.log(d.lambda_minus) / math.log(d.b)
-    admissible = (delta2 <= params.alpha.at_origin < upper
-                  and delta2 <= params.alpha.at_infinity < upper)
+    upper = params.delta2 + math.log(d.lambda_minus) / math.log(d.b)
+    admissible = (params.delta2 <= params.alpha.at_origin < upper
+                  and params.delta2 <= params.alpha.at_infinity < upper)
     denom = grand_seq_norm(lambdas, params.seq_params())
     if denom == 0.0:
         return {"check": "atomic_sum", "ratio": None, "degenerate": True,

@@ -63,7 +63,7 @@ def _herz_params(raw: dict) -> HerzSpaceParams:
         theta=config_value(raw, "herz.theta", float, 1.0),
         lambda_morrey=config_value(raw, "herz.lambda", float, 0.0),
         homogeneous=config_value(raw, "herz.homogeneous", strict_flag, 1),
-        delta2=config_value(raw, "herz.delta2", float),
+        delta2=config_value(raw, "herz.delta2", float, 0.5),
         krange=None if None in kr else kr,
     )
 

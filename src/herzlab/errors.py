@@ -102,7 +102,9 @@ class EmptyGrid(HerzlabError):
 # --- atoms ---
 
 class UnresolvableScale(HerzlabError):
-    """Dilated mollifier support spans fewer than 4 cells."""
+    """A scale the grid or float range cannot resolve: an annulus index
+    beyond the representable scales, a ball with no cells, or a dilated
+    mollifier support spanning fewer than 4 cells."""
 
 
 class IllConditioned(HerzlabError):

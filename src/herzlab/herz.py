@@ -65,7 +65,7 @@ class HerzSpaceParams:
     p >= 1 is the scalar summability index perturbed by eps; theta > 0
     the grand parameter; lambda_morrey >= 0 the Morrey exponent (0 gives
     the plain grand Herz norm).  krange overrides the default truncation
-    window; delta2 may be supplied (the atom checks default to 0.5).
+    window; delta2 (default 0.5) sets the atom checks' weight window.
     """
 
     alpha: ExponentFunction
@@ -74,7 +74,7 @@ class HerzSpaceParams:
     theta: float = 1.0
     lambda_morrey: float = 0.0
     homogeneous: bool = True
-    delta2: Optional[float] = None
+    delta2: float = 0.5
     krange: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
@@ -86,7 +86,7 @@ class HerzSpaceParams:
             raise BadParams("lambda_morrey must be nonnegative")
         if not self.q.in_class_p:
             raise NotInClassP(f"q must be class P, got q^- = {self.q.p_minus:g}")
-        if self.delta2 is not None and not (0 < self.delta2 < 1):
+        if not 0 < self.delta2 < 1:
             raise BadParams("delta2 must lie in (0, 1)")
 
     def seq_params(self) -> GrandSequenceParams:

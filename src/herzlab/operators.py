@@ -186,26 +186,29 @@ def apply_operator(spec_op: OperatorSpec, f: GridFunction,
     return maximal_apply(f, d, default_krange(d, f.spec))
 
 
+def _norm_ratio(f: GridFunction, tf: GridFunction, d: Dilation,
+                params: HerzSpaceParams) -> float:
+    """||Tf|| / ||f|| in the Herz-Morrey norm, given Tf."""
+    denom = herz_morrey_norm(f, d, params)
+    if denom == 0.0:
+        raise ZeroFunction("input norm vanished in the truncation window")
+    return herz_morrey_norm(tf, d, params) / denom
+
+
 def op_ratio(t_spec: OperatorSpec, f: GridFunction, d: Dilation,
              params: HerzSpaceParams) -> float:
     """||Tf|| / ||f|| in the Herz-Morrey norm (the grand Herz norm at
     lambda = 0)."""
     if f.is_zero():
         raise ZeroFunction("op_ratio needs a nonzero input")
-    denom = herz_morrey_norm(f, d, params)
-    numer = herz_morrey_norm(apply_operator(t_spec, f, d), d, params)
-    if denom == 0.0:
-        raise ZeroFunction("input norm vanished in the truncation window")
-    return numer / denom
+    return _norm_ratio(f, apply_operator(t_spec, f, d), d, params)
 
 
 def rescale(f: GridFunction, d: Dilation, s: int) -> GridFunction:
     """Nearest-cell resample of x -> f(A^s x)."""
     spec = f.spec
     pts = spec.points().reshape(-1, spec.dim)
-    mat = np.linalg.matrix_power(d.matrix, s) if s >= 0 \
-        else np.linalg.matrix_power(np.linalg.inv(d.matrix), -s)
-    mapped = pts @ mat.T
+    mapped = pts @ d.inv_power(-s).T
     h = spec.cell_width
     ij = np.round((mapped + spec.radius - h / 2) / h).astype(int)
     ok = np.all((ij >= 0) & (ij < spec.resolution), axis=1)
@@ -269,40 +272,33 @@ def boundedness_sweep(t_spec: OperatorSpec, d: Dilation,
                       alpha_grid, lambda_grid,
                       family: list[GridFunction], *,
                       p: float = 1.0,
-                      q: ExponentFunction | None = None,
+                      q: ExponentFunction = ExponentFunction.constant(2.0),
                       theta: float = 1.0,
                       delta2: float = 0.5) -> list[dict]:
-    """Family-sup of op_ratio per (alpha, lambda) cell.
+    """Family-sup of the norm ratio per (alpha, lambda) cell.
 
-    Admissible region per the boundedness statements: 0 < alpha < delta2
-    with lambda = 0, or 0 < 2 lambda < alpha.  Inside the region the sup
-    should stabilize as the family grows; outside it is diagnostic only.
+    T is applied once per function; every cell reads its ratio from the
+    same (f, Tf) pair.  Admissible region per the boundedness statements:
+    0 < alpha < delta2 with lambda = 0, or 0 < 2 lambda < alpha.  Inside
+    the region the sup should stabilize as the family grows; outside it
+    is diagnostic only.
     """
-    alphas = list(alpha_grid)
-    lambdas = list(lambda_grid)
-    if not alphas or not lambdas or not family:
+    lambdas = [float(lam) for lam in lambda_grid]
+    cells = [(float(alpha), lam) for alpha in alpha_grid for lam in lambdas]
+    if not cells or not family:
         raise EmptyGrid("sweep needs nonempty grids and family")
-    if q is None:
-        q = ExponentFunction.constant(2.0)
-
-    rows = []
-    for alpha in alphas:
-        for lam in lambdas:
-            params = HerzSpaceParams(
-                alpha=ExponentFunction.constant(float(alpha)),
-                p=p, q=q, theta=theta,
-                lambda_morrey=float(lam), delta2=delta2,
-            )
-            sup = 0.0
-            for f in family:
-                sup = max(sup, op_ratio(t_spec, f, d, params))
-            admissible = (0 < alpha < delta2) and \
-                (lam == 0 or 2 * lam < alpha)
-            rows.append({
-                "alpha": float(alpha),
-                "lambda": float(lam),
-                "family_size": len(family),
-                "sup_ratio": sup,
-                "admissible": bool(admissible),
-            })
-    return rows
+    params = [HerzSpaceParams(alpha=ExponentFunction.constant(alpha), p=p, q=q,
+                              theta=theta, lambda_morrey=lam, delta2=delta2)
+              for alpha, lam in cells]
+    sups = [0.0] * len(cells)
+    for f in family:
+        tf = apply_operator(t_spec, f, d)
+        sups = [max(sup, _norm_ratio(f, tf, d, cell))
+                for sup, cell in zip(sups, params)]
+    return [{
+        "alpha": alpha,
+        "lambda": lam,
+        "family_size": len(family),
+        "sup_ratio": sup,
+        "admissible": bool((0 < alpha < delta2) and (lam == 0 or 2 * lam < alpha)),
+    } for (alpha, lam), sup in zip(cells, sups)]

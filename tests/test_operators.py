@@ -13,6 +13,7 @@ from herzlab import (
     scale_translate_family,
     truncated_riesz_apply,
 )
+from herzlab import operators as ops
 from herzlab.dilation import ORIGIN_INDEX, annulus_index_map
 from herzlab.errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from herzlab.grid import GridFunction, GridSpec, zeros
@@ -218,6 +219,53 @@ def test_boundedness_sweep_stability(dyadic, line_spec):
         assert rs["admissible"]
     with pytest.raises(EmptyGrid):
         boundedness_sweep(hardy, dyadic, [], [0.0], small)
+
+
+def sweep_family(d, spec, size):
+    r = spec.radii()
+    seeds = [GridFunction(spec, (r < 0.5).astype(float)),
+             GridFunction(spec, np.exp(-8.0 * r**2)),
+             GridFunction(spec, ((r >= 0.5) & (r < 1.0)).astype(float))]
+    return scale_translate_family(seeds, d, size, seed=14)
+
+
+@pytest.mark.parametrize("matrix,resolution", [([[2.0]], 512),
+                                               ([[2.0, 1.0], [0.0, 2.0]], 16)])
+@pytest.mark.parametrize("kind", ["hardy", "truncated_riesz", "maximal", "identity"])
+def test_sweep_cells_are_family_max_of_op_ratio(matrix, resolution, kind):
+    # applying T once per function changes no cell: each row is exactly
+    # the family max of op_ratio under that row's parameters
+    d = make_dilation(matrix)
+    family = sweep_family(d, GridSpec(radius=2.0, dim=d.dim, resolution=resolution), 6)
+    t_spec = OperatorSpec(kind=kind, cutoff=0.25)
+    rows = boundedness_sweep(t_spec, d, [0.1, 0.3], [0.0, 0.05], family, delta2=0.5)
+    assert [(r["alpha"], r["lambda"]) for r in rows] == [
+        (0.1, 0.0), (0.1, 0.05), (0.3, 0.0), (0.3, 0.05)]
+    for row in rows:
+        params = herz_params(alpha=row["alpha"], p=1.0, q=2.0, lam=row["lambda"],
+                             delta2=0.5)
+        assert row["sup_ratio"] == max(op_ratio(t_spec, f, d, params) for f in family)
+
+
+def test_sweep_applies_operator_once_per_function(dyadic, line_spec, monkeypatch):
+    calls = []
+    apply = ops.apply_operator
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(ops, "apply_operator", counted)
+    family = sweep_family(dyadic, line_spec, 6)
+    boundedness_sweep(OperatorSpec(kind="hardy"), dyadic, [0.1, 0.2, 0.3],
+                      [0.0, 0.05, 0.1], family)
+    assert len(calls) == len(family)
+
+
+def test_sweep_rejects_zero_function(dyadic, line_spec):
+    family = sweep_family(dyadic, line_spec, 3) + [zeros(line_spec)]
+    with pytest.raises(ZeroFunction):
+        boundedness_sweep(OperatorSpec(kind="hardy"), dyadic, [0.2], [0.0], family)
 
 
 def test_sweep_region_flags(dyadic, line_spec):
