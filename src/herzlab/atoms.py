@@ -106,13 +106,15 @@ def make_mollifier(d: Dilation, spec: GridSpec) -> Mollifier:
                      seminorm_budget=budget)
 
 
-def dilate_phi(phi: Mollifier, d: Dilation, k: int) -> GridFunction:
+def dilate_phi(phi: Mollifier, k: int) -> GridFunction:
     """phi_k(x) = b^{-k} phi(A^{-k} x), sampled from the analytic profile.
 
-    Change of variables keeps the integral at 1; the grid must resolve
-    supp phi_k = B_k by at least 4 cells across.
+    A and b are those of ``phi.dilation``.  Change of variables keeps the
+    integral at 1; the grid must resolve supp phi_k = B_k by at least 4
+    cells across.
     """
     spec = phi.phi.spec
+    d = phi.dilation
     if ball_diameter(d, k) < 4.0 * spec.cell_width:
         raise UnresolvableScale(f"supp phi_{k} spans fewer than 4 cells")
     pts = spec.points().reshape(-1, spec.dim)
@@ -121,11 +123,12 @@ def dilate_phi(phi: Mollifier, d: Dilation, k: int) -> GridFunction:
     return GridFunction(spec, vals.reshape(spec.shape))
 
 
-def radial_maximal(f: GridFunction, phi: Mollifier, d: Dilation,
+def radial_maximal(f: GridFunction, phi: Mollifier,
                    krange: tuple[int, int]) -> GridFunction:
-    """max_k |f * phi_k| over resolvable scales (single-mollifier proxy;
-    a LOWER bound for the grand maximal function over a seminorm class)."""
+    """max_k |f * phi_k| over the resolvable scales of ``phi.dilation``
+    (single-mollifier LOWER proxy for the seminorm-class grand maximal)."""
     spec = f.spec
+    d = phi.dilation
     k_lo, k_hi = krange
     h = spec.cell_width
     opts = offset_points(spec).reshape(-1, spec.dim)
@@ -272,16 +275,17 @@ def atom_make(kind: str, k: int, s: int, d: Dilation,
 
 
 def atomic_sum_check(atoms: list[Atom], lambdas: Sequence,
-                     params: HerzSpaceParams, phi: Mollifier,
-                     d: Dilation) -> dict:
+                     params: HerzSpaceParams, phi: Mollifier) -> dict:
     """Sufficiency-direction ratio for atomic sums.
 
     Forms f = sum lambda_i a_i, computes R = ||M_phi f||_{Herz} /
     ||lambda||_{grand}, where M_phi is the single-mollifier radial
-    maximal proxy.  The infimum over decompositions and the necessity
-    direction are out of numerical reach and not attempted.
+    maximal proxy, all on the geometry of ``phi.dilation``.  The infimum
+    over decompositions and the necessity direction are out of numerical
+    reach and not attempted.
     """
     coeffs = lambdas.values
+    d = phi.dilation
     if len(atoms) != len(coeffs):
         raise InvalidAtom("one coefficient per atom required")
     for atom in atoms:
@@ -304,7 +308,7 @@ def atomic_sum_check(atoms: list[Atom], lambdas: Sequence,
     for c, atom in zip(coeffs, atoms):
         total = total + c * atom.data.values
     f = GridFunction(spec, total)
-    mf = radial_maximal(f, phi, d, default_krange(d, spec))
+    mf = radial_maximal(f, phi, default_krange(d, spec))
     numer, _ = grand_herz_norm(mf, d, params)
     return {
         "check": "atomic_sum",

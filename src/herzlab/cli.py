@@ -40,7 +40,6 @@ from .grandseq import Sequence
 from .grid import (
     GridFunction,
     GridSpec,
-    descriptor_from_json,
     from_descriptor,
     load_csv,
     save_csv,
@@ -92,7 +91,10 @@ def _load_input(path, raw: dict | None = None, dim: int = 1) -> GridFunction:
     if p.suffix == ".json":
         # synthetic-family descriptor; grid geometry comes from the config
         spec = _grid_spec(raw or {}, dim, None, 1024)
-        return from_descriptor(spec, descriptor_from_json(p.read_text()))
+        try:
+            return from_descriptor(spec, json.loads(p.read_text()))
+        except (OSError, ValueError, ConfigError) as exc:
+            raise IoError(f"bad function descriptor {path}: {exc}") from None
     return load_csv(p)
 
 
@@ -106,7 +108,7 @@ def _dilation_from(raw: dict, matrix: str | None = None):
     return make_dilation(rows)
 
 
-def _emit(obj: dict, out: str | None) -> None:
+def _emit(obj: dict, out: str | Path | None) -> None:
     text = json.dumps(obj, indent=2, default=_json_default) + "\n"
     if out:
         Path(out).write_text(text)
@@ -115,8 +117,6 @@ def _emit(obj: dict, out: str | None) -> None:
 
 
 def _json_default(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
     if isinstance(v, np.ndarray):
         return v.tolist()
     if isinstance(v, (np.integer, np.floating, np.bool_)):
@@ -152,8 +152,7 @@ def _cmd_decompose(args) -> int:
         name = f"block_{k:+05d}.csv"
         save_csv(dec.blocks[k], outdir / name)
         manifest["blocks"][str(k)] = name
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=_json_default) + "\n")
+    _emit(manifest, outdir / "manifest.json")
     return 0
 
 
@@ -172,8 +171,7 @@ def _cmd_atoms(args) -> int:
                                atom.moment_order)
         meta = {"k": atom.scale_index, "s": atom.moment_order,
                 "kind": args.kind, "validation": rep}
-        (outdir / "atom.json").write_text(
-            json.dumps(meta, indent=2, default=_json_default) + "\n")
+        _emit(meta, outdir / "atom.json")
         return 0
 
     if args.action == "validate":
@@ -192,7 +190,7 @@ def _cmd_atoms(args) -> int:
                              params=params))
     lam = Sequence(np.asarray(manifest["coefficients"], dtype=float))
     phi = at.make_mollifier(d, atoms[0].data.spec)
-    rep = at.atomic_sum_check(atoms, lam, params, phi, d)
+    rep = at.atomic_sum_check(atoms, lam, params, phi)
     _emit(rep, args.out)
     return 0
 
@@ -275,10 +273,7 @@ def _cmd_sweep(args) -> int:
     d = _dilation_from(raw, args.matrix)
     spec = _grid_spec(raw, d.dim, args.resolution, 512)
     scales = _family_scales(args.family)
-    norm_args = {"p": config_value(raw, "herz.p", float, 1.0),
-                 "q": config_value(raw, "herz.q", parse_exponent, "const:2"),
-                 "theta": config_value(raw, "herz.theta", float, 1.0),
-                 "delta2": config_value(raw, "herz.delta2", float, 0.5)}
+    params = _herz_params(raw)
 
     r = spec.radii()
     seeds = [
@@ -291,7 +286,8 @@ def _cmd_sweep(args) -> int:
     t_spec = ops.OperatorSpec(kind=args.operator, cutoff=args.cutoff)
     alphas = _parse_range(args.alpha)
     lams = _parse_range(getattr(args, "lambda"))
-    rows = ops.boundedness_sweep(t_spec, d, alphas, lams, family, **norm_args)
+    rows = ops.boundedness_sweep(t_spec, d, alphas, lams, family, p=params.p, q=params.q,
+                                 theta=params.theta, delta2=params.delta2)
 
     out = Path(args.out or "sweep.csv")
     with open(out, "w", newline="") as fh:

@@ -37,6 +37,10 @@ class GridMismatch(HerzlabError):
     """Two grid functions live on different grids."""
 
 
+class BadGrid(HerzlabError, ValueError):
+    """A grid or grid function no grid can hold (also a ValueError)."""
+
+
 class NonPositiveLambda(HerzlabError):
     """Modular evaluated at lambda <= 0."""
 

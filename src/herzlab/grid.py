@@ -10,12 +10,11 @@ instead of resampling silently.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDim, ConfigError, GridMismatch, IoError
+from .errors import BadDim, BadGrid, ConfigError, GridMismatch, IoError
 
 
 @dataclass(frozen=True)
@@ -30,9 +29,9 @@ class GridSpec:
         if self.dim not in (1, 2):
             raise BadDim(f"dim must be 1 or 2, got {self.dim}")
         if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
+            raise BadGrid("resolution must be at least 2")
         if not (self.radius > 0):
-            raise ValueError("radius must be positive")
+            raise BadGrid("radius must be positive")
 
     @property
     def cell_width(self) -> float:
@@ -84,7 +83,7 @@ class GridFunction:
                 f"values shape {values.shape} does not match grid {spec.shape}"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
+            raise BadGrid("grid function values must be finite")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "spec", spec)
@@ -212,33 +211,43 @@ def bump_profile(t2: np.ndarray) -> np.ndarray:
 #
 # JSON descriptors make seeded test inputs reproducible:
 #   {"family": "indicator", "lo": 0.0, "hi": 1.0}
-#   {"family": "bump", "center": 0.0, "width": 0.5}
+#   {"family": "bump", "center": [0.0], "width": 0.5}  (one coordinate per axis)
 #   {"family": "noise", "seed": 7, "amplitude": 1.0}
 
+_FAMILY_KEYS = {"indicator": {"lo", "hi"}, "bump": {"center", "width"},
+                "noise": {"seed", "amplitude"}}
+
+
 def from_descriptor(spec: GridSpec, desc: dict) -> GridFunction:
+    """The function a descriptor names on ``spec``, built from only the
+    coordinates its family reads.  A descriptor that is not an object,
+    names no known family, or holds a key its family does not read or a
+    value that is not a finite number raises a ConfigError."""
+    if not isinstance(desc, dict):
+        raise ConfigError(f"function descriptor must be a JSON object, got {desc!r}")
     family = desc.get("family")
-    pts = spec.points()
-    r = spec.radii()
-    if family == "indicator":
-        lo, hi = float(desc.get("lo", 0.0)), float(desc.get("hi", 1.0))
-        if spec.dim == 1:
-            mask = (pts[..., 0] >= lo) & (pts[..., 0] < hi)
-        else:
-            mask = (r >= lo) & (r < hi)
-        return indicator(spec, mask)
-    if family == "bump":
-        center = np.asarray(desc.get("center", [0.0] * spec.dim), dtype=float).reshape(-1)
-        width = float(desc.get("width", spec.radius / 2))
-        return GridFunction(spec, bump_profile(np.sum((pts - center) ** 2, axis=-1) / width**2))
-    if family == "noise":
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown synthetic family {family!r}")
+    unread = sorted(set(desc) - _FAMILY_KEYS[family] - {"family"})
+    if unread:
+        raise ConfigError(f"{family} descriptor does not read {', '.join(map(repr, unread))}")
+    try:
+        for key, value in desc.items():
+            if key != "family" and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"{key} is not finite")
+        if family == "indicator":
+            lo, hi = float(desc.get("lo", 0.0)), float(desc.get("hi", 1.0))
+            x = spec.axis_centers() if spec.dim == 1 else spec.radii()
+            return indicator(spec, (x >= lo) & (x < hi))
+        if family == "bump":
+            center = np.asarray(desc.get("center", [0.0] * spec.dim), dtype=float)
+            if center.size != spec.dim:
+                raise ValueError(f"center needs {spec.dim} coordinates")
+            width = float(desc.get("width", spec.radius / 2))
+            t2 = np.sum((spec.points() - center.reshape(-1)) ** 2, axis=-1) / width**2
+            return GridFunction(spec, bump_profile(t2))
         rng = np.random.default_rng(int(desc.get("seed", 0)))
         amp = float(desc.get("amplitude", 1.0))
         return GridFunction(spec, amp * rng.uniform(-1.0, 1.0, size=spec.shape))
-    raise ConfigError(f"unknown synthetic family {family!r}")
-
-
-def descriptor_from_json(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad function descriptor: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {family} descriptor {desc}: {exc}") from None

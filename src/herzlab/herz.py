@@ -354,6 +354,8 @@ def herz_morrey_norm(f: GridFunction, d: Dilation,
 def herz_norm_report(f: GridFunction, d: Dilation, params: HerzSpaceParams,
                      space: str = "herz") -> dict:
     """Full record for CLI output: norm, tail bound, per-k terms, argmaxes."""
+    if space not in ("herz", "herz-morrey", "nonhomog"):
+        raise BadParams(f"space must be 'herz', 'herz-morrey' or 'nonhomog', got {space!r}")
     if space == "nonhomog" and params.homogeneous:
         params = replace(params, homogeneous=False)
     morrey = space == "herz-morrey"

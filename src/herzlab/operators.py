@@ -10,7 +10,7 @@ Three computable probes plus the identity:
   a rho-scale (the untruncated kernel is not locally integrable), which
   satisfies the integral size condition pointwise by construction.
 * ``maximal_apply``: discrete Hardy-Littlewood maximal averages over
-  the dilation balls (or Euclidean balls for comparison).
+  the dilation balls.
 
 ``boundedness_sweep`` estimates family-sup norm ratios over a parameter
 grid and marks the admissible region; constants are recorded, never
@@ -19,12 +19,11 @@ asserted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import Dilation, annulus_order, offset_index_map, offset_points
+from .dilation import Dilation, annulus_order, offset_index_map
 from .errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from .grid import GridFunction
 from .herz import HerzSpaceParams, default_krange, herz_morrey_norm
@@ -138,35 +137,21 @@ def truncated_riesz_apply(f: GridFunction, d: Dilation,
 
 
 def maximal_apply(f: GridFunction, d: Dilation,
-                  krange: tuple[int, int],
-                  balls: str = "anisotropic") -> GridFunction:
-    """Discrete maximal averages max_k over x + B_k of |f|.
+                  krange: tuple[int, int]) -> GridFunction:
+    """Discrete maximal averages max_k over x + B_k of |f|, the balls of d.
 
     Averages are exact on the grid (sum over the cell mask divided by
     its measured mass), so the smallest resolvable ball reproduces |f|.
-    The Euclidean variant uses round balls with the same volumes b^k for
-    comparison with the anisotropic geometry.
+    For a Euclidean comparison pass the isotropic dilation b^{1/n} I:
+    its balls B_k are the centred intervals or discs of volume b^k.
     """
     spec = f.spec
     k_lo, k_hi = krange
-    if balls == "euclidean":
-        opts = offset_points(spec)
-        r2 = np.sum(opts * opts, axis=-1)
-    else:
-        off = offset_index_map(d, spec)
-
+    off = offset_index_map(d, spec)
     absf = np.abs(f.values)
     best = absf.copy()  # cell-scale average is |f| itself
     for k in range(k_lo, k_hi + 1):
-        if balls == "euclidean":
-            # round ball of volume b^k
-            if spec.dim == 1:
-                radius = d.b ** k / 2.0
-            else:
-                radius = math.sqrt(d.b ** k / math.pi)
-            mask = r2 < radius * radius
-        else:
-            mask = off <= k - 1  # the origin sentinel is in every ball
+        mask = off <= k - 1  # the origin sentinel is in every ball
         count = int(np.count_nonzero(mask))
         if count == 0:
             continue  # sub-grid ball: clipped

@@ -758,8 +758,10 @@ def _operators_hardy_sweep(d, spec, rng, cfg):
                note="cells outside the region are recorded, not asserted")
 
     kr = default_krange(d, spec)
-    mf_a = ops.maximal_apply(seeds[1], d, kr, balls="anisotropic")
-    mf_e = ops.maximal_apply(seeds[1], d, kr, balls="euclidean")
+    mf_a = ops.maximal_apply(seeds[1], d, kr)
+    # the isotropic dilation's balls B_k are the round balls of volume b^k
+    iso = make_dilation(d.b ** (1 / d.dim) * np.eye(d.dim))
+    mf_e = ops.maximal_apply(seeds[1], iso, kr)
     ratio = float(np.max(mf_a.values) / np.max(mf_e.values))
     yield _row("operators.maximal_compare",
                "anisotropic vs Euclidean maximal averages (diagnostic)",
@@ -826,7 +828,7 @@ def _atoms_mollifier(d, spec, rng, cfg):
     idx = annulus_index_map(d, spec)
     mass_ok = supp_ok = True
     for k in range(-2, 3):
-        pk = at.dilate_phi(phi, d, k)
+        pk = at.dilate_phi(phi, k)
         mass_ok = mass_ok and abs(pk.integral() - 1.0) <= 1e-6
         supp_ok = supp_ok and not np.any(pk.values[idx >= k] != 0.0)
     yield _row("atoms.dilate_mass",
@@ -850,11 +852,11 @@ def _atoms_mollifier(d, spec, rng, cfg):
     kr = default_krange(d, spec)
     f = _random_function(spec, rng)
     g = _random_function(spec, rng)
-    mf = at.radial_maximal(f, phi, d, kr)
-    mg = at.radial_maximal(g, phi, d, kr)
-    mfg = at.radial_maximal(f + g, phi, d, kr)
+    mf = at.radial_maximal(f, phi, kr)
+    mg = at.radial_maximal(g, phi, kr)
+    mfg = at.radial_maximal(f + g, phi, kr)
     sub = float(np.max(mfg.values - mf.values - mg.values))
-    mc = at.radial_maximal(f * 2.5, phi, d, kr)
+    mc = at.radial_maximal(f * 2.5, phi, kr)
     hom = float(np.max(np.abs(mc.values - 2.5 * mf.values)))
     yield _row("atoms.radial_maximal",
                "single-mollifier maximal proxy is sublinear and "
@@ -868,9 +870,9 @@ def _atoms_mollifier(d, spec, rng, cfg):
     ratios = []
     for _ in range(3):
         lam = Sequence(rng.uniform(0.2, 2.0, len(ks)))
-        out = at.atomic_sum_check(atoms, lam, params, phi, d)
+        out = at.atomic_sum_check(atoms, lam, params, phi)
         ratios.append(out["ratio"])
-        out2 = at.atomic_sum_check(atoms, lam.scale(2.0), params, phi, d)
+        out2 = at.atomic_sum_check(atoms, lam.scale(2.0), params, phi)
         if abs(out2["ratio"] - out["ratio"]) > 1e-9:
             ratios.append(math.inf)
     spread = max(ratios) / min(ratios)

@@ -170,16 +170,13 @@ def conjugate(p: ExponentFunction) -> ExponentFunction:
 
 # --- modular and Luxemburg norm -----------------------------------------
 
-def modular(f: GridFunction, lam: float, p: ExponentFunction,
-            region: Optional[np.ndarray] = None) -> float:
-    """Quadrature value of sum (|f|/lam)^{p(x)} dx over the region."""
+def modular(f: GridFunction, lam: float, p: ExponentFunction) -> float:
+    """Quadrature value of sum (|f|/lam)^{p(x)} dx over the grid; over a
+    region it is the modular of ``f.where(region)``, as a 0 sample adds 0."""
     if not lam > 0:
         raise NonPositiveLambda(f"lam must be positive, got {lam}")
     ratio = np.abs(f.values) / lam
     pv = p.on_grid(f.spec)
-    if region is not None:
-        ratio = ratio[region]
-        pv = pv[region]
     with np.errstate(over="ignore"):
         total = np.sum(np.power(ratio, pv, where=ratio > 0,
                                 out=np.zeros_like(ratio)))

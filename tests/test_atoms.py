@@ -46,35 +46,35 @@ def test_mollifier_mass_and_support(dyadic, phi):
 
 
 def test_dilate_phi(dyadic, phi):
-    p0 = dilate_phi(phi, dyadic, 0)
+    p0 = dilate_phi(phi, 0)
     assert np.max(np.abs(p0.values - phi.phi.values)) <= 1e-12
     idx = annulus_index_map(dyadic, phi.phi.spec)
     for k in range(-2, 3):
-        pk = dilate_phi(phi, dyadic, k)
+        pk = dilate_phi(phi, k)
         assert pk.integral() == pytest.approx(1.0, abs=1e-6)
         assert not np.any(pk.values[idx >= k] != 0.0)
     with pytest.raises(UnresolvableScale):
-        dilate_phi(phi, dyadic, -9)
+        dilate_phi(phi, -9)
 
 
 def test_radial_maximal_properties(dyadic, phi):
     spec = phi.phi.spec
     kr = default_krange(dyadic, spec)
-    assert radial_maximal(zeros(spec), phi, dyadic, kr).is_zero()
-    mf = radial_maximal(phi.phi, phi, dyadic, kr)
+    assert radial_maximal(zeros(spec), phi, kr).is_zero()
+    mf = radial_maximal(phi.phi, phi, kr)
     center = spec.resolution // 2
     assert mf.values[center] > 0
     rng = np.random.default_rng(0)
     f = random_function(spec, rng)
     g = random_function(spec, rng)
-    ma = radial_maximal(f, phi, dyadic, kr)
-    mb = radial_maximal(g, phi, dyadic, kr)
-    mab = radial_maximal(f + g, phi, dyadic, kr)
+    ma = radial_maximal(f, phi, kr)
+    mb = radial_maximal(g, phi, kr)
+    mab = radial_maximal(f + g, phi, kr)
     assert np.max(mab.values - ma.values - mb.values) <= 1e-9
-    mc = radial_maximal(f * 4.0, phi, dyadic, kr)
+    mc = radial_maximal(f * 4.0, phi, kr)
     assert np.max(np.abs(mc.values - 4.0 * ma.values)) <= 1e-9
     with pytest.raises(UnresolvableScale):
-        radial_maximal(f, phi, dyadic, (-12, -11))
+        radial_maximal(f, phi, (-12, -11))
 
 
 def test_radial_maximal_kernel_vanishes_outside_ball(dyadic, shear, phi):
@@ -184,18 +184,17 @@ def test_atomic_sum_check(dyadic, phi, hardy_params):
     atoms = [atom_make("bump_corrected", k, 1, dyadic, hardy_params, spec)
              for k in (0, 1, -1)]
     lam = Sequence(np.array([1.0, 0.5, 0.25]))
-    rep = atomic_sum_check(atoms, lam, hardy_params, phi, dyadic)
+    rep = atomic_sum_check(atoms, lam, hardy_params, phi)
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
     assert "proxy" in rep
-    rep2 = atomic_sum_check(atoms, lam.scale(2.0), hardy_params, phi, dyadic)
+    rep2 = atomic_sum_check(atoms, lam.scale(2.0), hardy_params, phi)
     assert rep2["ratio"] == pytest.approx(rep["ratio"], rel=1e-9)
-    repz = atomic_sum_check(atoms, lam.scale(0.0), hardy_params, phi, dyadic)
+    repz = atomic_sum_check(atoms, lam.scale(0.0), hardy_params, phi)
     assert repz["degenerate"]
     bad = Atom(data=atoms[0].data * 100.0, scale_index=0, moment_order=1,
                params=hardy_params)
     with pytest.raises(InvalidAtom):
-        atomic_sum_check([bad], Sequence(np.array([1.0])), hardy_params, phi,
-                         dyadic)
+        atomic_sum_check([bad], Sequence(np.array([1.0])), hardy_params, phi)
 
 
 def test_size_condition_hardy_exact_zero(dyadic, hardy_params):
@@ -239,9 +238,9 @@ def test_atomic_sum_admissibility_flag(dyadic, phi):
     good = herz_params(alpha=0.6, p=1.0, q=2.0, delta2=0.5)
     atoms = [atom_make("bump_corrected", 0, 1, dyadic, good, spec)]
     lam = Sequence(np.array([1.0]))
-    rep = atomic_sum_check(atoms, lam, good, phi, dyadic)
+    rep = atomic_sum_check(atoms, lam, good, phi)
     assert rep["admissible_weights"]
     low = herz_params(alpha=0.2, p=1.0, q=2.0, delta2=0.5)
     atoms_low = [atom_make("bump_corrected", 0, 1, dyadic, low, spec)]
-    rep_low = atomic_sum_check(atoms_low, lam, low, phi, dyadic)
+    rep_low = atomic_sum_check(atoms_low, lam, low, phi)
     assert not rep_low["admissible_weights"]

@@ -213,6 +213,23 @@ def test_cli_rejects_malformed_csv(workdir, capsys, text, why):
     assert str(workdir / "bad.csv") in err and why in err
 
 
+@pytest.mark.parametrize("text, why", [
+    ('{"family": "noise", "amplitude": 1e309}', "amplitude"),
+    ('{"family": "noise", "seed": "x"}', "seed"),
+    ("[1, 2]", "JSON object"),
+    ('{"family": "noise", "sede": 3}', "sede"),
+    ('{"family": "bump", "center": [0, 0, 0]}', "center"),
+    ('{"family": "noise", "seed": 3', "Expecting"),
+    ('{"family": "spline"}', "spline"),
+])
+def test_cli_rejects_malformed_descriptor(workdir, capsys, text, why):
+    (workdir / "d.json").write_text(text)
+    assert main(["norm", "--input", str(workdir / "d.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert str(workdir / "d.json") in err and why in err
+
+
 def test_cli_oracles(workdir, capsys):
     rc = main(["oracle", "--target", "luxemburg_algebraic"])
     assert rc == 0

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from herzlab.errors import GridMismatch, IoError
+from herzlab.errors import BadGrid, ConfigError, GridMismatch, IoError
 from herzlab.grid import (
     GridFunction,
     GridSpec,
+    bump_profile,
     from_descriptor,
     indicator,
     load_csv,
@@ -52,8 +53,17 @@ def test_arithmetic_and_mismatch(line_spec):
 def test_nonfinite_rejected(line_spec):
     vals = np.ones(line_spec.shape)
     vals[3] = np.inf
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         GridFunction(line_spec, vals)
+    assert isinstance(info.value, BadGrid)
+
+
+@pytest.mark.parametrize("radius, resolution", [(2.0, 1), (2.0, -4), (0.0, 8),
+                                                (-1.0, 8), (math.nan, 8)])
+def test_impossible_grid_rejected(radius, resolution):
+    with pytest.raises(ValueError) as info:
+        GridSpec(radius=radius, dim=1, resolution=resolution)
+    assert isinstance(info.value, BadGrid)
 
 
 def test_csv_roundtrip(tmp_path, line_spec):
@@ -163,6 +173,39 @@ def test_descriptors(line_spec):
     n1 = from_descriptor(line_spec, {"family": "noise", "seed": 9})
     n2 = from_descriptor(line_spec, {"family": "noise", "seed": 9})
     assert np.array_equal(n1.values, n2.values)
+
+
+def test_descriptors_match_their_formulas(line_spec, plane_spec):
+    # each family on the samples it reads: the line's centres, the
+    # plane's radii and points, or the seeded generator alone
+    x, r = line_spec.axis_centers(), plane_spec.radii()
+    pts = plane_spec.points()
+    for spec, desc, want in [
+        (line_spec, {"family": "indicator", "lo": -0.25, "hi": 0.5},
+         ((x >= -0.25) & (x < 0.5)).astype(float)),
+        (plane_spec, {"family": "indicator"}, ((r >= 0.0) & (r < 1.0)).astype(float)),
+        (plane_spec, {"family": "bump", "center": [0.1, -0.2], "width": 0.7},
+         bump_profile(np.sum((pts - np.array([0.1, -0.2])) ** 2, axis=-1) / 0.7**2)),
+        (plane_spec, {"family": "noise", "seed": 5, "amplitude": 2.0},
+         2.0 * np.random.default_rng(5).uniform(-1.0, 1.0, size=plane_spec.shape)),
+    ]:
+        assert np.array_equal(from_descriptor(spec, desc).values, want)
+
+
+@pytest.mark.parametrize("desc, why", [
+    ([1, 2], "JSON object"),
+    ({"family": "spline"}, "spline"),
+    ({"family": "noise", "sede": 3}, "sede"),
+    ({"family": "noise", "amplitude": 1e309}, "amplitude"),
+    ({"family": "noise", "seed": "x"}, "seed"),
+    ({"family": "noise", "seed": -1}, "seed"),
+    ({"family": "indicator", "lo": [0, 1]}, "lo"),
+    ({"family": "bump", "center": [0, 0, 0]}, "center"),
+    ({"family": "bump", "center": [0, None]}, "center"),
+])
+def test_bad_descriptor_rejected(plane_spec, desc, why):
+    with pytest.raises(ConfigError, match=why):
+        from_descriptor(plane_spec, desc)
 
 
 def test_indicator_and_restriction(line_spec):

@@ -252,6 +252,15 @@ def test_norm_report_fields(dyadic, line_spec):
     assert rep_h["norm"] == pytest.approx(rep["norm"], rel=1e-12)
 
 
+@pytest.mark.parametrize("space", ["herz_morrey", "Herz", "morrey", ""])
+def test_norm_report_rejects_unknown_space(dyadic, line_spec, space):
+    # a misspelt space would otherwise fall through to the Herz norm
+    f = ball_indicator(line_spec, dyadic, 0)
+    params = herz_params(alpha=0.5, p=1.0, q=2.0, lam=0.2)
+    with pytest.raises(BadParams, match="herz-morrey"):
+        herz_norm_report(f, dyadic, params, space=space)
+
+
 def test_block_decomposition_round_trip(dyadic, line_spec):
     rng = np.random.default_rng(5)
     params = herz_params(alpha=0.3, p=1.5, q=2.0)

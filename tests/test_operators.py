@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from herzlab import (
     truncated_riesz_apply,
 )
 from herzlab import operators as ops
-from herzlab.dilation import ORIGIN_INDEX, annulus_index_map
+from herzlab.dilation import ORIGIN_INDEX, annulus_index_map, offset_points
 from herzlab.errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from herzlab.grid import GridFunction, GridSpec, zeros
 from herzlab.operators import fft_convolve_valid
@@ -287,13 +289,40 @@ def test_apply_operator_dispatch(dyadic, line_spec):
         assert out.spec == line_spec
 
 
-def test_maximal_euclidean_variant(dyadic, line_spec):
-    f = ball_indicator(line_spec, dyadic, 0)
-    kr = default_krange(dyadic, line_spec)
-    ma = maximal_apply(f, dyadic, kr, balls="anisotropic")
-    me = maximal_apply(f, dyadic, kr, balls="euclidean")
-    # in one dimension with A = [2] the two ball systems coincide
-    assert np.max(np.abs(ma.values - me.values)) <= 1e-12
+def euclidean_maximal(f, b, krange):
+    """Reference: max over k of the averages of |f| over the round balls
+    of volume b^k (radius b^k / 2 on the line, r^2 < b^k / pi on the
+    plane), each mask divided by its cell count."""
+    spec = f.spec
+    r2 = np.sum(offset_points(spec) ** 2, axis=-1)
+    absf = np.abs(f.values)
+    best = absf.copy()
+    for k in range(krange[0], krange[1] + 1):
+        radius = b ** k / 2.0 if spec.dim == 1 else math.sqrt(b ** k / math.pi)
+        mask = r2 < radius * radius
+        if np.any(mask):
+            avg = fft_convolve_valid(absf, mask.astype(float)) / np.count_nonzero(mask)
+            np.maximum(best, avg, out=best)
+    return best
+
+
+@pytest.mark.parametrize("matrix, dim, res", [
+    ([[2.0]], 1, 512),
+    ([[2.0, 1.0], [0.0, 2.0]], 2, 64),
+    ([[2.0, 1.0], [0.0, 2.0]], 2, 128),
+    ([[3.0, 0.0], [1.0, 1.5]], 2, 64),
+    ([[3.0, 0.0], [1.0, 1.5]], 2, 65),
+], ids=["dyadic-512", "shear-64", "shear-128", "lower-64", "lower-65"])
+def test_maximal_on_isotropic_dilation_is_euclidean(matrix, dim, res):
+    # the isotropic dilation b^{1/n} I has |det| = b and a unit-volume
+    # round Delta, so its balls B_k are the round balls of volume b^k
+    d = make_dilation(matrix)
+    iso = make_dilation(d.b ** (1 / dim) * np.eye(dim))
+    spec = GridSpec(radius=2.0, dim=dim, resolution=res)
+    f = random_function(spec, np.random.default_rng(res))
+    kr = default_krange(d, spec)
+    got = maximal_apply(f, iso, kr)
+    assert np.array_equal(got.values, euclidean_maximal(f, d.b, kr))
 
 
 def direct_valid_convolve(f, kernel):

@@ -195,7 +195,7 @@ def test_lux_core_matches_bisection_oracle(seed, size, log10_h, kind):
         top = np.max(vals[sel])
         assert norms[i] == pytest.approx(
             top * luxemburg_bisect(vals[sel] / top, p_vals[sel], h), rel=1e-9)
-        assert modular(f, norms[i], p, region=sel) == pytest.approx(1.0, abs=1e-11)
+        assert modular(f.where(sel), norms[i], p) == pytest.approx(1.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("dim, res", [(1, 512), (1, 257), (2, 64), (2, 65)])
@@ -351,7 +351,7 @@ def test_modular_region_mask(line_spec):
     x = line_spec.points()[..., 0]
     half = x < 0.5
     full = modular(f, 1.0, p2)
-    part = modular(f, 1.0, p2, region=half)
+    part = modular(f.where(half), 1.0, p2)
     assert part == pytest.approx(0.5, abs=2 * line_spec.cell_width)
     assert part < full
 
