@@ -35,7 +35,7 @@ from .config import (
     strict_int,
 )
 from .dilation import make_dilation, parse_matrix
-from .errors import ConfigError, HerzlabError, IoError
+from .errors import BadGrid, ConfigError, HerzlabError, IoError
 from .grandseq import Sequence
 from .grid import (
     GridFunction,
@@ -77,11 +77,11 @@ def _grid_spec(raw: dict, dim: int, resolution: int | None,
         name = "config key 'grid.resolution'"
         resolution = config_value(raw, "grid.resolution", strict_int, default_resolution)
     radius = config_value(raw, "grid.radius", float, 2.0)
-    if resolution < 2:
-        raise ConfigError(f"{name} must be at least 2, got {resolution}")
-    if not radius > 0:
-        raise ConfigError(f"config key 'grid.radius' must be positive, got {radius!r}")
-    return GridSpec(radius=radius, dim=dim, resolution=resolution)
+    try:
+        return GridSpec(radius=radius, dim=dim, resolution=resolution)
+    except BadGrid as exc:
+        key = name if str(exc).startswith("resolution") else "config key 'grid.radius'"
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _load_input(path, raw: dict | None = None, dim: int = 1) -> GridFunction:
@@ -150,7 +150,8 @@ def _cmd_decompose(args) -> int:
     }
     for k in dec.block_indices():
         name = f"block_{k:+05d}.csv"
-        save_csv(dec.blocks[k], outdir / name)
+        # each dense block is dropped before the next is built
+        save_csv(dec.block(k), outdir / name)
         manifest["blocks"][str(k)] = name
     _emit(manifest, outdir / "manifest.json")
     return 0

@@ -29,9 +29,9 @@ class GridSpec:
         if self.dim not in (1, 2):
             raise BadDim(f"dim must be 1 or 2, got {self.dim}")
         if self.resolution < 2:
-            raise BadGrid("resolution must be at least 2")
+            raise BadGrid(f"resolution must be at least 2, got {self.resolution}")
         if not (self.radius > 0):
-            raise BadGrid("radius must be positive")
+            raise BadGrid(f"radius must be positive, got {self.radius!r}")
 
     @property
     def cell_width(self) -> float:
@@ -221,8 +221,9 @@ _FAMILY_KEYS = {"indicator": {"lo", "hi"}, "bump": {"center", "width"},
 def from_descriptor(spec: GridSpec, desc: dict) -> GridFunction:
     """The function a descriptor names on ``spec``, built from only the
     coordinates its family reads.  A descriptor that is not an object,
-    names no known family, or holds a key its family does not read or a
-    value that is not a finite number raises a ConfigError."""
+    names no known family, or holds a key its family does not read, a
+    value that is not a finite number or a bump width that is not positive
+    raises a ConfigError."""
     if not isinstance(desc, dict):
         raise ConfigError(f"function descriptor must be a JSON object, got {desc!r}")
     family = desc.get("family")
@@ -244,6 +245,8 @@ def from_descriptor(spec: GridSpec, desc: dict) -> GridFunction:
             if center.size != spec.dim:
                 raise ValueError(f"center needs {spec.dim} coordinates")
             width = float(desc.get("width", spec.radius / 2))
+            if not width > 0:
+                raise ValueError(f"width must be positive, got {width!r}")
             t2 = np.sum((spec.points() - center.reshape(-1)) ** 2, axis=-1) / width**2
             return GridFunction(spec, bump_profile(t2))
         rng = np.random.default_rng(int(desc.get("seed", 0)))

@@ -128,19 +128,22 @@ def annulus_slice(f: GridFunction, d: Dilation, k: int,
     corners = _box_corners(f.spec)
     if np.all(d.ball_contains(corners, k - 1)) and not (nonhomogeneous and k == 0):
         raise OutOfCoverage(f"C_{k} lies wholly outside the grid box")
-    return _restrict(f, d, k, nonhomogeneous, 1.0)
-
-
-def _restrict(f: GridFunction, d: Dilation, k: int, nonhomogeneous: bool,
-              scale: float) -> GridFunction:
-    """scale * f on the cells of C_k (of B_0 for k = 0 when
-    nonhomogeneous), 0 elsewhere."""
     order = annulus_order(d, f.spec)
     lo = 0 if nonhomogeneous and k == 0 else order.ball(k - 1)
     cells = order.cells[lo:order.ball(k)]
     vals = np.zeros(f.spec.shape)
-    vals.reshape(-1)[cells] = f.values.reshape(-1)[cells] * scale
+    vals.reshape(-1)[cells] = f.values.reshape(-1)[cells]
     return GridFunction(f.spec, vals)
+
+
+def _slice_bounds(order, ks: np.ndarray, homogeneous: bool) -> np.ndarray:
+    """The bounds of the slices of the scales ks in the annulus order: C_k
+    is the run ``cells[bounds[i]:bounds[i + 1]]`` for k = ks[i], and the
+    non-homogeneous 0-th slice is all of B_0, origin included."""
+    bounds = order.ball(np.arange(ks[0] - 1, ks[-1] + 1))
+    if not homogeneous:
+        bounds[0] = 0
+    return bounds
 
 
 # --- weighted slice norms ---------------------------------------------------
@@ -163,9 +166,7 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     # C_k is the run cells[ball(k - 1):ball(k)] of the annulus order, so
     # the window is one run and its annuli are segments of it
     order = annulus_order(d, spec)
-    bounds = order.ball(np.arange(k_min - 1, k_max + 1))
-    if not params.homogeneous:
-        bounds[0] = 0  # the 0-th slice is all of B_0, origin included
+    bounds = _slice_bounds(order, ks, params.homogeneous)
     lo, hi = int(bounds[0]), int(bounds[-1])
     bounds -= lo
     vals = f.values.reshape(-1)[order.cells[lo:hi]]
@@ -373,16 +374,30 @@ def herz_norm_report(f: GridFunction, d: Dilation, params: HerzSpaceParams,
 
 # --- central-block decomposition ---------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
-    """Coefficients lambda_k with per-annulus blocks b_k (supp in B_k)."""
+    """Coefficients lambda_k with per-annulus blocks b_k (supp in B_k),
+    held as runs of the annulus order, not as dense grids: block k is
+    ``samples[lo:hi]`` on the cells ``cells[lo:hi]``, with ``(lo, hi) =
+    runs[k]``, and 0 elsewhere.  ``block(k)`` makes one block a dense
+    GridFunction on request, so a caller can write them one at a time."""
 
     coefficients: Sequence
-    blocks: dict
     params: HerzSpaceParams
+    spec: GridSpec
+    cells: np.ndarray
+    samples: np.ndarray
+    runs: dict
 
     def block_indices(self) -> list[int]:
-        return sorted(self.blocks)
+        return sorted(self.runs)
+
+    def block(self, k: int) -> GridFunction:
+        """The block b_k on the whole grid."""
+        lo, hi = self.runs[k]
+        vals = np.zeros(self.spec.shape)
+        vals.reshape(-1)[self.cells[lo:hi]] = self.samples[lo:hi]
+        return GridFunction(self.spec, vals)
 
 
 def block_decompose(f: GridFunction, d: Dilation,
@@ -396,32 +411,30 @@ def block_decompose(f: GridFunction, d: Dilation,
     ks, t = slice_norms(f, d, params)
     if not np.any(t > 0):
         raise ZeroFunction("no annulus in the window carries mass")
-    blocks = {}
-    for i, k in enumerate(ks):
-        if t[i] > 0:
-            blocks[int(k)] = _restrict(f, d, k, not params.homogeneous, 1.0 / t[i])
-    return BlockDecomposition(
-        coefficients=Sequence(t, offset=int(ks[0])),
-        blocks=blocks,
-        params=params,
-    )
+    order = annulus_order(d, f.spec)
+    bounds = _slice_bounds(order, ks, params.homogeneous)
+    cells = order.cells[bounds[0]:bounds[-1]]
+    samples = f.values.reshape(-1)[cells]
+    bounds = (bounds - bounds[0]).tolist()
+    runs = {}
+    for k, tk, lo, hi in zip(ks.tolist(), t, bounds, bounds[1:]):
+        if tk > 0:
+            samples[lo:hi] *= 1.0 / tk
+            runs[k] = (lo, hi)
+    samples.setflags(write=False)
+    return BlockDecomposition(Sequence(t, offset=int(ks[0])), params, f.spec,
+                              cells, samples, runs)
 
 
 def block_reconstruct(dec: BlockDecomposition) -> GridFunction:
-    """Pointwise sum sum_k lambda_k b_k (zero function when empty)."""
-    ks = dec.block_indices()
-    if not ks:
-        raise ZeroFunction("decomposition has no blocks")
-    spec = dec.blocks[ks[0]].spec
-    total = np.zeros(spec.shape)
-    offset = dec.coefficients.offset
-    coeffs = dec.coefficients.values
-    for k in ks:
-        blk = dec.blocks[k]
-        if blk.spec != spec:
-            raise GridMismatch("blocks live on different grids")
-        total = total + coeffs[k - offset] * blk.values
-    return GridFunction(spec, total)
+    """Pointwise sum sum_k lambda_k b_k, each block's run scattered into
+    one array (the zero function when there are no blocks)."""
+    total = np.zeros(dec.spec.shape)
+    c = dec.coefficients
+    for k, (lo, hi) in dec.runs.items():
+        # + 0.0 turns -0.0 into +0.0, as a sum of blocks onto 0.0 does
+        total.reshape(-1)[dec.cells[lo:hi]] = c.values[k - c.offset] * dec.samples[lo:hi] + 0.0
+    return GridFunction(dec.spec, total)
 
 
 def central_conditions(g: GridFunction, k: int, d: Dilation,

@@ -449,8 +449,8 @@ def _decomposition_errors(g, d, params, restricted=False):
     dec = block_decompose(g, d, params)
     roundtrip = float(np.max(np.abs(block_reconstruct(dec).values - g.values)))
     norm, _ = grand_herz_norm(g, d, params)
-    valid = all(block_validate(blk, k, d, params, restricted=restricted)["pass"]
-                for k, blk in dec.blocks.items())
+    valid = all(block_validate(dec.block(k), k, d, params, restricted=restricted)["pass"]
+                for k in dec.block_indices())
     return dec, roundtrip, abs(seq_functional(dec) - norm), valid
 
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,26 @@ def test_cli_decompose_round_trip(workdir):
         total = blk * lam if total is None else total + blk * lam
     f = load_csv(workdir / "f.csv")
     assert np.max(np.abs(total.values - f.values)) <= 1e-12
+
+
+def test_cli_decompose_transient_memory(tmp_path):
+    # a warm decompose holds at most about four grid-sized float arrays at
+    # once (4.13 measured): the blocks are runs, written one at a time
+    spec = GridSpec(radius=2.0, dim=2, resolution=256)
+    rng = np.random.default_rng(22)
+    save_csv(GridFunction(spec, rng.uniform(-1, 1, spec.shape) * (spec.radii() >= 0.1)),
+             tmp_path / "f.csv")
+    (tmp_path / "cfg.txt").write_text("dilation.matrix = 2 1; 0 2\nherz.q = log:2,3\n")
+    args = ["decompose", "--config", str(tmp_path / "cfg.txt"),
+            "--input", str(tmp_path / "f.csv"), "--out", str(tmp_path / "dec")]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * spec.resolution ** 2
 
 
 def test_cli_atoms_make_and_validate(workdir, capsys):
@@ -219,6 +240,8 @@ def test_cli_rejects_malformed_csv(workdir, capsys, text, why):
     ("[1, 2]", "JSON object"),
     ('{"family": "noise", "sede": 3}', "sede"),
     ('{"family": "bump", "center": [0, 0, 0]}', "center"),
+    ('{"family": "bump", "width": 0}', "width"),
+    ('{"family": "bump", "width": -0.5}', "width"),
     ('{"family": "noise", "seed": 3', "Expecting"),
     ('{"family": "spline"}', "spline"),
 ])

@@ -202,6 +202,9 @@ def test_descriptors_match_their_formulas(line_spec, plane_spec):
     ({"family": "indicator", "lo": [0, 1]}, "lo"),
     ({"family": "bump", "center": [0, 0, 0]}, "center"),
     ({"family": "bump", "center": [0, None]}, "center"),
+    # a width that is not positive would divide by 0 or run as |width|
+    ({"family": "bump", "width": 0}, "width"),
+    ({"family": "bump", "width": -0.5}, "width"),
 ])
 def test_bad_descriptor_rejected(plane_spec, desc, why):
     with pytest.raises(ConfigError, match=why):

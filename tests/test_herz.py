@@ -272,8 +272,8 @@ def test_block_decomposition_round_trip(dyadic, line_spec):
         assert np.max(np.abs(rec.values - f.values)) <= 1e-12
         n, _ = grand_herz_norm(f, dyadic, params)
         assert abs(seq_functional(dec) - n) <= 1e-9
-        for k, blk in dec.blocks.items():
-            assert block_validate(blk, k, dyadic, params)["pass"]
+        for k in dec.block_indices():
+            assert block_validate(dec.block(k), k, dyadic, params)["pass"]
 
 
 def test_block_decompose_zero_rejected(dyadic, line_spec):
@@ -296,14 +296,54 @@ def test_dropping_block_changes_reconstruction_linearly(dyadic, line_spec):
     dec = block_decompose(f, dyadic, params)
     ks = dec.block_indices()
     k_drop = ks[len(ks) // 2]
-    blocks = dict(dec.blocks)
-    dropped = blocks.pop(k_drop)
-    partial = dataclasses.replace(dec, blocks=blocks)
+    dropped = dec.block(k_drop)
+    coeffs = dec.coefficients.values.copy()
+    coeffs[k_drop - dec.coefficients.offset] = 0.0
+    partial = dataclasses.replace(
+        dec, coefficients=dataclasses.replace(dec.coefficients, values=coeffs))
     rec_full = block_reconstruct(dec)
     rec_part = block_reconstruct(partial)
     lam = dec.coefficients.values[k_drop - dec.coefficients.offset]
     diff = rec_full.values - rec_part.values
     assert np.max(np.abs(diff - lam * dropped.values)) <= 1e-12
+
+
+def dense_blocks(f, d, params):
+    """The blocks as dense grids on the masks of the annuli, and their sum
+    onto 0.0 block by block: the decomposition's bits before it held runs."""
+    ks, t = slice_norms(f, d, params)
+    idx = annulus_index_map(d, f.spec)
+    blocks, total = {}, np.zeros(f.spec.shape)
+    for k, t_k in zip(ks.tolist(), t):
+        if t_k > 0:
+            mask = idx <= -1 if not params.homogeneous and k == 0 else idx == k - 1
+            blocks[k] = np.where(mask, f.values * (1.0 / t_k), 0.0)
+            total = total + t_k * blocks[k]
+    return blocks, total
+
+
+@pytest.mark.parametrize("q", [2.0, ExponentFunction.log_family(2.0, 3.0)],
+                         ids=["const", "log"])
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("geometry", ["dyadic", "shear"])
+def test_blocks_and_reconstruction_keep_dense_bits(request, geometry, homogeneous, q):
+    # a fifth of the cells hold -0.0, which a block keeps and the sum
+    # onto 0.0 turns into +0.0; the non-homogeneous k = 0 block is B_0
+    d = request.getfixturevalue(geometry)
+    spec = GridSpec(2.0, d.dim, 255 if d.dim == 1 else 64)
+    rng = np.random.default_rng(23)
+    vals = rng.uniform(-1, 1, spec.shape)
+    vals[rng.uniform(size=spec.shape) < 0.2] = -0.0
+    f = GridFunction(spec, vals)
+    params = herz_params(alpha=0.5, p=1.5, q=q, homogeneous=homogeneous)
+    dec = block_decompose(f, d, params)
+    blocks, total = dense_blocks(f, d, params)
+    assert dec.block_indices() == sorted(blocks)
+    if not homogeneous:
+        assert dec.block_indices()[0] == 0
+    for k, want in blocks.items():
+        assert dec.block(k).values.tobytes() == want.tobytes()
+    assert block_reconstruct(dec).values.tobytes() == total.tobytes()
 
 
 def test_block_validate_cases(dyadic, line_spec):
@@ -449,8 +489,8 @@ def test_nonhomogeneous_decomposition(dyadic, line_spec):
     assert np.max(np.abs(rec.values - f.values)) <= 1e-12
     n, _ = grand_herz_norm(f, dyadic, params)
     assert abs(seq_functional(dec) - n) <= 1e-9
-    for k, blk in dec.blocks.items():
-        assert block_validate(blk, k, dyadic, params, restricted=True)["pass"]
+    for k in dec.block_indices():
+        assert block_validate(dec.block(k), k, dyadic, params, restricted=True)["pass"]
 
 
 def test_two_dim_constant_oracle(iso2):
@@ -472,8 +512,8 @@ def test_variable_q_slice_path(dyadic, line_spec):
     n, _ = grand_herz_norm(f, dyadic, params)
     dec = block_decompose(f, dyadic, params)
     assert abs(seq_functional(dec) - n) <= 1e-9
-    for k, blk in dec.blocks.items():
-        assert block_validate(blk, k, dyadic, params)["pass"]
+    for k in dec.block_indices():
+        assert block_validate(dec.block(k), k, dyadic, params)["pass"]
     # homogeneity survives the bisection route
     n2, _ = grand_herz_norm(f * 2.0, dyadic, params)
     assert n2 == pytest.approx(2.0 * n, rel=1e-8)
