@@ -320,11 +320,8 @@ def _cmd_verify(args) -> int:
         VerificationReport(**{**r.__dict__, "runtime_s": 0.0})
         for r in reports
     ]
-    if args.format == "csv":
-        write_csv_summary(emitted, outdir / f"{args.suite}.csv")
-    else:
-        write_json(emitted, outdir / f"{args.suite}.json")
-        write_csv_summary(emitted, outdir / f"{args.suite}.csv")
+    write_json(emitted, outdir / f"{args.suite}.json")
+    write_csv_summary(emitted, outdir / f"{args.suite}.csv")
     n_fail = sum(0 if r.ok() else 1 for r in reports)
     for r in reports:
         status = "pass" if r.ok() else ("FAIL" if r.asserted else "info")
@@ -405,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in report files "
                         "(breaks byte-determinism)")

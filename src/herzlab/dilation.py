@@ -291,7 +291,7 @@ def check_quasi_triangle(d: Dilation, xs, ys) -> dict:
     }
 
 
-# --- per-grid index maps (cached: every Herz norm and kernel needs one) ---
+# --- per-grid index maps (the order and the offset map are the cached ones) ---
 
 def per_grid(build):
     """Cache ``build(d, spec, *key)`` per (dilation, grid, *key), with
@@ -483,9 +483,9 @@ def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
     return idx
 
 
-@per_grid
 def annulus_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
-    """Annulus index at every cell center of ``spec``.
+    """Annulus index at every cell center of ``spec``, built anew on each
+    call: ``annulus_order`` is the cached classification of a grid.
 
     Built by ``_grid_index_map``: membership in each B_k comes from the
     interval that its quadratic form cuts out of each grid row, and cells
@@ -521,7 +521,8 @@ class AnnulusOrder(NamedTuple):
 @per_grid
 def annulus_order(d: Dilation, spec: GridSpec) -> AnnulusOrder:
     """``annulus_index_map(d, spec)`` as a stable counting sort of its
-    cells, so each annulus and each ball B_k is one contiguous run."""
+    cells (the map is then dropped), so each annulus and each ball B_k is
+    one contiguous run."""
     idx = annulus_index_map(d, spec).reshape(-1)
     origin = idx == ORIGIN_INDEX
     k0 = int(np.min(idx, where=~origin, initial=idx.max()))

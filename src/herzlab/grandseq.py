@@ -249,20 +249,28 @@ def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
         def log_value(log_eps: np.ndarray) -> np.ndarray:
             return np.maximum.reduce(weighted(log_eps), axis=-1)
 
+    with np.errstate(over="ignore"):
+        limit = np.exp(log_w) * np.maximum.accumulate(x)
+    return _sup_ending(log_value, weighted, limit)
+
+
+def _sup_ending(log_value: Callable, table: Callable,
+                limit: np.ndarray) -> tuple[float, float, int]:
+    """The eps supremum of ``log_value``, the row max of the (m, K) log
+    values ``table(log_eps)``, against the eps -> infinity ``limit`` of
+    each position.  Returns (value, arg_eps, arg_pos), arg_eps = inf when
+    a limit wins."""
     log_sup, arg_eps = sup_over_eps(log_value, _LOG_EPS)
     try:
         value = math.exp(log_sup) if math.isfinite(log_sup) else 0.0
     except OverflowError:
         value = math.inf
-    with np.errstate(over="ignore"):
-        limit = np.exp(log_w) * np.maximum.accumulate(x)
     arg_pos = int(np.argmax(limit))
     if not math.isfinite(max(value, limit[arg_pos])):
         raise NormOverflow("a grand sequence norm exceeds the float range")
     if limit[arg_pos] > value:
         return float(limit[arg_pos]), math.inf, arg_pos
-    row = weighted(np.array([math.log(arg_eps)]))[0]
-    return value, arg_eps, int(np.argmax(row))
+    return value, arg_eps, int(np.argmax(table(np.array([math.log(arg_eps)]))[0]))
 
 
 def grand_seq_norm(x: Sequence, params: GrandSequenceParams) -> float:

@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dilation import (Dilation, annulus_index_map, annulus_order, ball_diameter,
-                       per_grid)
+from .dilation import Dilation, annulus_order, ball_diameter, per_grid
 from .errors import (
     BadParams,
     GridMismatch,
@@ -34,8 +33,8 @@ from .errors import (
     TailUnbounded,
     ZeroFunction,
 )
-from .grandseq import (_LOG_EPS, GrandSequenceParams, Sequence, _log_partial_norms,
-                       grand_seq_norm, partial_sum_sup, sup_over_eps)
+from .grandseq import (GrandSequenceParams, Sequence, _log_partial_norms, _sup_ending,
+                       grand_seq_norm, partial_sum_sup)
 from .grid import GridFunction, GridSpec
 from .varlebesgue import ExponentFunction, derived_reciprocal, lux_core, luxemburg_norm
 
@@ -321,28 +320,19 @@ def _split_morrey_sup(ks: np.ndarray, t: np.ndarray,
         log_t = np.log(t)
     log_t_nonneg = np.where(neg, -np.inf, log_t)
 
-    def log_value(log_eps: np.ndarray) -> np.ndarray:
+    def table(log_eps: np.ndarray) -> np.ndarray:
         total = _log_partial_norms(log_eps, log_t_nonneg, p, theta)[:, pos]
         if np.any(neg):
             a_neg = _log_partial_norms(log_eps, log_t[neg], p, theta)[:, -1:]
             total = np.logaddexp(a_neg, total)
-        return np.max(log_w[pos] + total, axis=-1)
+        return log_w[pos] + total
 
-    log_sup, _ = sup_over_eps(log_value, _LOG_EPS)
-    if math.isfinite(log_sup):
-        try:
-            value = max(value, math.exp(log_sup))
-        except OverflowError:
-            value = math.inf
     # eps -> infinity limit of branch 2: per-piece sup norms
     m_neg = float(np.max(t[neg], initial=0.0))
     prefmax = np.maximum.accumulate(np.where(neg, 0.0, t))
     with np.errstate(over="ignore"):
-        limit = float(np.max(np.exp(log_w[pos]) * (m_neg + prefmax[pos])))
-    value = max(value, limit)
-    if not math.isfinite(value):
-        raise NormOverflow("a split Morrey norm exceeds the float range")
-    return value
+        limit = np.exp(log_w[pos]) * (m_neg + prefmax[pos])
+    return max(value, _sup_ending(lambda s: np.max(table(s), axis=-1), table, limit)[0])
 
 
 def herz_morrey_norm(f: GridFunction, d: Dilation,
@@ -445,8 +435,9 @@ def central_conditions(g: GridFunction, k: int, d: Dilation,
     in B_k, ||g||_{q(.)} <= bound = b^{-k alpha_k} (alpha(0) below scale
     0, alpha_inf above) and, for restricted type, k >= 0.
     """
-    idx = annulus_index_map(d, g.spec)
-    support_ok = not np.any(g.values[idx >= k] != 0.0)  # idx >= k: outside B_k
+    order = annulus_order(d, g.spec)
+    # the cells outside B_k; -0.0 counts as zero
+    support_ok = not np.any(g.values.reshape(-1)[order.cells[order.ball(k):]])
     q_norm = luxemburg_norm(g, params.q)
     bound = d.b ** (-k * params.alpha_split(k))
     norm_ok = q_norm <= bound * (1.0 + 1e-9)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BadParams, UnknownTarget
+from .errors import BadParams, ConfigError, UnknownTarget
 
 __all__ = [
     "luxemburg_two_piece",
@@ -198,29 +198,29 @@ def morrey_double_sup_reference(t_by_k: dict[int, float], b: float, p: float,
     return max(math.exp(best), limit)
 
 
+# the keys each oracle target reads, with their defaults
+_TARGET_KEYS = {
+    "luxemburg_algebraic": {},
+    "grand_seq_dense": {"p": 1.0, "theta": 1.0, "entries": [1.0]},
+    "constant_herz": {"b": 2.0, "alpha": 2.0, "q": 2.0, "p": 1.0, "theta": 1.0},
+}
+
+
 def oracle_run(target: str, config: dict | None = None) -> dict:
-    """Compute a named oracle's values for file emission."""
-    config = config or {}
+    """Compute a named oracle's values for file emission; ``config``
+    holds ``oracle.*`` values by key without the prefix, and a key the
+    target does not read raises ConfigError."""
+    if target not in _TARGET_KEYS:
+        raise UnknownTarget(f"no oracle named {target!r}")
+    unread = sorted(set(config or {}) - set(_TARGET_KEYS[target]))
+    if unread:
+        raise ConfigError(f"oracle {target!r} does not read key 'oracle.{unread[0]}'")
+    c = {**_TARGET_KEYS[target], **(config or {})}
     if target == "luxemburg_algebraic":
         return {"target": target, **luxemburg_two_piece()}
     if target == "grand_seq_dense":
-        p = float(config.get("p", 1.0))
-        theta = float(config.get("theta", 1.0))
-        entries = np.asarray(config.get("entries", [1.0]), dtype=float)
-        return {
-            "target": target, "p": p, "theta": theta,
-            "entries": list(entries),
-            "value": grand_seq_dense(entries, p, theta),
-        }
-    if target == "constant_herz":
-        b = float(config.get("b", 2.0))
-        alpha = float(config.get("alpha", 2.0))
-        q = float(config.get("q", 2.0))
-        p = float(config.get("p", 1.0))
-        theta = float(config.get("theta", 1.0))
-        return {
-            "target": target, "b": b, "alpha": alpha, "q": q, "p": p,
-            "theta": theta,
-            "value": constant_herz_reference(b, alpha, q, p, theta),
-        }
-    raise UnknownTarget(f"no oracle named {target!r}")
+        c = {"p": float(c["p"]), "theta": float(c["theta"]),
+             "entries": list(np.asarray(c["entries"], dtype=float))}
+        return {"target": target, **c, "value": grand_seq_dense(**c)}
+    c = {k: float(v) for k, v in c.items()}
+    return {"target": target, **c, "value": constant_herz_reference(**c)}

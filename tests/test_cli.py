@@ -262,6 +262,19 @@ def test_cli_oracles(workdir, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("target, line", [
+    ("grand_seq_dense", "oracle.b = 3"),
+    ("luxemburg_algebraic", "oracle.p = 2"),
+    ("constant_herz", "oracle.entries = 1, 2"),
+])
+def test_cli_oracle_rejects_unread_key(workdir, capsys, target, line):
+    (workdir / "o.txt").write_text(line + "\n")
+    rc = main(["oracle", "--target", target, "--config", str(workdir / "o.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and line.split(" =")[0] in err
+
+
 @pytest.mark.parametrize("args, line, named", [
     (["norm", "--matrix", "2 x"], "", "--matrix"),
     (["norm", "--matrix", "2 1; 0"], "", "--matrix"),

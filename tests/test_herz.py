@@ -24,6 +24,7 @@ from herzlab import (
     split_norm,
     sum_check,
 )
+from herzlab import dilation
 from herzlab.dilation import ORIGIN_INDEX, annulus_index_map, annulus_order
 from herzlab.errors import (
     BadParams,
@@ -364,6 +365,46 @@ def test_block_validate_cases(dyadic, line_spec):
     # restricted type requires k >= 0
     assert not block_validate(good, -1, dyadic, params,
                               restricted=True)["restricted_ok"]
+
+
+def test_block_support_matches_the_index_map(shear):
+    # support in B_k read off the annulus order agrees with the map on
+    # every scale; -0.0 outside B_k counts as zero, any other value not
+    spec = GridSpec(2.0, 2, 33)
+    idx = annulus_index_map(shear, spec)
+    params = herz_params(alpha=0.5, p=1.0, q=2.0)
+    for k in range(int(idx[idx != ORIGIN_INDEX].min()) - 1, int(idx.max()) + 3):
+        inside = idx <= k - 1
+        vals = np.where(inside, 1e-3, -0.0)
+        assert block_validate(GridFunction(spec, vals), k, shear, params)["support_ok"]
+        for cell in np.argwhere(~inside)[:1]:
+            vals[tuple(cell)] = 1e-300
+            assert not block_validate(GridFunction(spec, vals), k, shear,
+                                      params)["support_ok"]
+
+
+def test_one_cached_classification_per_grid(shear, monkeypatch):
+    # the annulus order is the one cached classification of a grid: the
+    # first report on a fresh grid builds the index map once, for the
+    # order, and later reports and block checks read the order alone
+    calls = []
+    build = dilation._grid_index_map
+    monkeypatch.setattr(dilation, "_grid_index_map",
+                        lambda d, axis: calls.append(axis.size) or build(d, axis))
+    annulus_order.cache_clear()
+    spec = GridSpec(2.0, 2, 64)
+    f = random_function(spec, np.random.default_rng(23))
+    params = herz_params(alpha=0.5, p=1.0, q=2.0)
+    herz_norm_report(f, shear, params)
+    assert calls == [64]
+    herz_norm_report(f, shear, params)
+    dec = block_decompose(f, shear, params)
+    k = dec.block_indices()[-1]
+    assert block_validate(dec.block(k), k, shear, params)["support_ok"]
+    assert calls == [64]
+    # the map itself is not kept: each request builds a new one
+    assert annulus_index_map(shear, spec) is not annulus_index_map(shear, spec)
+    assert calls == [64, 64, 64]
 
 
 def test_seq_functional_single_block(dyadic, line_spec):
