@@ -291,7 +291,7 @@ def check_quasi_triangle(d: Dilation, xs, ys) -> dict:
     }
 
 
-# --- per-grid index maps (the order and the offset map are the cached ones) ---
+# --- per-grid index maps (the annulus order is the cached one) ---
 
 def per_grid(build):
     """Cache ``build(d, spec, *key)`` per (dilation, grid, *key), with
@@ -301,7 +301,9 @@ def per_grid(build):
     Each builder keeps at most 64 entries and drops them all when a 65th
     arrives.  A builder that returns one 8-byte value per cell therefore
     holds at most 64 x 8 bytes per cell of its largest grid: 512 MB if
-    every entry were a 1024^2 grid, 8 MB per entry.
+    every entry were a 1024^2 grid, 8 MB per entry.  The truncated Riesz
+    plan keeps a spectrum of about 32 bytes per cell, 34 MB per 1024^2
+    entry.
     """
     cache: dict = {}
 
@@ -552,10 +554,11 @@ def offset_points(spec: GridSpec) -> np.ndarray:
     return np.stack([ox, oy], axis=-1)
 
 
-@per_grid
 def offset_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
     """Annulus index on ``offset_points(spec)``, built like
-    ``annulus_index_map`` (same row intervals, same re-decision rule).
+    ``annulus_index_map`` (same row intervals, same re-decision rule) and
+    anew on each call: the operators keep what they read of it in their
+    per-grid plans.
 
     Entry ``m + N - 1`` (per axis) classifies the offset ``m * h``.  The
     zero offset gets ``ORIGIN_INDEX``, which lies inside every ball

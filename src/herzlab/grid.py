@@ -46,8 +46,10 @@ class GridSpec:
         return (self.resolution,) * self.dim
 
     def axis_centers(self) -> np.ndarray:
-        h = self.cell_width
-        return -self.radius + h * (np.arange(self.resolution) + 0.5)
+        """Cell centers along one axis, exactly antisymmetric about 0, so
+        the centre cell of an odd grid is the origin itself."""
+        n = self.resolution
+        return self.cell_width * (np.arange(n) - (n - 1) / 2)
 
     def points(self) -> np.ndarray:
         """Cell centers as an array of shape (*shape, dim)."""

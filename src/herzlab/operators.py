@@ -20,12 +20,13 @@ asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dilation import Dilation, annulus_order, offset_index_map
+from .dilation import Dilation, annulus_order, offset_index_map, per_grid
 from .errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
-from .grid import GridFunction
+from .grid import GridFunction, GridSpec
 from .herz import HerzSpaceParams, default_krange, herz_morrey_norm
 from .varlebesgue import ExponentFunction
 
@@ -85,43 +86,112 @@ def _fast_length(n: int) -> int:
         n += 1
 
 
-def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode convolution ``out[i] = sum_j f[j] kernel[i + n - 1 - j]``
-    (per axis, n = f.shape) for a kernel at least as large as ``f``.
+# A kernel with at most this many nonzero entries is summed directly, one
+# shifted slice add per entry; near 16 entries the sum and one FFT
+# convolution cost about the same on 128^2 and 256^2 inputs.
+_DIRECT_MAX = 16
 
-    The kernel is cropped to the bounding box of its support, so small
-    balls take small FFTs, and the circular FFT only has to be long
-    enough to keep its wrap-around off the outputs that are read.
+
+class _Kernel(NamedTuple):
+    """A kernel cropped to the bounding box of its support and laid out
+    for the valid-mode convolution of inputs of one shape (``_crop``).
+
+    ``start`` is the box's corner in the full kernel, ``count`` its
+    nonzero entries and ``values`` the box (read-only), or None where
+    ``spectrum``, the read-only ``rfftn`` of the box at ``shape``, is kept
+    instead.  ``dst`` are the output slices the box reaches, ``src`` the
+    slices of the box convolution that land there and ``shape`` the FFT
+    length per axis.  A zero kernel has count 0 and no layout.
     """
-    out = np.zeros([m - n + 1 for n, m in zip(f.shape, kernel.shape)])
+
+    start: tuple
+    values: np.ndarray | None
+    count: int
+    out_shape: tuple
+    dst: tuple = ()
+    src: tuple = ()
+    shape: tuple = ()
+    spectrum: np.ndarray | None = None
+
+
+def _crop(kernel: np.ndarray, in_shape: tuple, keep_spectrum: bool = False) -> _Kernel:
+    """``kernel`` cropped and laid out for inputs of shape ``in_shape``; with
+    ``keep_spectrum`` a kernel past the direct bound keeps its spectrum
+    in place of its values."""
+    out_shape = tuple(m - n + 1 for n, m in zip(in_shape, kernel.shape))
     # the support's extent along each axis: its nonzero lines there
-    axes = tuple(range(f.ndim))
+    axes = tuple(range(kernel.ndim))
     support = [np.flatnonzero(kernel.any(axis=axes[:i] + axes[i + 1:])) for i in axes]
     if support[0].size == 0:
-        return out
-    box, dst, src, shape = [], [], [], []
-    for n, m_out, ix in zip(f.shape, out.shape, support):
+        return _Kernel((0,) * kernel.ndim, np.zeros((0,) * kernel.ndim), 0, out_shape)
+    start, box, dst, src, shape = [], [], [], [], []
+    for n, m_out, ix in zip(in_shape, out_shape, support):
         a, b = int(ix[0]), int(ix[-1]) + 1
         # output i reads the box convolution at t = i + n - 1 - a
         i0, i1 = max(0, a - n + 1), min(m_out, b)
         t0, t1 = i0 + n - 1 - a, i1 + n - 1 - a
+        start.append(a)
         box.append(slice(a, b))
         dst.append(slice(i0, i1))
         src.append(slice(t0, t1))
         shape.append(_fast_length(max(n, t1, n + b - a - 1 - t0)))
-    spectrum = np.fft.rfftn(f, shape, axes) * np.fft.rfftn(kernel[tuple(box)], shape, axes)
-    out[tuple(dst)] = np.fft.irfftn(spectrum, shape, axes)[tuple(src)]
+    values = kernel[tuple(box)].copy()
+    values.setflags(write=False)
+    count = int(np.count_nonzero(values))
+    spectrum = None
+    if keep_spectrum and count > _DIRECT_MAX:
+        spectrum = np.fft.rfftn(values, shape, axes)
+        spectrum.setflags(write=False)
+        values = None
+    return _Kernel(tuple(start), values, count, out_shape, tuple(dst), tuple(src),
+                   tuple(shape), spectrum)
+
+
+def _convolve(f: np.ndarray, kern: _Kernel) -> np.ndarray:
+    """The valid-mode convolution of ``f`` with a cropped kernel."""
+    out = np.zeros(kern.out_shape)
+    if kern.count <= _DIRECT_MAX:
+        # entry p of the full kernel adds its value times f[i + n - 1 - p]
+        # to out[i], in raster order; a one-entry unit kernel copies f
+        for q in zip(*np.nonzero(kern.values)):
+            dst, src = [], []
+            for n, m_out, a, j in zip(f.shape, out.shape, kern.start, q):
+                p = a + int(j)
+                i0, i1 = max(0, p - n + 1), min(m_out, p + 1)
+                dst.append(slice(i0, i1))
+                src.append(slice(i0 + n - 1 - p, i1 + n - 1 - p))
+            out[tuple(dst)] += kern.values[q] * f[tuple(src)]
+        return out
+    axes = tuple(range(f.ndim))
+    spectrum = np.fft.rfftn(f, kern.shape, axes)
+    spectrum *= (kern.spectrum if kern.spectrum is not None
+                 else np.fft.rfftn(kern.values, kern.shape, axes))
+    # irfftn's transforms in its order, the last one only on the rows read
+    for axis in axes[:-1]:
+        spectrum = np.fft.ifft(spectrum, kern.shape[axis], axis)[
+            (slice(None),) * axis + (kern.src[axis],)]
+    out[kern.dst] = np.fft.irfft(spectrum, kern.shape[-1], axes[-1])[..., kern.src[-1]]
     return out
 
 
-def truncated_riesz_apply(f: GridFunction, d: Dilation,
-                          cutoff: float) -> GridFunction:
-    """Tf(x) = integral over {rho(x-y) >= cutoff} of f(y)/rho(x-y).
+def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-mode convolution ``out[i] = sum_j f[j] kernel[i + n - 1 - j]``
+    (per axis, n = f.shape) for a kernel at least as large as ``f``.
 
-    The cutoff must be at least the rho-scale of one grid cell; below
-    that the kernel mass concentrates on unresolvable offsets.
+    The kernel is cropped to the bounding box of its support.  A kernel
+    with at most ``_DIRECT_MAX`` nonzero entries is then summed directly,
+    exactly for a one-entry unit kernel.  Any other takes an FFT only long
+    enough to keep its wrap-around off the outputs that are read, and the
+    last inverse transform runs only on the rows of those outputs; the
+    values are those of ``numpy.fft.irfftn``.
     """
-    spec = f.spec
+    return _convolve(f, _crop(kernel, f.shape))
+
+
+@per_grid
+def _riesz_plan(d: Dilation, spec: GridSpec, cutoff: float) -> _Kernel:
+    """The truncated ``1/rho`` kernel of ``truncated_riesz_apply`` with its
+    spectrum; raises CutoffTooSmall below the one-cell rho-scale."""
     off = offset_index_map(d, spec)
     n = spec.resolution
     # rho of the one-cell offset (h, 0)
@@ -129,34 +199,54 @@ def truncated_riesz_apply(f: GridFunction, d: Dilation,
     if cutoff < cell_rho:
         raise CutoffTooSmall(
             f"cutoff {cutoff:g} below one-cell rho-scale {cell_rho:g}")
-
     rho_off = d.rho_of_index(off)
     kernel = np.divide(1.0, rho_off, out=np.zeros(off.shape), where=rho_off >= cutoff)
-    conv = fft_convolve_valid(f.values, kernel) * spec.cell_volume
+    return _crop(kernel, spec.shape, keep_spectrum=True)
+
+
+def truncated_riesz_apply(f: GridFunction, d: Dilation,
+                          cutoff: float) -> GridFunction:
+    """Tf(x) = integral over {rho(x-y) >= cutoff} of f(y)/rho(x-y).
+
+    The cutoff must be at least the rho-scale of one grid cell; below
+    that the kernel mass concentrates on unresolvable offsets.  The
+    kernel and its spectrum are planned once per (dilation, grid, cutoff).
+    """
+    spec = f.spec
+    conv = _convolve(f.values, _riesz_plan(d, spec, cutoff)) * spec.cell_volume
     return GridFunction(spec, conv)
+
+
+@per_grid
+def _maximal_plan(d: Dilation, spec: GridSpec, k_lo: int, k_hi: int) -> tuple:
+    """The balls ``off <= k - 1`` of the scales k_lo..k_hi that hold a
+    cell, cropped boolean masks laid out for ``maximal_apply``."""
+    off = offset_index_map(d, spec)
+    # the origin sentinel is in every ball; a sub-grid ball is clipped
+    balls = (_crop(off <= k - 1, spec.shape) for k in range(k_lo, k_hi + 1))
+    return tuple(ball for ball in balls if ball.count)
 
 
 def maximal_apply(f: GridFunction, d: Dilation,
                   krange: tuple[int, int]) -> GridFunction:
     """Discrete maximal averages max_k over x + B_k of |f|, the balls of d.
 
-    Averages are exact on the grid (sum over the cell mask divided by
-    its measured mass), so the smallest resolvable ball reproduces |f|.
-    For a Euclidean comparison pass the isotropic dilation b^{1/n} I:
-    its balls B_k are the centred intervals or discs of volume b^k.
+    Each average is the sum of |f| over the cell mask divided by its cell
+    count.  Balls of at most ``_DIRECT_MAX`` cells are summed directly, so
+    their averages are exact to the rounding of the sum and the one-cell
+    ball reproduces |f|; larger balls sum by FFT, to a few ulps of the
+    largest value.  The masks are planned once per (dilation, grid,
+    window).  For a Euclidean comparison pass the isotropic dilation
+    b^{1/n} I: its balls B_k are the centred intervals or discs of
+    volume b^k.
     """
     spec = f.spec
-    k_lo, k_hi = krange
-    off = offset_index_map(d, spec)
     absf = np.abs(f.values)
     best = absf.copy()  # cell-scale average is |f| itself
-    for k in range(k_lo, k_hi + 1):
-        mask = off <= k - 1  # the origin sentinel is in every ball
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            continue  # sub-grid ball: clipped
-        conv = fft_convolve_valid(absf, mask.astype(float))
-        np.maximum(best, conv / count, out=best)
+    for ball in _maximal_plan(d, spec, *krange):
+        avg = _convolve(absf, ball)
+        avg /= ball.count
+        np.maximum(best, avg, out=best)
     return GridFunction(spec, best)
 
 

@@ -25,6 +25,11 @@ def test_cell_geometry(line_spec):
     centers = line_spec.axis_centers()
     assert len(centers) == 512
     assert centers[0] == pytest.approx(-2.0 + line_spec.cell_width / 2)
+    # exactly antisymmetric: an odd grid's centre cell is the origin
+    for res in (512, 49):
+        c = GridSpec(radius=0.5, dim=1, resolution=res).axis_centers()
+        assert np.array_equal(c, -c[::-1])
+    assert GridSpec(radius=0.5, dim=1, resolution=49).axis_centers()[24] == 0.0
 
 
 def test_points_shape(plane_spec):

@@ -15,8 +15,14 @@ from herzlab import (
     scale_translate_family,
     truncated_riesz_apply,
 )
+from herzlab import dilation
 from herzlab import operators as ops
-from herzlab.dilation import ORIGIN_INDEX, annulus_index_map, offset_points
+from herzlab.dilation import (
+    ORIGIN_INDEX,
+    annulus_index_map,
+    offset_index_map,
+    offset_points,
+)
 from herzlab.errors import BadParams, CutoffTooSmall, EmptyGrid, ZeroFunction
 from herzlab.grid import GridFunction, GridSpec, zeros
 from herzlab.operators import fft_convolve_valid
@@ -348,9 +354,88 @@ def test_fft_convolve_valid_matches_direct_sum(shape):
     centre[tuple(slice(n - 2, n + 1) for n in shape)] = rng.uniform(size=(3,) * len(shape))
     far = np.zeros(kshape)
     far[tuple(m - 1 for m in kshape)] = 2.0
-    for kernel in (full, corner, centre, far):
+    # one kernel on each side of the direct-sum bound
+    scattered = []
+    for count in (ops._DIRECT_MAX, ops._DIRECT_MAX + 1):
+        kernel = np.zeros(kshape)
+        kernel.reshape(-1)[rng.choice(kernel.size, count, replace=False)] = \
+            rng.uniform(0.1, 1, count)
+        scattered.append(kernel)
+    for kernel in (full, corner, centre, far, *scattered):
         got = fft_convolve_valid(f, kernel)
         ref = direct_valid_convolve(f, kernel)
         assert got.shape == shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(fft_convolve_valid(f, np.zeros(kshape)), np.zeros(shape))
+
+
+def test_operator_plans_build_the_offset_map_once(shear, monkeypatch):
+    # the maximal and Riesz kernels are planned once per grid: the first
+    # call of each builds the offset map, later calls read the plan alone
+    calls = []
+    build = dilation._grid_index_map
+    monkeypatch.setattr(dilation, "_grid_index_map",
+                        lambda d, axis: calls.append(axis.size) or build(d, axis))
+    ops._maximal_plan.cache_clear()
+    ops._riesz_plan.cache_clear()
+    spec = GridSpec(2.0, 2, 64)
+    f = random_function(spec, np.random.default_rng(29))
+    kr = default_krange(shear, spec)
+    maximal_apply(f, shear, kr)
+    assert calls.count(127) == 1
+    truncated_riesz_apply(f, shear, 0.25)
+    assert calls.count(127) == 2
+    for _ in range(2):
+        maximal_apply(f, shear, kr)
+        truncated_riesz_apply(f, shear, 0.25)
+    assert calls.count(127) == 2
+
+
+@pytest.mark.parametrize("matrix, dim, res", [
+    ([[2.0]], 1, 1024),
+    ([[2.0, 1.0], [0.0, 2.0]], 2, 64),
+    ([[2.0, 1.0], [0.0, 2.0]], 2, 128),
+    ([[3.0, 0.0], [1.0, 2.0]], 2, 65),
+], ids=["dyadic-1024", "shear-64", "shear-128", "lower-65"])
+def test_riesz_plan_matches_its_kernel(matrix, dim, res):
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=dim, resolution=res)
+    f = random_function(spec, np.random.default_rng(res))
+    rho_off = d.rho_of_index(offset_index_map(d, spec))
+    kernel = np.divide(1.0, rho_off, out=np.zeros(rho_off.shape), where=rho_off >= 0.25)
+    expect = fft_convolve_valid(f.values, kernel) * spec.cell_volume
+    for _ in range(2):  # the second call reads the plan of the first at the latest
+        assert np.array_equal(truncated_riesz_apply(f, d, 0.25).values, expect)
+
+
+def ball_sum_maximal(f, d, krange):
+    """Reference: at each cell x and scale k, the sum of |f(y)| over the
+    cells y with x - y in B_k, read off the offset map, divided by the
+    number of offsets in B_k."""
+    spec = f.spec
+    n = spec.resolution
+    off = offset_index_map(d, spec)
+    scales = [(k, np.count_nonzero(off <= k - 1)) for k in range(krange[0], krange[1] + 1)]
+    absf = np.abs(f.values)
+    best = absf.copy()
+    flip = (slice(None, None, -1),) * spec.dim
+    for x in np.ndindex(spec.shape):
+        # entry x - y + n - 1 of the offset map classifies x - y
+        window = off[tuple(slice(i, i + n) for i in x)][flip]
+        for k, count in scales:
+            if count:
+                best[x] = max(best[x], np.sum(absf[window <= k - 1]) / count)
+    return best
+
+
+@pytest.mark.parametrize("matrix, dim, res", [
+    ([[2.0]], 1, 256),
+    ([[2.0, 1.0], [0.0, 2.0]], 2, 32),
+], ids=["dyadic-256", "shear-32"])
+def test_maximal_matches_ball_sums(matrix, dim, res):
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=dim, resolution=res)
+    f = random_function(spec, np.random.default_rng(res))
+    kr = default_krange(d, spec)
+    got = maximal_apply(f, d, kr).values
+    assert np.allclose(got, ball_sum_maximal(f, d, kr), rtol=1e-12, atol=0.0)
