@@ -293,30 +293,54 @@ def check_quasi_triangle(d: Dilation, xs, ys) -> dict:
 
 # --- per-grid index maps (the annulus order is the cached one) ---
 
+# Each per-grid cache holds at most this many bytes of arrays.
+_CACHE_BYTES = 128 * 2**20
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays ``value`` holds, itself or in nested tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(_nbytes(v) for v in value)
+    return 0
+
+
 def per_grid(build):
     """Cache ``build(d, spec, *key)`` per (dilation, grid, *key), with
     ``key`` any further hashable arguments; results are shared, so
     ``build`` must return immutable values.
 
-    Each builder keeps at most 64 entries and drops them all when a 65th
-    arrives.  A builder that returns one 8-byte value per cell therefore
-    holds at most 64 x 8 bytes per cell of its largest grid: 512 MB if
-    every entry were a 1024^2 grid, 8 MB per entry.  The truncated Riesz
-    plan keeps a spectrum of about 32 bytes per cell, 34 MB per 1024^2
-    entry.
+    Each builder holds at most ``_CACHE_BYTES`` (128 MiB), summed over
+    the arrays its entries hold, and drops every entry when a new one
+    would pass that; an entry larger than the budget is cached alone.  At
+    1024^2 an annulus order or a log-family exponent holds 8 bytes per
+    cell (8.4 MB), the truncated Riesz plan a real spectrum of 16.8 MB
+    and the shear's maximal plan 46.5 MB, mostly the spectra of the three
+    balls that span the grid.
     """
     cache: dict = {}
+    held = 0
 
     @functools.wraps(build)
     def cached(d: Dilation, spec: GridSpec, *key):
+        nonlocal held
         full = (d.cache_key(), spec, *key)
         value = cache.get(full)
         if value is None:
-            if len(cache) >= 64:
-                cache.clear()
-            value = cache[full] = build(d, spec, *key)
+            value = build(d, spec, *key)
+            size = _nbytes(value)
+            if held + size > _CACHE_BYTES:
+                clear()
+            cache[full] = value
+            held += size
         return value
-    cached.cache_clear = cache.clear
+
+    def clear():
+        nonlocal held
+        cache.clear()
+        held = 0
+    cached.cache_clear = clear
     return cached
 
 

@@ -19,6 +19,7 @@ asserted.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,10 +99,12 @@ class _Kernel(NamedTuple):
 
     ``start`` is the box's corner in the full kernel, ``count`` its
     nonzero entries and ``values`` the box (read-only), or None where
-    ``spectrum``, the read-only ``rfftn`` of the box at ``shape``, is kept
-    instead.  ``dst`` are the output slices the box reaches, ``src`` the
-    slices of the box convolution that land there and ``shape`` the FFT
-    length per axis.  A zero kernel has count 0 and no layout.
+    ``spectrum``, the box's read-only ``_spectrum``, is kept instead.
+    ``dst`` are the output slices the box reaches, ``src`` the slices of
+    the inverse transform that land there and ``shape`` the FFT length
+    per axis.  A ``centred`` box equals its point reflection and is
+    centred on the zero offset, so its spectrum is real.  A zero kernel
+    has count 0 and no layout.
     """
 
     start: tuple
@@ -112,43 +115,76 @@ class _Kernel(NamedTuple):
     src: tuple = ()
     shape: tuple = ()
     spectrum: np.ndarray | None = None
+    centred: bool = False
 
 
-def _crop(kernel: np.ndarray, in_shape: tuple, keep_spectrum: bool = False) -> _Kernel:
-    """``kernel`` cropped and laid out for inputs of shape ``in_shape``; with
-    ``keep_spectrum`` a kernel past the direct bound keeps its spectrum
-    in place of its values."""
+def _crop(kernel: np.ndarray, in_shape: tuple) -> _Kernel:
+    """``kernel`` cropped and laid out for inputs of shape ``in_shape``.
+
+    A kernel past the direct-sum bound whose box equals its point
+    reflection and is centred on the zero offset (entry ``n - 1``) is
+    ``centred``: its real spectrum is the box laid out about index 0, and
+    its outputs are the plain leading slice of the inverse.  Any other
+    takes the complex spectrum of the box, and its outputs are read past
+    the box's offset.
+    """
     out_shape = tuple(m - n + 1 for n, m in zip(in_shape, kernel.shape))
     # the support's extent along each axis: its nonzero lines there
     axes = tuple(range(kernel.ndim))
     support = [np.flatnonzero(kernel.any(axis=axes[:i] + axes[i + 1:])) for i in axes]
     if support[0].size == 0:
         return _Kernel((0,) * kernel.ndim, np.zeros((0,) * kernel.ndim), 0, out_shape)
-    start, box, dst, src, shape = [], [], [], [], []
-    for n, m_out, ix in zip(in_shape, out_shape, support):
-        a, b = int(ix[0]), int(ix[-1]) + 1
-        # output i reads the box convolution at t = i + n - 1 - a
-        i0, i1 = max(0, a - n + 1), min(m_out, b)
-        t0, t1 = i0 + n - 1 - a, i1 + n - 1 - a
-        start.append(a)
-        box.append(slice(a, b))
-        dst.append(slice(i0, i1))
-        src.append(slice(t0, t1))
-        shape.append(_fast_length(max(n, t1, n + b - a - 1 - t0)))
-    values = kernel[tuple(box)].copy()
+    bounds = [(int(ix[0]), int(ix[-1]) + 1) for ix in support]
+    values = kernel[tuple(slice(a, b) for a, b in bounds)].copy()
     values.setflags(write=False)
     count = int(np.count_nonzero(values))
-    spectrum = None
-    if keep_spectrum and count > _DIRECT_MAX:
-        spectrum = np.fft.rfftn(values, shape, axes)
-        spectrum.setflags(write=False)
-        values = None
-    return _Kernel(tuple(start), values, count, out_shape, tuple(dst), tuple(src),
-                   tuple(shape), spectrum)
+    centred = (count > _DIRECT_MAX
+               and all(a + b == 2 * n - 1 for n, (a, b) in zip(in_shape, bounds))
+               and np.array_equal(values, values[(slice(None, None, -1),) * kernel.ndim]))
+    dst, src, shape = [], [], []
+    for n, m_out, (a, b) in zip(in_shape, out_shape, bounds):
+        # output i reads the box convolution at t = i + n - 1 - a, which a
+        # centred layout shifts to t = i
+        i0, i1 = max(0, a - n + 1), min(m_out, b)
+        t0, t1 = i0 + n - 1 - a, i1 + n - 1 - a
+        dst.append(slice(i0, i1))
+        src.append(slice(i0, i1) if centred else slice(t0, t1))
+        shape.append(_fast_length(max(n, t1, n + b - a - 1 - t0)))
+    return _Kernel(tuple(a for a, _ in bounds), values, count, out_shape, tuple(dst),
+                   tuple(src), tuple(shape), centred=centred)
 
 
-def _convolve(f: np.ndarray, kern: _Kernel) -> np.ndarray:
-    """The valid-mode convolution of ``f`` with a cropped kernel."""
+def _spectrum(kern: _Kernel) -> np.ndarray:
+    """The ``rfftn`` of a kernel's box at its FFT lengths L; for a centred
+    box of half-widths h, Re(rfftn(box, L) e^{2 pi i h w / L}), the real
+    spectrum of the box laid out about index 0."""
+    axes = tuple(range(kern.values.ndim))
+    spectrum = np.fft.rfftn(kern.values, kern.shape, axes)
+    if not kern.centred:
+        return spectrum
+    for axis, m, size in zip(axes, kern.values.shape, kern.shape):
+        # the phase of the shift by -h along this axis, h w reduced mod L
+        w = np.arange(spectrum.shape[axis])
+        phase = np.exp(2j * np.pi / size * (m // 2 * w % size))
+        spectrum *= phase.reshape((-1,) + (1,) * (len(axes) - 1 - axis))
+    return spectrum.real.copy()
+
+
+def _with_spectrum(kern: _Kernel) -> _Kernel:
+    """``kern`` with its read-only spectrum kept in place of its values,
+    if it is past the direct-sum bound."""
+    if kern.count <= _DIRECT_MAX:
+        return kern
+    spectrum = _spectrum(kern)
+    spectrum.setflags(write=False)
+    return kern._replace(values=None, spectrum=spectrum)
+
+
+def _convolve(f: np.ndarray, kern: _Kernel,
+              f_spectrum: np.ndarray | None = None) -> np.ndarray:
+    """The valid-mode convolution of ``f`` with a cropped kernel;
+    ``f_spectrum``, when given, is ``rfftn(f)`` at the kernel's FFT
+    lengths, and is multiplied in place."""
     out = np.zeros(kern.out_shape)
     if kern.count <= _DIRECT_MAX:
         # entry p of the full kernel adds its value times f[i + n - 1 - p]
@@ -163,9 +199,8 @@ def _convolve(f: np.ndarray, kern: _Kernel) -> np.ndarray:
             out[tuple(dst)] += kern.values[q] * f[tuple(src)]
         return out
     axes = tuple(range(f.ndim))
-    spectrum = np.fft.rfftn(f, kern.shape, axes)
-    spectrum *= (kern.spectrum if kern.spectrum is not None
-                 else np.fft.rfftn(kern.values, kern.shape, axes))
+    spectrum = np.fft.rfftn(f, kern.shape, axes) if f_spectrum is None else f_spectrum
+    spectrum *= kern.spectrum if kern.spectrum is not None else _spectrum(kern)
     # irfftn's transforms in its order, the last one only on the rows read
     for axis in axes[:-1]:
         spectrum = np.fft.ifft(spectrum, kern.shape[axis], axis)[
@@ -176,22 +211,31 @@ def _convolve(f: np.ndarray, kern: _Kernel) -> np.ndarray:
 
 def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Valid-mode convolution ``out[i] = sum_j f[j] kernel[i + n - 1 - j]``
-    (per axis, n = f.shape) for a kernel at least as large as ``f``.
+    (per axis, n = f.shape) for a kernel of the rank of ``f`` and at least
+    as large along each axis; raises BadParams for any other.
 
     The kernel is cropped to the bounding box of its support.  A kernel
     with at most ``_DIRECT_MAX`` nonzero entries is then summed directly,
     exactly for a one-entry unit kernel.  Any other takes an FFT only long
     enough to keep its wrap-around off the outputs that are read, and the
-    last inverse transform runs only on the rows of those outputs; the
-    values are those of ``numpy.fft.irfftn``.
+    last inverse transform runs only on the rows of those outputs.  A box
+    centred on the zero offset and equal to its point reflection is
+    convolved with its real centred spectrum (``_spectrum``), to a few
+    ulps of the largest value; any other box gives the values of
+    ``numpy.fft.irfftn``.
     """
+    if kernel.ndim != f.ndim or any(m < n for n, m in zip(f.shape, kernel.shape)):
+        raise BadParams(f"cannot convolve an input of shape {f.shape} with a kernel "
+                        f"of shape {kernel.shape}: the kernel needs the input's rank "
+                        f"and at least its length along each axis")
     return _convolve(f, _crop(kernel, f.shape))
 
 
 @per_grid
 def _riesz_plan(d: Dilation, spec: GridSpec, cutoff: float) -> _Kernel:
-    """The truncated ``1/rho`` kernel of ``truncated_riesz_apply`` with its
-    spectrum; raises CutoffTooSmall below the one-cell rho-scale."""
+    """The truncated ``1/rho`` kernel of ``truncated_riesz_apply`` as its
+    spectrum, real for the centred kernel; raises CutoffTooSmall below the
+    one-cell rho-scale."""
     off = offset_index_map(d, spec)
     n = spec.resolution
     # rho of the one-cell offset (h, 0)
@@ -201,7 +245,7 @@ def _riesz_plan(d: Dilation, spec: GridSpec, cutoff: float) -> _Kernel:
             f"cutoff {cutoff:g} below one-cell rho-scale {cell_rho:g}")
     rho_off = d.rho_of_index(off)
     kernel = np.divide(1.0, rho_off, out=np.zeros(off.shape), where=rho_off >= cutoff)
-    return _crop(kernel, spec.shape, keep_spectrum=True)
+    return _with_spectrum(_crop(kernel, spec.shape))
 
 
 def truncated_riesz_apply(f: GridFunction, d: Dilation,
@@ -210,7 +254,7 @@ def truncated_riesz_apply(f: GridFunction, d: Dilation,
 
     The cutoff must be at least the rho-scale of one grid cell; below
     that the kernel mass concentrates on unresolvable offsets.  The
-    kernel and its spectrum are planned once per (dilation, grid, cutoff).
+    kernel's spectrum is planned once per (dilation, grid, cutoff).
     """
     spec = f.spec
     conv = _convolve(f.values, _riesz_plan(d, spec, cutoff)) * spec.cell_volume
@@ -220,11 +264,14 @@ def truncated_riesz_apply(f: GridFunction, d: Dilation,
 @per_grid
 def _maximal_plan(d: Dilation, spec: GridSpec, k_lo: int, k_hi: int) -> tuple:
     """The balls ``off <= k - 1`` of the scales k_lo..k_hi that hold a
-    cell, cropped boolean masks laid out for ``maximal_apply``."""
+    cell, laid out for ``maximal_apply``: a ball whose box spans the grid
+    along some axis as its spectrum, any other as its cropped boolean
+    mask."""
     off = offset_index_map(d, spec)
     # the origin sentinel is in every ball; a sub-grid ball is clipped
     balls = (_crop(off <= k - 1, spec.shape) for k in range(k_lo, k_hi + 1))
-    return tuple(ball for ball in balls if ball.count)
+    return tuple(_with_spectrum(ball) if max(ball.values.shape) >= spec.resolution else ball
+                 for ball in balls if ball.count)
 
 
 def maximal_apply(f: GridFunction, d: Dilation,
@@ -235,18 +282,29 @@ def maximal_apply(f: GridFunction, d: Dilation,
     count.  Balls of at most ``_DIRECT_MAX`` cells are summed directly, so
     their averages are exact to the rounding of the sum and the one-cell
     ball reproduces |f|; larger balls sum by FFT, to a few ulps of the
-    largest value.  The masks are planned once per (dilation, grid,
-    window).  For a Euclidean comparison pass the isotropic dilation
-    b^{1/n} I: its balls B_k are the centred intervals or discs of
-    volume b^k.
+    largest value.  The balls are planned once per (dilation, grid,
+    window), those whose box spans the grid as their real spectra, and
+    balls of equal FFT lengths share one transform of |f| per call.  For
+    a Euclidean comparison pass the isotropic dilation b^{1/n} I: its
+    balls B_k are the centred intervals or discs of volume b^k.
     """
     spec = f.spec
     absf = np.abs(f.values)
     best = absf.copy()  # cell-scale average is |f| itself
-    for ball in _maximal_plan(d, spec, *krange):
-        avg = _convolve(absf, ball)
-        avg /= ball.count
-        np.maximum(best, avg, out=best)
+    # the balls grow with k, so those of equal FFT lengths are adjacent:
+    # they share one transform of |f|, which the last of them multiplies
+    # in place and the others copy
+    runs = itertools.groupby(_maximal_plan(d, spec, *krange),
+                             lambda ball: ball.shape if ball.count > _DIRECT_MAX else None)
+    axes = tuple(range(absf.ndim))
+    for lengths, run in runs:
+        run = list(run)
+        shared = None if lengths is None else np.fft.rfftn(absf, lengths, axes)
+        for i, ball in enumerate(run, 1):
+            avg = _convolve(absf, ball, shared if shared is None or i == len(run)
+                            else shared.copy())
+            avg /= ball.count
+            np.maximum(best, avg, out=best)
     return GridFunction(spec, best)
 
 

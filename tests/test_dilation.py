@@ -14,6 +14,7 @@ from herzlab import (
     parse_matrix,
     rho,
 )
+from herzlab import dilation
 from herzlab.dilation import (
     ORIGIN_INDEX,
     _log_abs_det,
@@ -21,6 +22,7 @@ from herzlab.dilation import (
     annulus_order,
     offset_index_map,
     offset_points,
+    per_grid,
 )
 from herzlab.errors import (
     BadDim,
@@ -415,3 +417,29 @@ def test_index_maps_redecide_boundary_cells(dyadic, shear, monkeypatch):
             assert any(j == k and np.any(np.all(p == x, axis=-1)) for p, j in probed)
             assert np.array_equal(off, linear_scan_map(d, offset_points(spec)))
             assert (off[cell] <= k - 1) == d.ball_contains(x[None], k)[0]
+
+
+def test_per_grid_bounds_each_cache_by_bytes(shear, monkeypatch):
+    # entries of 8 * size bytes against a budget of 100 bytes
+    monkeypatch.setattr(dilation, "_CACHE_BYTES", 100)
+    built = []
+
+    @per_grid
+    def build(d, spec, size):
+        built.append(size)
+        return np.zeros(size), (np.zeros(0),)
+
+    spec = GridSpec(2.0, 2, 8)
+    for size in (5, 6, 5):  # 40 + 48 bytes fit
+        build(shear, spec, size)
+    assert built == [5, 6]
+    build(shear, spec, 2)  # 104 bytes would not: the cache is cleared
+    build(shear, spec, 5)
+    assert built == [5, 6, 2, 5]
+    for _ in range(2):  # 160 bytes, past the budget, are cached alone
+        build(shear, spec, 20)
+    build(shear, spec, 2)
+    assert built == [5, 6, 2, 5, 20, 2]
+    build.cache_clear()
+    build(shear, spec, 2)
+    assert built == [5, 6, 2, 5, 20, 2, 2]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,9 @@ def test_fft_convolve_valid_matches_direct_sum(shape):
     centre[tuple(slice(n - 2, n + 1) for n in shape)] = rng.uniform(size=(3,) * len(shape))
     far = np.zeros(kshape)
     far[tuple(m - 1 for m in kshape)] = 2.0
+    # a box centred on the zero offset and equal to its point reflection
+    symmetric = full + full[(slice(None, None, -1),) * len(shape)]
+    assert ops._crop(symmetric, shape).centred
     # one kernel on each side of the direct-sum bound
     scattered = []
     for count in (ops._DIRECT_MAX, ops._DIRECT_MAX + 1):
@@ -361,12 +365,61 @@ def test_fft_convolve_valid_matches_direct_sum(shape):
         kernel.reshape(-1)[rng.choice(kernel.size, count, replace=False)] = \
             rng.uniform(0.1, 1, count)
         scattered.append(kernel)
-    for kernel in (full, corner, centre, far, *scattered):
+    for kernel in (full, symmetric, corner, centre, far, *scattered):
         got = fft_convolve_valid(f, kernel)
         ref = direct_valid_convolve(f, kernel)
         assert got.shape == shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(fft_convolve_valid(f, np.zeros(kshape)), np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape, kshape", [
+    ((4, 4), (3, 3)),
+    ((4, 4), (7, 3)),
+    ((5,), (3,)),
+    ((4, 4), (7,)),
+    ((4,), (7, 7)),
+])
+def test_fft_convolve_valid_rejects_kernels_it_cannot_take(shape, kshape):
+    with pytest.raises(BadParams, match=re.escape(f"input of shape {shape} with a "
+                                                  f"kernel of shape {kshape}")):
+        fft_convolve_valid(np.ones(shape), np.ones(kshape))
+
+
+def test_operator_plans_keep_real_spectra(shear):
+    spec = GridSpec(2.0, 2, 256)
+    riesz = ops._riesz_plan(shear, spec, 0.25)
+    assert riesz.centred and riesz.values is None
+    assert riesz.spectrum.dtype == np.float64
+    assert riesz.spectrum.nbytes == 512 * 257 * 8
+    # the maximal plan keeps the spectra of the balls whose box spans the
+    # grid along some axis, and the masks of the others
+    kr = default_krange(shear, spec)
+    off = offset_index_map(shear, spec)
+    boxes = [ops._crop(off <= k - 1, spec.shape) for k in range(kr[0], kr[1] + 1)]
+    spans = [max(box.values.shape) >= 256 for box in boxes if box.count]
+    plan = ops._maximal_plan(shear, spec, *kr)
+    assert [ball.spectrum is not None for ball in plan] == spans
+    assert sum(spans) == 3
+    for ball in plan:
+        assert ball.centred == (ball.count > ops._DIRECT_MAX)
+        if ball.spectrum is not None:
+            assert ball.values is None and ball.spectrum.dtype == np.float64
+
+
+def test_maximal_transforms_f_once_per_fft_length(shear, monkeypatch):
+    spec = GridSpec(2.0, 2, 128)
+    f = random_function(spec, np.random.default_rng(37))
+    kr = default_krange(shear, spec)
+    plan = ops._maximal_plan(shear, spec, *kr)
+    lengths = {ball.shape for ball in plan if ball.count > ops._DIRECT_MAX}
+    assert len(lengths) < sum(ball.count > ops._DIRECT_MAX for ball in plan)
+    shapes = []
+    rfftn = np.fft.rfftn
+    monkeypatch.setattr(np.fft, "rfftn",
+                        lambda a, *args: shapes.append(a.shape) or rfftn(a, *args))
+    maximal_apply(f, shear, kr)
+    assert shapes.count(spec.shape) == len(lengths)
 
 
 def test_operator_plans_build_the_offset_map_once(shear, monkeypatch):
