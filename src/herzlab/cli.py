@@ -176,35 +176,62 @@ def _cmd_atoms(args) -> int:
         return 0
 
     if args.action == "validate":
+        if args.input is None:
+            raise ConfigError("atoms validate needs --input")
         f = _load_input(args.input)
         rep = at.atom_validate(f, args.k, d, params, args.s)
         _emit(rep, args.out)
         return 0 if rep["pass"] else 1
 
-    # sumcheck: manifest lists atom CSVs, scales, moment orders, weights
-    manifest = json.loads(Path(args.manifest).read_text())
-    atoms = []
-    for entry in manifest["atoms"]:
-        data = _load_input(entry["path"])
-        atoms.append(at.Atom(data=data, scale_index=int(entry["k"]),
-                             moment_order=int(entry.get("s", 0)),
-                             params=params))
-    lam = Sequence(np.asarray(manifest["coefficients"], dtype=float))
+    entries, coefficients = _read_manifest(args.manifest)
+    atoms = [at.Atom(data=_load_input(path), scale_index=k, moment_order=s, params=params)
+             for path, k, s in entries]
+    lam = Sequence(coefficients)
     phi = at.make_mollifier(d, atoms[0].data.spec)
     rep = at.atomic_sum_check(atoms, lam, params, phi)
     _emit(rep, args.out)
     return 0
 
 
-def _parse_range(text: str) -> list[float]:
+def _read_manifest(path: str | None) -> tuple[list, np.ndarray]:
+    """The atoms of a sumcheck manifest, as (CSV path, scale k, moment
+    order s) entries, and its coefficients; a missing flag raises a
+    ConfigError, a missing or malformed file an IoError naming it."""
+    if path is None:
+        raise ConfigError("atoms sumcheck needs --manifest")
+    if not Path(path).exists():
+        raise IoError(f"manifest file {path} not found")
+    try:
+        manifest = json.loads(Path(path).read_text())
+        entries = [(entry["path"], strict_int(entry["k"]), strict_int(entry.get("s", 0)))
+                   for entry in manifest["atoms"]]
+        coefficients = np.asarray(manifest["coefficients"], dtype=float)
+    except KeyError as exc:
+        raise IoError(f"bad manifest {path}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise IoError(f"bad manifest {path}: {exc}") from None
+    if not entries:
+        raise IoError(f"bad manifest {path}: it lists no atoms")
+    return entries, coefficients
+
+
+def _parse_range(flag: str, text: str) -> list[float]:
+    """The values of ``flag``, one value or a ``lo:hi:step`` range; a
+    malformed or non-finite value raises a ConfigError naming the flag."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise ConfigError(f"range must be lo:hi:step, got {text!r}")
-    lo, hi, step = (float(v) for v in parts)
-    if step <= 0:
-        raise ConfigError("range step must be positive")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"{flag} must be a value or lo:hi:step, got {text!r}")
+    try:
+        values = [float(v) for v in parts]
+    except ValueError:
+        raise ConfigError(f"{flag} has malformed value {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag} needs finite values, got {text!r}")
+    if len(values) == 1:
+        return values
+    lo, hi, step = values
+    if step <= 0 or hi < lo:
+        raise ConfigError(f"{flag} range needs lo <= hi and a positive step, got {text!r}")
     n = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(n) if lo + i * step <= hi + 1e-12]
 
@@ -274,6 +301,8 @@ def _cmd_sweep(args) -> int:
     d = _dilation_from(raw, args.matrix)
     spec = _grid_spec(raw, d.dim, args.resolution, 512)
     scales = _family_scales(args.family)
+    alphas = _parse_range("--alpha", args.alpha)
+    lams = _parse_range("--lambda", getattr(args, "lambda"))
     params = _herz_params(raw)
 
     r = spec.radii()
@@ -285,8 +314,6 @@ def _cmd_sweep(args) -> int:
     family = ops.scale_translate_family(seeds, d, scales * len(seeds), seed=args.seed)
 
     t_spec = ops.OperatorSpec(kind=args.operator, cutoff=args.cutoff)
-    alphas = _parse_range(args.alpha)
-    lams = _parse_range(getattr(args, "lambda"))
     rows = ops.boundedness_sweep(t_spec, d, alphas, lams, family, p=params.p, q=params.q,
                                  theta=params.theta, delta2=params.delta2)
 

@@ -95,38 +95,37 @@ _DIRECT_MAX = 16
 
 class _Kernel(NamedTuple):
     """A kernel cropped to the bounding box of its support and laid out
-    for the valid-mode convolution of inputs of one shape (``_crop``).
+    about the zero offset for the valid-mode convolution of inputs of one
+    shape (``_crop``).
 
-    ``start`` is the box's corner in the full kernel, ``count`` its
-    nonzero entries and ``values`` the box (read-only), or None where
-    ``spectrum``, the box's read-only ``_spectrum``, is kept instead.
-    ``dst`` are the output slices the box reaches, ``src`` the slices of
-    the inverse transform that land there and ``shape`` the FFT length
-    per axis.  A ``centred`` box equals its point reflection and is
-    centred on the zero offset, so its spectrum is real.  A zero kernel
-    has count 0 and no layout.
+    ``shift`` is the index of the zero offset in the box per axis,
+    ``count`` its nonzero entries and ``values`` the box (read-only), or
+    None where ``spectrum``, the box's read-only ``_spectrum``, is kept
+    instead.  ``dst`` are the outputs the box reaches, the same slices of
+    the inverse transform, and ``shape`` the FFT length per axis.  A
+    ``real`` box is centred on the zero offset and equal to its point
+    reflection, so its spectrum is real and kept so.  A zero kernel has
+    count 0 and no layout.
     """
 
-    start: tuple
+    shift: tuple
     values: np.ndarray | None
     count: int
     out_shape: tuple
     dst: tuple = ()
-    src: tuple = ()
     shape: tuple = ()
     spectrum: np.ndarray | None = None
-    centred: bool = False
+    real: bool = False
 
 
 def _crop(kernel: np.ndarray, in_shape: tuple) -> _Kernel:
     """``kernel`` cropped and laid out for inputs of shape ``in_shape``.
 
-    A kernel past the direct-sum bound whose box equals its point
-    reflection and is centred on the zero offset (entry ``n - 1``) is
-    ``centred``: its real spectrum is the box laid out about index 0, and
-    its outputs are the plain leading slice of the inverse.  Any other
-    takes the complex spectrum of the box, and its outputs are read past
-    the box's offset.
+    Entry j of the box is the offset j - s, s = n - 1 - a for the box's
+    corner a.  Laid out about the zero offset, output i is entry i of the
+    box's circular convolution with the input at the FFT lengths.  A box
+    centred there (s its middle entry) and equal to its point reflection
+    is ``real``.
     """
     out_shape = tuple(m - n + 1 for n, m in zip(in_shape, kernel.shape))
     # the support's extent along each axis: its nonzero lines there
@@ -138,36 +137,31 @@ def _crop(kernel: np.ndarray, in_shape: tuple) -> _Kernel:
     values = kernel[tuple(slice(a, b) for a, b in bounds)].copy()
     values.setflags(write=False)
     count = int(np.count_nonzero(values))
-    centred = (count > _DIRECT_MAX
-               and all(a + b == 2 * n - 1 for n, (a, b) in zip(in_shape, bounds))
-               and np.array_equal(values, values[(slice(None, None, -1),) * kernel.ndim]))
-    dst, src, shape = [], [], []
-    for n, m_out, (a, b) in zip(in_shape, out_shape, bounds):
-        # output i reads the box convolution at t = i + n - 1 - a, which a
-        # centred layout shifts to t = i
-        i0, i1 = max(0, a - n + 1), min(m_out, b)
-        t0, t1 = i0 + n - 1 - a, i1 + n - 1 - a
+    shift = tuple(n - 1 - a for n, (a, _) in zip(in_shape, bounds))
+    real = (all(2 * s == b - a - 1 for s, (a, b) in zip(shift, bounds))
+            and np.array_equal(values, values[(slice(None, None, -1),) * kernel.ndim]))
+    dst, shape = [], []
+    for n, m_out, s, (a, b) in zip(in_shape, out_shape, shift, bounds):
+        # the outputs i0..i1 - 1 that the box reaches; the FFT length holds
+        # them and keeps the box's wrap-around off them on either side
+        i0, i1 = max(0, -s), min(m_out, b)
         dst.append(slice(i0, i1))
-        src.append(slice(i0, i1) if centred else slice(t0, t1))
-        shape.append(_fast_length(max(n, t1, n + b - a - 1 - t0)))
-    return _Kernel(tuple(a for a, _ in bounds), values, count, out_shape, tuple(dst),
-                   tuple(src), tuple(shape), centred=centred)
+        shape.append(_fast_length(max(n, i1, i1 + s, b - i0)))
+    return _Kernel(shift, values, count, out_shape, tuple(dst), tuple(shape), real=real)
 
 
 def _spectrum(kern: _Kernel) -> np.ndarray:
-    """The ``rfftn`` of a kernel's box at its FFT lengths L; for a centred
-    box of half-widths h, Re(rfftn(box, L) e^{2 pi i h w / L}), the real
-    spectrum of the box laid out about index 0."""
+    """The spectrum of a kernel's box laid out about the zero offset at
+    its FFT lengths L, rfftn(box, L) e^{2 pi i s w / L}; only its real
+    part for a ``real`` box."""
     axes = tuple(range(kern.values.ndim))
     spectrum = np.fft.rfftn(kern.values, kern.shape, axes)
-    if not kern.centred:
-        return spectrum
-    for axis, m, size in zip(axes, kern.values.shape, kern.shape):
-        # the phase of the shift by -h along this axis, h w reduced mod L
+    for axis, s, size in zip(axes, kern.shift, kern.shape):
+        # the phase of the shift by -s along this axis, s w reduced mod L
         w = np.arange(spectrum.shape[axis])
-        phase = np.exp(2j * np.pi / size * (m // 2 * w % size))
+        phase = np.exp(2j * np.pi / size * (s * w % size))
         spectrum *= phase.reshape((-1,) + (1,) * (len(axes) - 1 - axis))
-    return spectrum.real.copy()
+    return spectrum.real.copy() if kern.real else spectrum
 
 
 def _with_spectrum(kern: _Kernel) -> _Kernel:
@@ -187,15 +181,15 @@ def _convolve(f: np.ndarray, kern: _Kernel,
     lengths, and is multiplied in place."""
     out = np.zeros(kern.out_shape)
     if kern.count <= _DIRECT_MAX:
-        # entry p of the full kernel adds its value times f[i + n - 1 - p]
-        # to out[i], in raster order; a one-entry unit kernel copies f
+        # entry j of the box, the offset o = j - s, adds its value times
+        # f[i - o] to out[i], in raster order; a one-entry unit kernel copies f
         for q in zip(*np.nonzero(kern.values)):
             dst, src = [], []
-            for n, m_out, a, j in zip(f.shape, out.shape, kern.start, q):
-                p = a + int(j)
-                i0, i1 = max(0, p - n + 1), min(m_out, p + 1)
+            for n, m_out, s, j in zip(f.shape, out.shape, kern.shift, q):
+                o = int(j) - s
+                i0, i1 = max(0, o), min(m_out, o + n)
                 dst.append(slice(i0, i1))
-                src.append(slice(i0 + n - 1 - p, i1 + n - 1 - p))
+                src.append(slice(i0 - o, i1 - o))
             out[tuple(dst)] += kern.values[q] * f[tuple(src)]
         return out
     axes = tuple(range(f.ndim))
@@ -204,8 +198,8 @@ def _convolve(f: np.ndarray, kern: _Kernel,
     # irfftn's transforms in its order, the last one only on the rows read
     for axis in axes[:-1]:
         spectrum = np.fft.ifft(spectrum, kern.shape[axis], axis)[
-            (slice(None),) * axis + (kern.src[axis],)]
-    out[kern.dst] = np.fft.irfft(spectrum, kern.shape[-1], axes[-1])[..., kern.src[-1]]
+            (slice(None),) * axis + (kern.dst[axis],)]
+    out[kern.dst] = np.fft.irfft(spectrum, kern.shape[-1], axes[-1])[..., kern.dst[-1]]
     return out
 
 
@@ -218,11 +212,10 @@ def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     with at most ``_DIRECT_MAX`` nonzero entries is then summed directly,
     exactly for a one-entry unit kernel.  Any other takes an FFT only long
     enough to keep its wrap-around off the outputs that are read, and the
-    last inverse transform runs only on the rows of those outputs.  A box
-    centred on the zero offset and equal to its point reflection is
-    convolved with its real centred spectrum (``_spectrum``), to a few
-    ulps of the largest value; any other box gives the values of
-    ``numpy.fft.irfftn``.
+    last inverse transform runs only on the rows of those outputs.  Every
+    box is convolved with its spectrum laid out about the zero offset
+    (``_spectrum``), real for a box centred there and equal to its point
+    reflection, to a few ulps of the largest value.
     """
     if kernel.ndim != f.ndim or any(m < n for n, m in zip(f.shape, kernel.shape)):
         raise BadParams(f"cannot convolve an input of shape {f.shape} with a kernel "

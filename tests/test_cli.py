@@ -253,6 +253,38 @@ def test_cli_rejects_malformed_descriptor(workdir, capsys, text, why):
     assert str(workdir / "d.json") in err and why in err
 
 
+@pytest.mark.parametrize("argv, files, why", [
+    (["sweep", "--alpha", "abc"], {}, "--alpha"),
+    (["sweep", "--lambda", "0:x:0.1"], {}, "--lambda"),
+    (["sweep", "--alpha", "nan"], {}, "--alpha"),
+    (["sweep", "--alpha", "inf"], {}, "--alpha"),
+    (["sweep", "--lambda", "0:inf:0.1"], {}, "--lambda"),
+    (["sweep", "--alpha", "0.4:0.1:0.1"], {}, "--alpha"),
+    (["atoms", "validate"], {}, "--input"),
+    (["atoms", "sumcheck"], {}, "--manifest"),
+    (["atoms", "sumcheck", "--manifest", "{dir}/none.json"], {}, "none.json"),
+    (["atoms", "sumcheck", "--manifest", "{dir}/m.json"],
+     {"m.json": '{"coefficients": [1.0]}'}, "'atoms'"),
+    (["atoms", "sumcheck", "--manifest", "{dir}/m.json"],
+     {"m.json": '{"atoms": [], "coefficients": []}'}, "no atoms"),
+    (["atoms", "sumcheck", "--manifest", "{dir}/m.json"],
+     {"m.json": '{"atoms": [{"k": 0}], "coefficients": [1.0]}'}, "'path'"),
+    (["atoms", "sumcheck", "--manifest", "{dir}/m.json"],
+     {"m.json": '{"atoms": [{"path": "a.csv", "k": 0.5}], "coefficients": [1.0]}'}, "0.5"),
+    (["atoms", "sumcheck", "--manifest", "{dir}/m.json"], {"m.json": "[1, 2]"}, "m.json"),
+], ids=["alpha-abc", "lambda-x", "alpha-nan", "alpha-inf", "lambda-inf", "alpha-empty",
+        "validate-no-input", "sumcheck-no-manifest", "manifest-missing",
+        "manifest-no-atoms", "manifest-empty", "manifest-no-path", "manifest-fraction",
+        "manifest-list"])
+def test_cli_rejects_bad_flags_and_manifests(workdir, capsys, argv, files, why):
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    assert main([arg.format(dir=workdir) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("config error:", "input error:")) and "Traceback" not in err
+    assert why in err
+
+
 def test_cli_oracles(workdir, capsys):
     rc = main(["oracle", "--target", "luxemburg_algebraic"])
     assert rc == 0

@@ -656,8 +656,8 @@ def test_norms_beyond_float_range_are_typed(shear):
                               herz_params(lam=0.1), shear.b)
 
 
-def exponents(lo, hi):
-    values = st.floats(min_value=lo, max_value=hi)
+def exponents(lo, hi, exclude_min=False):
+    values = st.floats(min_value=lo, max_value=hi, exclude_min=exclude_min)
     return st.one_of(values.map(ExponentFunction.constant),
                      st.tuples(values, values).map(
                          lambda t: ExponentFunction.log_family(*t)))
@@ -708,6 +708,40 @@ def test_slice_norms_match_mask_per_annulus(matrix, half, odd, alpha, q, homogen
         top = np.max(v)
         assert ref == pytest.approx(top * luxemburg_bisect(v / top, q_vals[mask], h),
                                     rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrix=st.sampled_from([[[2.0, 1.0], [0.0, 2.0]], [[3.0, 0.0], [1.0, 2.0]],
+                               [[1.2, -1.6], [1.6, 1.2]]]),
+       resolution=st.integers(min_value=33, max_value=65),
+       alpha=exponents(0.0, 1.0),
+       q=exponents(1.0, 3.0, exclude_min=True),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       theta=st.floats(min_value=0.2, max_value=2.0),
+       lam=st.floats(min_value=0.0, max_value=0.3),
+       log10_scale=st.floats(min_value=-3.0, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_plane_norms_reduce_at_lambda_zero_and_keep_domination(
+        matrix, resolution, alpha, q, p, theta, lam, log10_scale, seed):
+    # on the anisotropic plane the Herz-Morrey norm at lambda = 0 is the
+    # grand Herz norm bit for bit, and |f| <= |g| gives ||f|| <= ||g|| in
+    # both norms.  Each norm is a grand supremum over sums of slice norms,
+    # each solved to a few ulps, so rounding alone cannot move it by 1e-13
+    # relative: the domination holds to that tolerance
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=2, resolution=resolution)
+    rng = np.random.default_rng(seed)
+    g = random_function(spec, rng) * 10.0 ** log10_scale
+    # |f| <= |g|: g kept on some cells, shrunk or sign-flipped on the rest
+    shrink = np.where(rng.random(spec.shape) < 0.5, 1.0, rng.uniform(-1, 1, spec.shape))
+    f = GridFunction(spec, g.values * shrink)
+    params = HerzSpaceParams(alpha=alpha, p=p, q=q, theta=theta, lambda_morrey=lam)
+    plain = dataclasses.replace(params, lambda_morrey=0.0)
+    for h in (f, g):
+        assert herz_morrey_norm(h, d, plain) == grand_herz_norm(h, d, plain)[0]
+    tol = 1e-13
+    assert grand_herz_norm(f, d, params)[0] <= grand_herz_norm(g, d, params)[0] * (1 + tol)
+    assert herz_morrey_norm(f, d, params) <= herz_morrey_norm(g, d, params) * (1 + tol)
 
 
 def test_ordered_log_family_is_the_gather(shear, iso2):

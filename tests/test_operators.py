@@ -347,30 +347,49 @@ def direct_valid_convolve(f, kernel):
 def test_fft_convolve_valid_matches_direct_sum(shape):
     rng = np.random.default_rng(4)
     f = rng.uniform(-1, 1, shape)
-    kshape = tuple(2 * n - 1 for n in shape)
-    full = rng.uniform(0.1, 1, kshape)
-    corner = np.zeros(kshape)
-    corner[(slice(0, 3),) * len(shape)] = 1.0
-    centre = np.zeros(kshape)
-    centre[tuple(slice(n - 2, n + 1) for n in shape)] = rng.uniform(size=(3,) * len(shape))
-    far = np.zeros(kshape)
-    far[tuple(m - 1 for m in kshape)] = 2.0
-    # a box centred on the zero offset and equal to its point reflection
-    symmetric = full + full[(slice(None, None, -1),) * len(shape)]
-    assert ops._crop(symmetric, shape).centred
-    # one kernel on each side of the direct-sum bound
-    scattered = []
-    for count in (ops._DIRECT_MAX, ops._DIRECT_MAX + 1):
-        kernel = np.zeros(kshape)
-        kernel.reshape(-1)[rng.choice(kernel.size, count, replace=False)] = \
-            rng.uniform(0.1, 1, count)
-        scattered.append(kernel)
-    for kernel in (full, symmetric, corner, centre, far, *scattered):
-        got = fft_convolve_valid(f, kernel)
-        ref = direct_valid_convolve(f, kernel)
-        assert got.shape == shape
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(fft_convolve_valid(f, np.zeros(kshape)), np.zeros(shape))
+    # kernel index n - 1 is the zero offset; a kernel of length n has no
+    # positive offsets, one of length 2n + 7 reaches past the outputs
+    for length in (lambda n: n, lambda n: n + 3, lambda n: 2 * n - 1, lambda n: 2 * n + 7):
+        kshape = tuple(length(n) for n in shape)
+        m_out = tuple(m - n + 1 for n, m in zip(shape, kshape))
+        full = rng.uniform(0.1, 1, kshape)
+        corner = np.zeros(kshape)
+        corner[(slice(0, 3),) * len(shape)] = 1.0
+        centre = np.zeros(kshape)
+        box = tuple(slice(n - 2, n + 1) for n in shape)
+        centre[box] = rng.uniform(size=centre[box].shape)
+        far = np.zeros(kshape)
+        far[tuple(m - 1 for m in kshape)] = 2.0
+        # a box equal to its point reflection, centred on the zero offset
+        # at length 2n - 1 only
+        symmetric = full + full[(slice(None, None, -1),) * len(shape)]
+        if kshape == tuple(2 * n - 1 for n in shape):
+            assert ops._spectrum(ops._crop(symmetric, shape)).dtype == np.float64
+        # boxes wholly at negative offsets and wholly at positive ones; the
+        # last reaches the last output, which an FFT length fitted to the
+        # box's wrap-around alone would not hold
+        boxes = [tuple(slice(0, n - 1) for n in shape),
+                 tuple(slice(1, n // 2) for n in shape),
+                 tuple(slice(n, None) for n in shape),
+                 tuple(slice(n, m) for n, m in zip(shape, m_out))]
+        sided = []
+        for box in boxes:
+            kernel = np.zeros(kshape)
+            kernel[box] = rng.uniform(0.1, 1, kernel[box].shape)
+            sided.append(kernel)
+        # one kernel on each side of the direct-sum bound
+        scattered = []
+        for count in (ops._DIRECT_MAX, ops._DIRECT_MAX + 1):
+            kernel = np.zeros(kshape)
+            kernel.reshape(-1)[rng.choice(kernel.size, count, replace=False)] = \
+                rng.uniform(0.1, 1, count)
+            scattered.append(kernel)
+        for kernel in (full, symmetric, corner, centre, far, *sided, *scattered):
+            got = fft_convolve_valid(f, kernel)
+            ref = direct_valid_convolve(f, kernel)
+            assert got.shape == m_out
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(fft_convolve_valid(f, np.zeros(kshape)), np.zeros(m_out))
 
 
 @pytest.mark.parametrize("shape, kshape", [
@@ -389,8 +408,7 @@ def test_fft_convolve_valid_rejects_kernels_it_cannot_take(shape, kshape):
 def test_operator_plans_keep_real_spectra(shear):
     spec = GridSpec(2.0, 2, 256)
     riesz = ops._riesz_plan(shear, spec, 0.25)
-    assert riesz.centred and riesz.values is None
-    assert riesz.spectrum.dtype == np.float64
+    assert riesz.values is None and riesz.spectrum.dtype == np.float64
     assert riesz.spectrum.nbytes == 512 * 257 * 8
     # the maximal plan keeps the spectra of the balls whose box spans the
     # grid along some axis, and the masks of the others
@@ -401,10 +419,22 @@ def test_operator_plans_keep_real_spectra(shear):
     plan = ops._maximal_plan(shear, spec, *kr)
     assert [ball.spectrum is not None for ball in plan] == spans
     assert sum(spans) == 3
-    for ball in plan:
-        assert ball.centred == (ball.count > ops._DIRECT_MAX)
-        if ball.spectrum is not None:
-            assert ball.values is None and ball.spectrum.dtype == np.float64
+    assert all(ball.values is None for ball in plan if ball.spectrum is not None)
+    # every ball and Riesz kernel past the direct-sum bound is centred and
+    # equal to its point reflection, so none takes a complex spectrum,
+    # kept or per call
+    for matrix, dim, res in [([[2.0]], 1, 1024), ([[2.0, 1.0], [0.0, 2.0]], 2, 128),
+                             ([[2.0, 1.0], [0.0, 2.0]], 2, 256),
+                             ([[3.0, 0.0], [1.0, 2.0]], 2, 65)]:
+        d = make_dilation(matrix)
+        spec = GridSpec(radius=2.0, dim=dim, resolution=res)
+        kernels = [*ops._maximal_plan(d, spec, *default_krange(d, spec)),
+                   ops._riesz_plan(d, spec, 0.25), ops._riesz_plan(d, spec, 1.0)]
+        fft = [kern for kern in kernels if kern.count > ops._DIRECT_MAX]
+        assert fft
+        for kern in fft:
+            spectrum = ops._spectrum(kern) if kern.spectrum is None else kern.spectrum
+            assert spectrum.dtype == np.float64
 
 
 def test_maximal_transforms_f_once_per_fft_length(shear, monkeypatch):
