@@ -21,13 +21,11 @@ from .atoms import (
 )
 from .dilation import (
     Dilation,
-    annulus_index,
     annulus_index_map,
     ball_diameter,
     check_quasi_triangle,
     make_dilation,
     parse_matrix,
-    rho,
 )
 from .grandseq import (
     GrandSequenceParams,

@@ -58,14 +58,12 @@ class Mollifier:
 
     The analytic profile exp(-1/(1 - t^2)) of t = |x|_M / r_0 is kept so
     dilates can be sampled directly at any scale; ``phi`` is the grid
-    sampling and ``seminorm_budget`` records finite-difference estimates
-    of sup rho(x)^m |d^a phi| for small orders.
+    sampling.
     """
 
     phi: GridFunction
     dilation: Dilation
     normalization: float
-    seminorm_budget: dict
 
     def profile(self, pts: np.ndarray) -> np.ndarray:
         t2 = self.dilation.m_quadform(pts) / self.dilation.radius_squared
@@ -80,30 +78,8 @@ def make_mollifier(d: Dilation, spec: GridSpec) -> Mollifier:
     if mass <= 0:
         raise UnresolvableScale("B_0 has no interior cells on this grid")
     norm_const = 1.0 / mass
-    vals = norm_const * raw
-
-    # finite-difference seminorm estimates sup rho^m |d^a phi|
-    rho_vals = d.rho_of_index(annulus_index_map(d, spec))
-    budget = {}
-    h = spec.cell_width
-    grads = [vals]
-    if spec.dim == 1:
-        grads.append(np.gradient(vals, h))
-        grads.append(np.gradient(grads[1], h))
-    else:
-        gx, gy = np.gradient(vals, h)
-        mag1 = np.hypot(gx, gy)
-        gxx = np.gradient(gx, h, axis=0)
-        gyy = np.gradient(gy, h, axis=1)
-        grads.append(mag1)
-        grads.append(np.abs(gxx) + np.abs(gyy))
-    for order, g in enumerate(grads):
-        for m in range(3):
-            budget[(order, m)] = float(np.max(rho_vals**m * np.abs(g)))
-
-    phi = GridFunction(spec, vals)
-    return Mollifier(phi=phi, dilation=d, normalization=norm_const,
-                     seminorm_budget=budget)
+    phi = GridFunction(spec, norm_const * raw)
+    return Mollifier(phi=phi, dilation=d, normalization=norm_const)
 
 
 def dilate_phi(phi: Mollifier, k: int) -> GridFunction:
@@ -233,6 +209,8 @@ def atom_make(kind: str, k: int, s: int, d: Dilation,
     polynomials of degree <= s under the quadrature inner product on
     B_k, then rescaled onto the norm bound.
     """
+    if s < 0:
+        raise InvalidAtom("moment order must be nonnegative")
     if s > 4:
         raise IllConditioned("moment order capped at 4 on desk grids")
     idx = annulus_index_map(d, spec)

@@ -59,7 +59,6 @@ class Dilation:
     dim: int
     b: float
     lambda_minus: float
-    lambda_plus: float
     ellipsoid_form: np.ndarray
     radius: float          # r0 with Delta = {x : x^T M x < r0^2}
     radius_squared: float  # primitive for membership tests
@@ -195,7 +194,6 @@ def make_dilation(matrix) -> Dilation:
         raise NotExpansive(f"eigenvalue magnitude {eigmags[0]:.6g} <= 1")
 
     lambda_minus = (1.0 + eigmags[0]) / 2.0
-    lambda_plus = 2.0 * eigmags[-1]
     c = (1.0 + lambda_minus) / 2.0
     b = abs(float(np.linalg.det(a)))
 
@@ -240,7 +238,6 @@ def make_dilation(matrix) -> Dilation:
         dim=n,
         b=b,
         lambda_minus=lambda_minus,
-        lambda_plus=lambda_plus,
         ellipsoid_form=m,
         radius=r0,
         radius_squared=r0_squared,
@@ -257,16 +254,6 @@ def _power_limit(mat: np.ndarray) -> int:
     if log_norm <= 0.0:
         return 2**40
     return int(_LOG_POWER_LIMIT / log_norm)
-
-
-# --- module-level conveniences mirroring the public operation names ---
-
-def annulus_index(d: Dilation, x) -> int:
-    return d.annulus_index(np.asarray(x, dtype=float))
-
-
-def rho(d: Dilation, x) -> float:
-    return d.rho(np.asarray(x, dtype=float))
 
 
 def check_quasi_triangle(d: Dilation, xs, ys) -> dict:
@@ -306,10 +293,16 @@ def _nbytes(value) -> int:
     return 0
 
 
+def _check_dim(d: Dilation, spec: GridSpec) -> None:
+    if spec.dim != d.dim:
+        raise BadDim(f"a {spec.dim}D grid does not fit a {d.dim}D dilation")
+
+
 def per_grid(build):
     """Cache ``build(d, spec, *key)`` per (dilation, grid, *key), with
     ``key`` any further hashable arguments; results are shared, so
-    ``build`` must return immutable values.
+    ``build`` must return immutable values.  A grid whose dimension is
+    not the dilation's raises BadDim.
 
     Each builder holds at most ``_CACHE_BYTES`` (128 MiB), summed over
     the arrays its entries hold, and drops every entry when a new one
@@ -325,6 +318,7 @@ def per_grid(build):
     @functools.wraps(build)
     def cached(d: Dilation, spec: GridSpec, *key):
         nonlocal held
+        _check_dim(d, spec)
         full = (d.cache_key(), spec, *key)
         value = cache.get(full)
         if value is None:
@@ -391,9 +385,10 @@ def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
     is k_hi minus the number of window scales that hold it; difference
     arrays over every (scale, row) pair and cumulative sums give all
     counts.  Scales whose ball holds no nonzero cell or every cell skip
-    the rows.  Cells within the rounding band of ``_ULPS`` around an
-    interval end are re-decided with ``ball_contains``.  In 1D the grid
-    is one row at x = 0.
+    the rows, and so does every scale below or above such a scale.
+    Cells within the rounding band of ``_ULPS`` around an interval end
+    are re-decided with ``ball_contains``.  In 1D the grid is one row at
+    x = 0.
     """
     n = axis.size
     span = float(np.max(np.abs(axis)))
@@ -420,8 +415,11 @@ def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
     # capped so that the inner band level 1 - 3 tol stays positive
     tol = np.exp(np.minimum(log_max + log_ext - log_r0 + np.log1p(np.abs(ks))
                             + math.log(_ULPS), -2.0))
-    none = log_min + math.log(nearest) > log_r0 + np.log1p(tol)
-    every = log_max + log_ext < log_r0 + np.log1p(-tol)
+    # the balls nest; taking far scales' answers from nearer ones keeps the
+    # rounded powers of an ill-conditioned A^k out of the ball tests
+    none = np.logical_or.accumulate(
+        (log_min + math.log(nearest) > log_r0 + np.log1p(tol))[::-1])[::-1]
+    every = np.logical_or.accumulate(log_max + log_ext < log_r0 + np.log1p(-tol))
     live = ~(none | every)
 
     # coordinates axis / span and G_k / |G_k| keep every factor finite; a
@@ -522,6 +520,7 @@ def annulus_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
     Cell centers exactly at the origin (odd resolutions) get the sentinel
     ``ORIGIN_INDEX``; rho there is 0 and every slice excludes them.
     """
+    _check_dim(d, spec)
     return _grid_index_map(d, spec.axis_centers())
 
 
@@ -588,6 +587,7 @@ def offset_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
     zero offset gets ``ORIGIN_INDEX``, which lies inside every ball
     (``off <= k - 1``) and below every kernel cutoff.
     """
+    _check_dim(d, spec)
     return _grid_index_map(d, _offset_axis(spec))
 
 

@@ -36,7 +36,8 @@ from .errors import (
 from .grandseq import (GrandSequenceParams, Sequence, _log_partial_norms, _sup_ending,
                        grand_seq_norm, partial_sum_sup)
 from .grid import GridFunction, GridSpec
-from .varlebesgue import ExponentFunction, derived_reciprocal, lux_core, luxemburg_norm
+from .varlebesgue import (ExponentFunction, _ratio_record, derived_reciprocal, lux_core,
+                          luxemburg_norm)
 
 __all__ = [
     "HerzSpaceParams",
@@ -530,18 +531,8 @@ def product_check(f: GridFunction, g: GridFunction, d: Dilation,
     n2 = herz_morrey_norm(g, d, params2)
     n12 = herz_morrey_norm(f * g, d, combined)
     constant_case = params1.q.is_constant and params2.q.is_constant
-    if n1 * n2 == 0.0:
-        return {"check": "product", "ratio": 0.0, "degenerate": True,
-                "bound": 1.0 + 1e-6 if constant_case else None, "pass": True}
-    ratio = n12 / (n1 * n2)
-    bound = 1.0 + 1e-6 if constant_case else None
-    return {
-        "check": "product",
-        "ratio": ratio,
-        "degenerate": False,
-        "bound": bound,
-        "pass": bool(ratio <= bound) if bound is not None else None,
-    }
+    return _ratio_record("product", n12, n1 * n2,
+                         1.0 + 1e-6 if constant_case else None)
 
 
 def sum_check(f: GridFunction, g: GridFunction, d: Dilation,
@@ -552,14 +543,4 @@ def sum_check(f: GridFunction, g: GridFunction, d: Dilation,
     n1 = herz_morrey_norm(f, d, params)
     n2 = herz_morrey_norm(g, d, params)
     n12 = herz_morrey_norm(f + g, d, params)
-    if n1 + n2 == 0.0:
-        return {"check": "sum", "ratio": 0.0, "degenerate": True,
-                "bound": 1.0 + 1e-6, "pass": True}
-    ratio = n12 / (n1 + n2)
-    return {
-        "check": "sum",
-        "ratio": ratio,
-        "degenerate": False,
-        "bound": 1.0 + 1e-6,
-        "pass": bool(ratio <= 1.0 + 1e-6),
-    }
+    return _ratio_record("sum", n12, n1 + n2, 1.0 + 1e-6)

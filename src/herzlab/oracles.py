@@ -87,14 +87,16 @@ def luxemburg_bisect(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _dense_log_max(log_fn, lo: float = 2.0**-53, hi: float = 1e8) -> float:
-    """Dense scan of a log-valued function of eps, 50,000 points per
-    decade, with parabolic polish.
+# below eps = 2^-53, 1 + eps rounds to 1, so a lower floor finds nothing larger
+_EPS_LO, _EPS_HI = 2.0**-53, 1e8
+_MORREY_EPS_POINTS = 200_001
 
-    Below eps = 2^-53, 1 + eps rounds to 1, so a lower floor finds nothing
-    larger."""
-    points = round(math.log10(hi / lo) * 50_000) + 1
-    s = np.linspace(math.log(lo), math.log(hi), points)
+
+def _dense_log_max(log_fn) -> float:
+    """Dense scan of a log-valued function of eps over [_EPS_LO, _EPS_HI],
+    50,000 points per decade, with parabolic polish."""
+    points = round(math.log10(_EPS_HI / _EPS_LO) * 50_000) + 1
+    s = np.linspace(math.log(_EPS_LO), math.log(_EPS_HI), points)
     best_val = -math.inf
     best_s = s[0]
     # log_fn builds a (chunk, entries) table, so the scan goes in chunks
@@ -177,16 +179,15 @@ def constant_herz_reference(b: float, alpha: float, q: float, p: float,
 
 
 def morrey_double_sup_reference(t_by_k: dict[int, float], b: float, p: float,
-                                theta: float, lam: float,
-                                eps_points: int = 200_001) -> float:
+                                theta: float, lam: float) -> float:
     """Brute-force double supremum over (eps, L) for given scale terms."""
     ks = np.array(sorted(t_by_k), dtype=float)
     t = np.array([t_by_k[int(k)] for k in ks])
     log_t = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-    s = np.linspace(math.log(1e-8), math.log(1e8), eps_points)
+    s = np.linspace(math.log(1e-8), math.log(1e8), _MORREY_EPS_POINTS)
     best = -math.inf
     chunk = 20_000
-    for start in range(0, eps_points, chunk):
+    for start in range(0, _MORREY_EPS_POINTS, chunk):
         seg = s[start:start + chunk]
         eps = np.exp(seg)
         big_p = p * (1.0 + eps)

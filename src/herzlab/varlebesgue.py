@@ -395,12 +395,20 @@ def product_norm_check(f: GridFunction, g: GridFunction,
     denom = luxemburg_norm(f, q) * luxemburg_norm(g, r)
     num = luxemburg_norm(f * g, p)
     bound = 1.0 + 1e-6 if q.is_constant and r.is_constant else None
+    return _ratio_record("product_norm", num, denom, bound)
+
+
+def _ratio_record(check: str, num: float, denom: float,
+                  bound: Optional[float]) -> dict:
+    """The record of a ratio check num / denom <= bound.  A zero
+    denominator is degenerate and passes with ratio 0; a bound of None
+    records the ratio without a verdict."""
     if denom == 0.0:
-        return {"check": "product_norm", "ratio": 0.0, "degenerate": True,
+        return {"check": check, "ratio": 0.0, "degenerate": True,
                 "bound": bound, "pass": True}
     ratio = num / denom
     return {
-        "check": "product_norm",
+        "check": check,
         "ratio": ratio,
         "degenerate": False,
         "bound": bound,

@@ -285,6 +285,45 @@ def test_cli_rejects_bad_flags_and_manifests(workdir, capsys, argv, files, why):
     assert why in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["norm", "--matrix", "2 1; 0 2", "--input", "{dir}/f.csv"], "f.csv"),
+    (["decompose", "--matrix", "2 1; 0 2", "--input", "{dir}/f.csv", "--out", "{dir}/dec"],
+     "f.csv"),
+    (["atoms", "validate", "--matrix", "2 1; 0 2", "--input", "{dir}/f.csv"], "f.csv"),
+    (["atoms", "sumcheck", "--matrix", "2 1; 0 2", "--manifest", "{dir}/m.json"], "f.csv"),
+    (["norm", "--input", "{dir}/f2.csv"], "f2.csv"),
+], ids=["norm", "decompose", "validate", "sumcheck", "plane-csv-on-line"])
+def test_cli_rejects_grid_of_other_dimension(workdir, capsys, argv, named):
+    save_csv(GridFunction(GridSpec(radius=2.0, dim=2, resolution=8), np.ones((8, 8))),
+             workdir / "f2.csv")
+    (workdir / "m.json").write_text(json.dumps(
+        {"atoms": [{"path": str(workdir / "f.csv"), "k": 0, "s": 0}],
+         "coefficients": [1.0]}))
+    assert main([arg.format(dir=workdir) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert str(workdir / named) in err and "2D" in err and "1D" in err
+
+
+def test_cli_atoms_read_descriptors_on_the_dilation_grid(workdir, capsys):
+    # a descriptor is sampled on the config's grid in the matrix's dimension
+    (workdir / "bump.json").write_text('{"family": "bump", "width": 0.3}')
+    (workdir / "plane.txt").write_text("grid.resolution = 32\n")
+    main(["atoms", "validate", "--matrix", "2 1; 0 2", "--input",
+          str(workdir / "bump.json"), "--config", str(workdir / "plane.txt")])
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep["moments"]) == ["00"]
+
+
+def test_cli_atoms_make_rejects_negative_moment_order(workdir, capsys):
+    rc = main(["atoms", "make", "--s", "-1", "--resolution", "64",
+               "--out", str(workdir / "atom")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: moment order must be nonnegative\n"
+    assert not (workdir / "atom").exists()
+
+
 def test_cli_oracles(workdir, capsys):
     rc = main(["oracle", "--target", "luxemburg_algebraic"])
     assert rc == 0
@@ -455,6 +494,24 @@ def test_documented_and_bench_configs_load(tmp_path):
     for i, text in enumerate(texts):
         (tmp_path / f"{i}.txt").write_text(text)
         assert load_config(tmp_path / f"{i}.txt") == parse_config(text)
+
+
+def test_bench_workload_names_resolve():
+    # every library name the benchmark's workloads read, found without
+    # importing the bench, so that removing one fails here first
+    import herzlab
+    from herzlab import oracles
+
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "bench" / "workloads.py").read_text())
+    owners = {"hz": herzlab, "oracles": oracles, "Exp": ExponentFunction}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in owners}
+    assert {owner for owner, _ in used} == set(owners)
+    missing = sorted(f"{owner}.{name}" for owner, name in used
+                     if not hasattr(owners[owner], name))
+    assert not missing
 
 
 def test_import_leaves_scipy_unloaded():
