@@ -84,15 +84,17 @@ def _grid_spec(raw: dict, dim: int, resolution: int | None,
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _load_input(path, raw: dict, dim: int) -> GridFunction:
+def _load_input(path, raw: dict, dim: int, resolution: int | None = None) -> GridFunction:
     """The function of a CSV file or a ``.json`` family descriptor, on a
-    ``dim``-dimensional grid; a CSV of another dimension raises IoError."""
+    ``dim``-dimensional grid; a CSV of another dimension raises IoError.
+    A descriptor is sampled on the config's grid, at ``resolution`` (the
+    ``--resolution`` flag) when one is given."""
     p = Path(path)
     if not p.exists():
         raise IoError(f"input file {path} not found")
     if p.suffix == ".json":
         # synthetic-family descriptor; grid geometry comes from the config
-        spec = _grid_spec(raw, dim, None, 1024)
+        spec = _grid_spec(raw, dim, resolution, 1024)
         try:
             return from_descriptor(spec, json.loads(p.read_text()))
         except (OSError, ValueError, ConfigError) as exc:
@@ -184,14 +186,14 @@ def _cmd_atoms(args) -> int:
     if args.action == "validate":
         if args.input is None:
             raise ConfigError("atoms validate needs --input")
-        f = _load_input(args.input, raw, d.dim)
+        f = _load_input(args.input, raw, d.dim, args.resolution)
         rep = at.atom_validate(f, args.k, d, params, args.s)
         _emit(rep, args.out)
         return 0 if rep["pass"] else 1
 
     entries, coefficients = _read_manifest(args.manifest)
-    atoms = [at.Atom(data=_load_input(path, raw, d.dim), scale_index=k, moment_order=s,
-                     params=params)
+    atoms = [at.Atom(data=_load_input(path, raw, d.dim, args.resolution), scale_index=k,
+                     moment_order=s, params=params)
              for path, k, s in entries]
     lam = Sequence(coefficients)
     phi = at.make_mollifier(d, atoms[0].data.spec)

@@ -10,6 +10,7 @@ instead of resampling silently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class GridSpec:
             raise BadDim(f"dim must be 1 or 2, got {self.dim}")
         if self.resolution < 2:
             raise BadGrid(f"resolution must be at least 2, got {self.resolution}")
-        if not (self.radius > 0):
-            raise BadGrid(f"radius must be positive, got {self.radius!r}")
+        if not (0 < self.radius < math.inf):
+            raise BadGrid(f"radius must be positive and finite, got {self.radius!r}")
 
     @property
     def cell_width(self) -> float:

@@ -88,6 +88,8 @@ class HerzSpaceParams:
             raise NotInClassP(f"q must be class P, got q^- = {self.q.p_minus:g}")
         if not 0 < self.delta2 < 1:
             raise BadParams("delta2 must lie in (0, 1)")
+        if self.krange is not None and self.krange[0] > self.krange[1]:
+            raise BadParams(f"krange must have k_min <= k_max, got {self.krange}")
 
     def seq_params(self) -> GrandSequenceParams:
         return GrandSequenceParams(p=self.p, theta=self.theta)

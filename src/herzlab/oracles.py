@@ -4,6 +4,12 @@ Everything here is deliberately brute force and shares no code with the
 norm machinery: closed-form geometric sums, dense one-dimensional grid
 maximization, and bisection root solves.  The main paths are checked
 *against* these values, never the other way around.
+
+One dense eps scanner, :func:`_dense_log_max`, serves all three eps
+suprema: :func:`grand_seq_dense`, :func:`constant_herz_reference` and
+:func:`morrey_double_sup_reference`.  It scans eps from 2^-53 to 1e8 at
+50,000 points per decade, skipping the gaps that a certified slope bound
+rules out, and polishes the best point with a parabola.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ __all__ = [
     "grand_seq_dense",
     "constant_herz_reference",
     "delta_sequence_value",
+    "morrey_double_sup_reference",
     "oracle_run",
 ]
 
@@ -89,25 +96,69 @@ def luxemburg_bisect(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
 
 # below eps = 2^-53, 1 + eps rounds to 1, so a lower floor finds nothing larger
 _EPS_LO, _EPS_HI = 2.0**-53, 1e8
-_MORREY_EPS_POINTS = 200_001
+# the dense scan: 50,000 points per decade of eps
+_POINTS = round(math.log10(_EPS_HI / _EPS_LO) * 50_000) + 1
+# every _STRIDE-th point is evaluated first; only the gaps between them
+# that the slope bound cannot rule out are scanned in full
+_STRIDE = 100
 
 
-def _dense_log_max(log_fn) -> float:
-    """Dense scan of a log-valued function of eps over [_EPS_LO, _EPS_HI],
-    50,000 points per decade, with parabolic polish."""
-    points = round(math.log10(_EPS_HI / _EPS_LO) * 50_000) + 1
-    s = np.linspace(math.log(_EPS_LO), math.log(_EPS_HI), points)
-    best_val = -math.inf
-    best_s = s[0]
-    # log_fn builds a (chunk, entries) table, so the scan goes in chunks
-    chunk = 50_000
-    for start in range(0, points, chunk):
-        seg = s[start:start + chunk]
-        v = log_fn(seg)
-        i = int(np.argmax(v))
-        if v[i] > best_val:
-            best_val = float(v[i])
-            best_s = float(seg[i])
+def _slope_bound(p: float, theta: float, entropy: float) -> float:
+    """Bound on |d/ds| of log(eps^{theta/P} |x|_{l^P}), s = log eps and
+    P = p (1 + e^s), when ``entropy`` bounds the entropy H of the
+    normalised terms pi_j = |x_j|^P / sum_i |x_i|^P at every P >= p.
+
+    The eps factor is theta u(s) / p with u = s / (1 + e^s), and
+    |u'| = |1/(1+e^s) - s e^s/(1+e^s)^2| <= 1 + max |s| e^s/(1+e^s)^2
+    = 1.22387... < 1.2243.  The norm term has d/dP log|x|_{l^P} = -H/P^2
+    and dP/ds = p e^s, so |d/ds log|x|_{l^P}| = H e^s / (p (1+e^s)^2)
+    <= H / (4p).  Together: (1.2243 theta + H/4) / p.  A maximum over
+    several such functions (the Morrey levels L) keeps their largest
+    bound.  The derivation needs finite p > 0 and theta >= 0.
+    """
+    if not (0 < p < math.inf and 0 <= theta < math.inf):
+        raise BadParams(f"the dense oracles need finite p > 0 and theta >= 0, "
+                        f"got p = {p!r}, theta = {theta!r}")
+    return (1.2243 * theta + entropy / 4.0) / p
+
+
+def _evaluate(log_fn, s: np.ndarray) -> np.ndarray:
+    """``log_fn`` at every point of ``s``, 50,000 points a call, since
+    each call builds a (points, entries) table."""
+    return np.concatenate([log_fn(s[i:i + 50_000]) for i in range(0, s.size, 50_000)])
+
+
+def _dense_log_max(log_fn, slope: float) -> float:
+    """Maximum of a log-valued function of eps, ``log_fn(log_eps)``, over
+    a dense scan of [_EPS_LO, _EPS_HI] at 50,000 points per decade, with
+    parabolic polish about the first maximal point.
+
+    ``slope`` bounds |d log_fn / d log eps|.  Every _STRIDE-th point is
+    evaluated first, with the top M of those values.  Within a gap of
+    width G between two of them no value exceeds the larger end value
+    plus slope G / 2, so a gap is scanned in full only where that, plus
+    a rounding margin of 1e-9 (1 + the largest finite coarse magnitude),
+    reaches M; the margin is millions of ulps of the terms any computed
+    value sums.  Any value the skipped gaps hold lies below M, so the
+    first maximal point, and the returned float, are those of the full
+    scan.
+    """
+    s = np.linspace(math.log(_EPS_LO), math.log(_EPS_HI), _POINTS)
+    coarse = np.append(np.arange(0, _POINTS - 1, _STRIDE), _POINTS - 1)
+    v_coarse = _evaluate(log_fn, s[coarse])
+    top = np.max(v_coarse)
+    margin = 1e-9 * (1.0 + np.max(np.abs(v_coarse), initial=0.0,
+                                  where=np.isfinite(v_coarse)))
+    reach = (np.maximum(v_coarse[:-1], v_coarse[1:])
+             + slope * np.diff(s[coarse]) / 2.0 + margin)
+    inner = [np.arange(coarse[g] + 1, coarse[g + 1])
+             for g in np.flatnonzero(reach >= top)]
+    idx = np.concatenate([coarse, *inner])
+    vals = np.concatenate([v_coarse, _evaluate(log_fn, s[idx[coarse.size:]])])
+    # the first maximum in scan order, as a full in-order scan finds it
+    order = np.argsort(idx, kind="stable")
+    i = order[int(np.argmax(vals[order]))]
+    best_s, best_val = float(s[idx[i]]), float(vals[i])
     # parabolic vertex through the best triple
     h = s[1] - s[0]
     f0 = float(log_fn(np.array([best_s - h]))[0])
@@ -142,7 +193,8 @@ def grand_seq_dense(entries: np.ndarray, p: float, theta: float) -> float:
         lse = m + np.log(np.exp(np.multiply.outer(big_p, log_abs - m)).sum(axis=-1)) / big_p
         return (theta / big_p) * log_eps + lse
 
-    best = _dense_log_max(log_fn)
+    # n terms have entropy at most ln n
+    best = _dense_log_max(log_fn, _slope_bound(p, theta, math.log(entries.size)))
     return max(math.exp(best), float(np.exp(m)))
 
 
@@ -174,27 +226,34 @@ def constant_herz_reference(b: float, alpha: float, q: float, p: float,
         log_sum = big_p * log_c - np.log1p(-np.exp(-big_p * log_r))
         return (theta * log_eps + log_sum) / big_p
 
-    best = _dense_log_max(log_fn)
+    # the terms (c r^k)^P normalise to the geometric law (1 - rho) rho^j,
+    # rho = r^{-P}, whose entropy -ln(1 - rho) - rho ln rho / (1 - rho)
+    # grows with rho <= r^{-p}
+    rho, one_minus_rho = math.exp(-p * log_r), -math.expm1(-p * log_r)
+    entropy = -math.log(one_minus_rho) + p * log_r * rho / one_minus_rho
+    best = _dense_log_max(log_fn, _slope_bound(p, theta, entropy))
     return max(math.exp(best), c)
 
 
 def morrey_double_sup_reference(t_by_k: dict[int, float], b: float, p: float,
                                 theta: float, lam: float) -> float:
-    """Brute-force double supremum over (eps, L) for given scale terms."""
+    """Brute-force double supremum over (eps, L) for given scale terms:
+    the dense eps scan of the row max over L of the accumulated log
+    partial sums, against the eps -> infinity limit."""
     ks = np.array(sorted(t_by_k), dtype=float)
     t = np.array([t_by_k[int(k)] for k in ks])
     log_t = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-    s = np.linspace(math.log(1e-8), math.log(1e8), _MORREY_EPS_POINTS)
-    best = -math.inf
-    chunk = 20_000
-    for start in range(0, _MORREY_EPS_POINTS, chunk):
-        seg = s[start:start + chunk]
-        eps = np.exp(seg)
-        big_p = p * (1.0 + eps)
-        arr = np.multiply.outer(big_p, log_t)
-        lse = np.logaddexp.accumulate(arr, axis=-1)
-        vals = -lam * ks * math.log(b) + (theta * seg[:, None] + lse) / big_p[:, None]
-        best = max(best, float(np.max(vals)))
+    log_w = -lam * ks * math.log(b)
+
+    def log_fn(log_eps: np.ndarray) -> np.ndarray:
+        big_p = p * (1.0 + np.exp(log_eps))
+        lse = np.logaddexp.accumulate(np.multiply.outer(big_p, log_t), axis=-1)
+        return np.max(log_w + (theta * log_eps[:, None] + lse) / big_p[:, None], axis=-1)
+
+    # every level's terms are a prefix of the longest, so its entropy
+    # bound ln n, n the positive terms, holds for all of them
+    n = max(int(np.count_nonzero(t > 0)), 1)
+    best = _dense_log_max(log_fn, _slope_bound(p, theta, math.log(n)))
     limit = float(np.max(np.where(t > 0, b ** (-lam * ks) * t, 0.0)))
     return max(math.exp(best), limit)
 

@@ -346,10 +346,10 @@ def _grandseq_delta_oracle(d, spec, rng, cfg):
                {}, {"value": val, "oracle": ref}, 1e-6, abs(val - ref) <= 1e-6)
 
 
-def _grandseq_dense_agreement(d, spec, rng, cfg):
+def _grandseq_dense_agreement(d, spec, rng, cfg, n_cases=60):
     worst = 0.0
     combos = [(p, theta) for p in (1.0, 2.0, 3.0) for theta in (0.5, 1.0, 2.0)]
-    for i in range(60):
+    for i in range(n_cases):
         n = int(rng.integers(1, 12))
         vals = rng.uniform(-2, 2, n) * 10.0 ** rng.integers(-3, 4)
         p, theta = combos[i % len(combos)]
@@ -360,7 +360,7 @@ def _grandseq_dense_agreement(d, spec, rng, cfg):
     yield _at_most("grandseq.dense_agreement",
                    "scan-and-refine equals dense brute force over seeded "
                    "sequences",
-                   {"seed": cfg.seed, "n": 60}, 1e-6, worst_rel=worst)
+                   {"seed": cfg.seed, "n": n_cases}, 1e-6, worst_rel=worst)
 
 
 def _grandseq_homogeneity(d, spec, rng, cfg):

@@ -34,13 +34,14 @@ from herzlab import (
     sum_check,
     product_check,
 )
+from herzlab.config import SuiteConfig
 from herzlab.grid import GridFunction, GridSpec
 from herzlab.oracles import (
     constant_herz_reference,
     delta_sequence_value,
-    grand_seq_dense,
     luxemburg_two_piece,
 )
+from herzlab.suites import _grandseq_dense_agreement
 
 from conftest import annulus_supported_function, herz_params, random_function
 
@@ -155,20 +156,13 @@ def test_criterion_05_decomposition_round_trip():
 
 
 def test_criterion_06_grand_seq_vs_dense():
-    rng = np.random.default_rng(61)
-    combos = [(p, t) for p in (1.0, 2.0, 3.0) for t in (0.5, 1.0, 2.0)]
-    worst = 0.0
-    for i in range(200):
-        n = int(rng.integers(1, 12))
-        vals = rng.uniform(-2, 2, n) * 10.0 ** rng.integers(-3, 4)
-        p, theta = combos[i % len(combos)]
-        a = grand_seq_norm(Sequence(vals), GrandSequenceParams(p=p, theta=theta))
-        b = grand_seq_dense(vals, p, theta)
-        worst = max(worst, abs(a - b) / max(b, 1e-300))
+    (row,) = _grandseq_dense_agreement(None, None, np.random.default_rng(61),
+                                       SuiteConfig(seed=61), n_cases=200)
+    worst = row.measured["worst_rel"]
     delta_main = grand_seq_norm(Sequence(np.array([1.0])),
                                 GrandSequenceParams(p=1.0, theta=1.0))
     delta_ref = delta_sequence_value(1.0, 1.0)
-    ok = worst <= 1e-6 and abs(delta_main - delta_ref) <= 1e-6 \
+    ok = row.bound == 1e-6 and row.passed and abs(delta_main - delta_ref) <= 1e-6 \
         and abs(delta_ref - 1.3211) <= 5e-4
     _line(6, ok, f"grand sequence norm vs dense scan over 200 sequences "
           f"(worst rel {worst:.2e}; one-hot {delta_main:.6f})")

@@ -1,15 +1,16 @@
 import ast
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from herzlab import ExponentFunction, make_dilation
+from herzlab import ExponentFunction, HerzSpaceParams, make_dilation
 from herzlab.cli import main
 from herzlab.config import SuiteConfig, load_config, parse_config, parse_exponent
-from herzlab.errors import ConfigError
+from herzlab.errors import BadGrid, BadParams, ConfigError
 from herzlab.grid import GridFunction, GridSpec, load_csv, save_csv
 
 
@@ -315,6 +316,53 @@ def test_cli_atoms_read_descriptors_on_the_dilation_grid(workdir, capsys):
     assert list(rep["moments"]) == ["00"]
 
 
+@pytest.mark.parametrize("action", ["validate", "sumcheck"])
+def test_cli_atoms_sample_descriptors_at_the_resolution_flag(workdir, monkeypatch, action):
+    # --resolution sets a descriptor's grid in every atoms action, as in make
+    # (sumcheck validates each atom as it builds it)
+    from herzlab import atoms
+    seen = []
+    validate = atoms.atom_validate
+
+    def spy(f, *rest):
+        seen.append(f.spec.resolution)
+        return validate(f, *rest)
+
+    monkeypatch.setattr(atoms, "atom_validate", spy)
+    (workdir / "bump.json").write_text('{"family": "bump", "width": 0.3}')
+    (workdir / "m.json").write_text(json.dumps(
+        {"atoms": [{"path": str(workdir / "bump.json"), "k": 0, "s": 0}],
+         "coefficients": [1.0]}))
+    source = {"validate": ["--input", str(workdir / "bump.json")],
+              "sumcheck": ["--manifest", str(workdir / "m.json")]}[action]
+    main(["atoms", action, *source, "--resolution", "64", "--out", str(workdir / "r.json")])
+    assert seen and set(seen) == {64}
+
+
+def test_cli_norm_rejects_reversed_krange(workdir, capsys):
+    with pytest.raises(BadParams):
+        HerzSpaceParams(ExponentFunction.constant(0.5), 1.0, ExponentFunction.constant(2.0),
+                        krange=(5, 2))
+    (workdir / "bad.txt").write_text("herz.kmin = 5\nherz.kmax = 2\n")
+    assert main(["norm", "--input", str(workdir / "f.csv"),
+                 "--config", str(workdir / "bad.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: krange") and "Traceback" not in err
+
+
+def test_cli_norm_rejects_non_finite_radius(workdir, capsys):
+    # the grid refuses the radius before any scale loop can run on it
+    for radius in (math.inf, math.nan):
+        with pytest.raises(BadGrid):
+            GridSpec(radius, 1, 32)
+    (workdir / "f.json").write_text('{"family": "noise", "seed": 1}\n')
+    (workdir / "bad.txt").write_text("grid.radius = inf\n")
+    assert main(["norm", "--input", str(workdir / "f.json"),
+                 "--config", str(workdir / "bad.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid.radius" in err
+
+
 def test_cli_atoms_make_rejects_negative_moment_order(workdir, capsys):
     rc = main(["atoms", "make", "--s", "-1", "--resolution", "64",
                "--out", str(workdir / "atom")])
@@ -344,6 +392,15 @@ def test_cli_oracle_rejects_unread_key(workdir, capsys, target, line):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and line.split(" =")[0] in err
+
+
+@pytest.mark.parametrize("target", ["grand_seq_dense", "constant_herz"])
+@pytest.mark.parametrize("line", ["oracle.theta = nan", "oracle.theta = -1",
+                                  "oracle.p = inf"])
+def test_cli_oracle_rejects_exponents_its_scan_cannot_bound(workdir, capsys, target, line):
+    (workdir / "o.txt").write_text(line + "\n")
+    assert main(["oracle", "--target", target, "--config", str(workdir / "o.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: the dense oracles need")
 
 
 @pytest.mark.parametrize("args, line, named", [

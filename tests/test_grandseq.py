@@ -12,6 +12,7 @@ from herzlab import (
     lp_seq_norm,
     nesting_report,
 )
+from herzlab.config import SuiteConfig
 from herzlab.errors import BadExponent, BadParams
 from herzlab.grandseq import _LOG_EPS, partial_sum_sup, sup_over_eps
 from herzlab.oracles import (
@@ -19,6 +20,7 @@ from herzlab.oracles import (
     grand_seq_dense,
     morrey_double_sup_reference,
 )
+from herzlab.suites import _grandseq_dense_agreement
 
 
 def test_lp_basics():
@@ -71,15 +73,9 @@ def test_eps_factor_matches_delta():
 
 
 def test_dense_agreement_sweep():
-    rng = np.random.default_rng(8)
-    combos = [(p, t) for p in (1.0, 2.0, 3.0) for t in (0.5, 1.0, 2.0)]
-    for i in range(60):
-        n = int(rng.integers(1, 12))
-        vals = rng.uniform(-2, 2, n) * 10.0 ** rng.integers(-3, 4)
-        p, theta = combos[i % len(combos)]
-        a = grand_seq_norm(Sequence(vals), GrandSequenceParams(p=p, theta=theta))
-        b = grand_seq_dense(vals, p, theta)
-        assert a == pytest.approx(b, rel=1e-6)
+    (row,) = _grandseq_dense_agreement(None, None, np.random.default_rng(8),
+                                       SuiteConfig(seed=8))
+    assert row.bound == 1e-6 and row.passed, row.measured
 
 
 def test_grid_vs_denser_grid():
@@ -240,12 +236,15 @@ def test_nesting_chain():
 def test_partial_sum_sup_against_dense_oracles():
     # leading, inner and trailing zeros; levels L = -3 .. K-4, b = 2
     b = 2.0
+    # flat ones at tiny theta put the argmax eps far below 1e-8
     cases = [
-        (np.array([0.0, 0.0, 0.7, 1.3, 0.0, 0.4, 2.0, 0.0, 0.0]), 1.0, 1.0),
-        (np.array([0.0, 1.5, 0.2, 0.0, 0.0, 3.0, 0.1]), 2.0, 0.5),
-        (np.array([0.3, 0.0, 0.9, 0.05, 0.0]), 1.5, 2.0),
+        (np.array([0.0, 0.0, 0.7, 1.3, 0.0, 0.4, 2.0, 0.0, 0.0]), 1.0, 1.0, (0.0, 0.1, 0.4)),
+        (np.array([0.0, 1.5, 0.2, 0.0, 0.0, 3.0, 0.1]), 2.0, 0.5, (0.0, 0.1, 0.4)),
+        (np.array([0.3, 0.0, 0.9, 0.05, 0.0]), 1.5, 2.0, (0.0, 0.1, 0.4)),
+        (np.ones(11), 1.0, 1e-9, (0.0, 0.1)),
+        (np.ones(11), 1.0, 1e-12, (0.0, 0.1)),
     ]
-    for t, p, theta in cases:
+    for t, p, theta, lams in cases:
         ks = np.arange(len(t)) - 3
         params = GrandSequenceParams(p=p, theta=theta)
         # sup over L of the weighted per-level sups: the dense oracle on
@@ -254,12 +253,12 @@ def test_partial_sum_sup_against_dense_oracles():
                               for i in range(len(t))])
         assert partial_sum_sup(t, params)[0] == pytest.approx(
             grand_seq_dense(t, p, theta), rel=1e-6)
-        for lam in (0.0, 0.1, 0.4):
+        for lam in lams:
             log_w = -lam * math.log(b) * ks
             value, _, arg_pos = partial_sum_sup(t, params, log_w)
             ref = morrey_double_sup_reference(
                 {int(k): float(v) for k, v in zip(ks, t)}, b, p, theta, lam)
-            assert value == pytest.approx(ref, rel=1e-6)
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
             dense = np.exp(log_w) * per_level
             assert value == pytest.approx(float(np.max(dense)), rel=1e-6)
             near = np.flatnonzero(dense >= np.max(dense) * (1 - 1e-6))

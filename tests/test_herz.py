@@ -227,7 +227,7 @@ def test_morrey_brute_force(dyadic, line_spec):
     ks, t = slice_norms(f, dyadic, params)
     ref = morrey_double_sup_reference(
         {int(k): float(v) for k, v in zip(ks, t)}, 2.0, 1.0, 1.0, 0.1)
-    assert val == pytest.approx(ref, rel=1e-6)
+    assert val == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_morrey_lambda_monotone_outer_support(dyadic, line_spec):
