@@ -592,9 +592,17 @@ def offset_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
 
 
 def ball_diameter(d: Dilation, k: int) -> float:
-    """Euclidean diameter of B_k (twice the largest semiaxis)."""
-    q = d.inv_power(k).T @ d.ellipsoid_form @ d.inv_power(k)
-    smallest = float(np.min(np.linalg.eigvalsh(q)))
+    """Euclidean diameter of B_k (twice the largest semiaxis).
+
+    Raises UnresolvableScale where the form of B_k leaves the float
+    range: it overflows (the overflow is expected there and silenced) or
+    its smallest eigenvalue underflows to 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = d.inv_power(k).T @ d.ellipsoid_form @ d.inv_power(k)
+    smallest = float(np.min(np.linalg.eigvalsh(q))) if np.all(np.isfinite(q)) else 0.0
+    if not smallest > 0.0:
+        raise UnresolvableScale(f"ball B_{k} beyond the representable scales")
     return 2.0 * d.radius / math.sqrt(smallest)
 
 

@@ -103,23 +103,34 @@ _POINTS = round(math.log10(_EPS_HI / _EPS_LO) * 50_000) + 1
 _STRIDE = 100
 
 
-def _slope_bound(p: float, theta: float, entropy: float) -> float:
+def _slope_bound(p: float, theta: float, entropy: float):
     """Bound on |d/ds| of log(eps^{theta/P} |x|_{l^P}), s = log eps and
-    P = p (1 + e^s), when ``entropy`` bounds the entropy H of the
-    normalised terms pi_j = |x_j|^P / sum_i |x_i|^P at every P >= p.
+    P = p (1 + e^s), over each gap of a scan, when ``entropy`` bounds the
+    entropy H of the normalised terms pi_j = |x_j|^P / sum_i |x_i|^P at
+    every P >= p.  Returns ``gap_slope(s_lo, s_hi)``, the bound over each
+    gap [s_lo, s_hi] of two arrays of gap ends.
 
     The eps factor is theta u(s) / p with u = s / (1 + e^s), and
     |u'| = |1/(1+e^s) - s e^s/(1+e^s)^2| <= 1 + max |s| e^s/(1+e^s)^2
-    = 1.22387... < 1.2243.  The norm term has d/dP log|x|_{l^P} = -H/P^2
-    and dP/ds = p e^s, so |d/ds log|x|_{l^P}| = H e^s / (p (1+e^s)^2)
-    <= H / (4p).  Together: (1.2243 theta + H/4) / p.  A maximum over
+    = 1.22387... < 1.2243 at every s.  The norm term has
+    d/dP log|x|_{l^P} = -H/P^2 and dP/ds = p e^s, so
+    |d/ds log|x|_{l^P}| = H e^s / (p (1+e^s)^2) <= H / (4p).  That
+    e^s / (1+e^s)^2 rises for s <= 0 and falls for s >= 0, so over a gap
+    it is largest at the gap's point nearest 0.  Together: (1.2243 theta
+    + H e^c / (1+e^c)^2) / p, c = the gap point nearest 0.  A maximum over
     several such functions (the Morrey levels L) keeps their largest
     bound.  The derivation needs finite p > 0 and theta >= 0.
     """
     if not (0 < p < math.inf and 0 <= theta < math.inf):
         raise BadParams(f"the dense oracles need finite p > 0 and theta >= 0, "
                         f"got p = {p!r}, theta = {theta!r}")
-    return (1.2243 * theta + entropy / 4.0) / p
+
+    def gap_slope(s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
+        c = np.clip(0.0, s_lo, s_hi)
+        # e^c / (1+e^c)^2 = 1 / (4 cosh^2(c/2)), which cannot overflow
+        return (1.2243 * theta + entropy / (4.0 * np.cosh(0.5 * c) ** 2)) / p
+
+    return gap_slope
 
 
 def _evaluate(log_fn, s: np.ndarray) -> np.ndarray:
@@ -128,16 +139,17 @@ def _evaluate(log_fn, s: np.ndarray) -> np.ndarray:
     return np.concatenate([log_fn(s[i:i + 50_000]) for i in range(0, s.size, 50_000)])
 
 
-def _dense_log_max(log_fn, slope: float) -> float:
+def _dense_log_max(log_fn, gap_slope) -> float:
     """Maximum of a log-valued function of eps, ``log_fn(log_eps)``, over
     a dense scan of [_EPS_LO, _EPS_HI] at 50,000 points per decade, with
     parabolic polish about the first maximal point.
 
-    ``slope`` bounds |d log_fn / d log eps|.  Every _STRIDE-th point is
-    evaluated first, with the top M of those values.  Within a gap of
-    width G between two of them no value exceeds the larger end value
-    plus slope G / 2, so a gap is scanned in full only where that, plus
-    a rounding margin of 1e-9 (1 + the largest finite coarse magnitude),
+    ``gap_slope(s_lo, s_hi)`` bounds |d log_fn / d log eps| over each gap
+    [s_lo, s_hi].  Every _STRIDE-th point is evaluated first, with the
+    top M of those values.  Within a gap of width G between two of them
+    no value exceeds the larger end value plus the gap's slope bound
+    times G / 2, so a gap is scanned in full only where that, plus a
+    rounding margin of 1e-9 (1 + the largest finite coarse magnitude),
     reaches M; the margin is millions of ulps of the terms any computed
     value sums.  Any value the skipped gaps hold lies below M, so the
     first maximal point, and the returned float, are those of the full
@@ -149,8 +161,9 @@ def _dense_log_max(log_fn, slope: float) -> float:
     top = np.max(v_coarse)
     margin = 1e-9 * (1.0 + np.max(np.abs(v_coarse), initial=0.0,
                                   where=np.isfinite(v_coarse)))
+    ends = s[coarse]
     reach = (np.maximum(v_coarse[:-1], v_coarse[1:])
-             + slope * np.diff(s[coarse]) / 2.0 + margin)
+             + gap_slope(ends[:-1], ends[1:]) * np.diff(ends) / 2.0 + margin)
     inner = [np.arange(coarse[g] + 1, coarse[g + 1])
              for g in np.flatnonzero(reach >= top)]
     idx = np.concatenate([coarse, *inner])

@@ -183,53 +183,92 @@ def modular(f: GridFunction, lam: float, p: ExponentFunction) -> float:
     return float(total * f.spec.cell_volume)
 
 
-def _newton(v: np.ndarray, p_vals: np.ndarray, h: float) -> float:
-    """Root lam of the modular h sum (v/lam)^p = 1; v >= 0 with max v = 1.
+def _newton(v: np.ndarray, p_vals: np.ndarray, h: float, p_lo: float,
+            p_hi: float) -> float:
+    """Root lam of the modular h sum (v/lam)^p = 1; v >= 0 with max v = 1
+    (may be overwritten) and p_lo <= p_vals <= p_hi.
 
-    Solves g(t) = log h + logsumexp(p log v - p t) = 0 for t = log lam.
-    g is convex and strictly decreasing with slope -sum p pi, pi the
-    normalised terms, so the slope lies in [-p^+, -p^-] (bounds over the
-    nonzero samples) and g(0) alone brackets the root between g(0)/p^+
-    and g(0)/p^-.  Newton steps from the left of the root never
-    overshoot; a step that leaves the bracket is replaced by bisection.
+    Solves g(t) = log h + log S(t) = 0 for t = log lam, with
+    S(t) = sum exp(a - q t) and a = q log v <= 0 over the nonzero samples.
+    With pi the normalised terms and m_j = sum q^j pi, g' = -m1 and
+    g'' = m2 - m1^2 = Var_pi q, so g is convex and strictly decreasing,
+    its slope lies in [-p_hi, -p_lo], and g(0) alone brackets the root
+    between g(0)/p_hi and g(0)/p_lo.
+
+    t = 0 is evaluated as exp(a) (max 1, so no shift), and its two
+    moments give a Halley step: the Newton step g/m1 over
+    1 - g g''/(2 m1^2), taken where that divisor exceeds 1/2 and the step
+    stays in the bracket, else the Newton step itself.  At any other t
+    the largest term lies in [exp(-p_hi |t|), exp(p_hi |t|)], so while
+    p_hi |t| <= 600 the sum can neither overflow nor vanish and is taken
+    unshifted; beyond that the terms are shifted by their max, which puts
+    S in [1, size].  Each later point takes the Newton step s = g/m1, or
+    a bisection step where that leaves the bracket.
+
+    Both steps certify their error, and the solve stops once it is at
+    most 1e-12 in t, that is 1e-12 relative in lam at any scale.  A
+    bisection step returns the midpoint, so it stops once the bracket is
+    2e-12 wide.  For a Newton step, let d = t* - t: the Lagrange remainder
+    gives t* - (t + s) = g''(xi) d^2 / (2 m1) >= 0, the mean value
+    theorem gives |d| <= |g| / p_lo = |s| m1 / p_lo, and a variance over
+    [p_lo, p_hi] is at most (p_hi - p_lo)^2 / 4, so
+    0 <= t* - (t + s) <= (p_hi - p_lo)^2 m1 s^2 / (8 p_lo^2); the solve
+    returns t + s with no further evaluation once that bound is at most
+    1e-12.
     """
-    nz = v > 0
-    if nz.all():  # no zero sample: no copies of the segment
-        q, a = p_vals, np.log(v)
+    if np.count_nonzero(v) == v.size:  # no zero sample: no copies
+        q, a = p_vals, np.log(v, out=v)
     else:
+        nz = v > 0
         q, a = p_vals[nz], np.log(v[nz])
     a *= q
     log_h = math.log(h)
-    z = np.empty_like(a)
+    # a Newton step s from a point with mean exponent m1 errs by at most
+    # err_coef m1 s^2
+    err_coef = (p_hi - p_lo) ** 2 / (8.0 * p_lo * p_lo)
 
-    def log_modular(t: float) -> tuple[float, float]:
-        # g(t) and g'(t); the shift puts the largest term at exp(0) = 1,
-        # so the sum lies in [1, size] and can neither overflow nor vanish
+    # t = 0: the moments of exp(a), with g'' >= 0 up to rounding
+    z = np.exp(a)
+    total = float(np.sum(z))
+    np.multiply(z, q, out=z)
+    m1 = float(np.sum(z)) / total
+    var = max(float(np.dot(q, z)) / total - m1 * m1, 0.0)
+    g = log_h + math.log(total)
+    lo, hi = sorted((g / p_hi, g / p_lo))
+    # the Newton step from 0 stays in the bracket; the Halley step, that
+    # step over 1 - g g''/(2 m1^2), replaces it where that divisor exceeds
+    # 1/2 and the step stays in the bracket
+    t = g / m1
+    div = 1.0 - g * var / (2.0 * m1 * m1)
+    if div > 0.5 and lo <= t / div <= hi:
+        t /= div
+
+    for _ in range(100):
         np.multiply(q, -t, out=z)
         np.add(z, a, out=z)
-        shift = float(np.max(z))
-        np.subtract(z, shift, out=z)
+        shift = 0.0
+        if p_hi * abs(t) > 600.0:
+            shift = float(np.max(z))
+            np.subtract(z, shift, out=z)
         np.exp(z, out=z)
-        s = float(np.sum(z))
-        return log_h + shift + math.log(s), -float(np.dot(q, z)) / s
-
-    t = 0.0
-    g, slope = log_modular(t)
-    lo, hi = sorted((g / float(np.max(q)), g / float(np.min(q))))
-    for steps in range(1, 101):
-        t_next = t - g / slope
-        if not lo <= t_next <= hi:  # the Newton step left the bracket
-            t_next = 0.5 * (lo + hi)
-        done = abs(t_next - t) <= 1e-12 * max(1.0, abs(t_next))
-        t = t_next
-        if done:
-            break
-        g, slope = log_modular(t)
+        total = float(np.sum(z))
+        g = log_h + shift + math.log(total)
         if g > 0:
             lo = t
         elif g < 0:
             hi = t
         else:
+            break
+        m1 = float(np.dot(q, z)) / total
+        step = g / m1
+        t_next = t + step
+        if lo <= t_next <= hi:
+            done = err_coef * m1 * step * step <= 1e-12
+        else:  # the Newton step left the bracket
+            t_next = 0.5 * (lo + hi)
+            done = hi - lo <= 2e-12
+        t = t_next
+        if done:
             break
     return math.exp(t)
 
@@ -242,13 +281,14 @@ def lux_core(abs_vals: np.ndarray, p_vals, h: float,
     ``bounds`` nondecreasing from 0 to ``abs_vals.size`` (one segment of
     all samples by default); empty and all-zero segments give 0.
     ``p_vals`` holds the exponent samples, or one float for a constant
-    exponent.  Each segment is divided by its own max before any power and
-    multiplied back after, so every norm is homogeneous at any float
-    scale.  A segment whose exponent samples are all equal takes the
-    closed form (sum v^p h)^{1/p}, in one pass over all segments when
-    every sample is equal; any other nonzero segment is solved by a
-    safeguarded Newton iteration on the log of the modular in log lam, to
-    a step of 1e-12 relative.  A segment's norm equals, bit for bit, a
+    exponent.  Each segment is divided by its own max (one scalar divide)
+    before any power and multiplied back after, so every norm is
+    homogeneous at any float scale.  The exponent's per-segment bounds
+    (``minimum``/``maximum.reduceat``) pick the route: a segment with one
+    exponent value takes the closed form (sum v^p h)^{1/p}, in one pass
+    over all segments when every sample is equal; any other nonzero
+    segment goes to ``_newton`` with those bounds, which solves it to a
+    certified 1e-12 in log lam.  A segment's norm equals, bit for bit, a
     one-segment call on its samples.  Raises NormOverflow for a norm
     beyond float range.
     """
@@ -261,24 +301,30 @@ def lux_core(abs_vals: np.ndarray, p_vals, h: float,
         return norms
     # with the empty segments dropped, each start's run ends at the next
     starts = bounds[live]
+    ends = starts + lengths[live]
     peak = np.maximum.reduceat(abs_vals, starts)
-    v = np.repeat(np.where(peak > 0, peak, 1.0), lengths[live])
-    np.divide(abs_vals, v, out=v)
-    if np.ndim(p_vals) == 0 or np.min(p_vals) == np.max(p_vals):
-        pc = float(np.ravel(p_vals)[0])
-        np.power(v, pc, out=v)
-        unit = (np.add.reduceat(v, starts) * h) ** (1.0 / pc)
+    if np.ndim(p_vals) == 0:
+        pc = float(p_vals)
     else:
         p_lo = np.minimum.reduceat(p_vals, starts)
         p_hi = np.maximum.reduceat(p_vals, starts)
+        pc = float(p_lo[0]) if p_lo.min() == p_hi.max() else None
+    if pc is not None:  # one exponent value throughout
+        v = np.empty(abs_vals.shape)
+        for s, e, m in zip(starts.tolist(), ends.tolist(), peak.tolist()):
+            np.divide(abs_vals[s:e], m if m > 0 else 1.0, out=v[s:e])
+        np.power(v, pc, out=v)
+        unit = (np.add.reduceat(v, starts) * h) ** (1.0 / pc)
+    else:
         unit = np.zeros(live.size)
-        for j in np.flatnonzero(peak):
-            seg = slice(starts[j], starts[j] + lengths[live[j]])
+        for j in np.flatnonzero(peak).tolist():
+            s, e = int(starts[j]), int(ends[j])
+            v = abs_vals[s:e] / peak[j]
+            lo, hi = float(p_lo[j]), float(p_hi[j])
             # a segment with one exponent value takes the closed form, as
-            # it does on its own (v[seg] has max 1, so this call is exact)
-            route = "closed" if p_lo[j] == p_hi[j] else "newton"
-            unit[j] = (lux_core(v[seg], p_lo[j], h)[0] if route == "closed"
-                       else _newton(v[seg], p_vals[seg], h))
+            # it does on its own (v has max 1, so this call is exact)
+            unit[j] = (lux_core(v, lo, h)[0] if lo == hi
+                       else _newton(v, p_vals[s:e], h, lo, hi))
     with np.errstate(over="ignore"):
         norms[live] = peak * unit
     if not np.all(np.isfinite(norms)):

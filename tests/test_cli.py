@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,25 @@ def test_cli_norm_rejects_non_finite_radius(workdir, capsys):
                  "--config", str(workdir / "bad.txt")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "grid.radius" in err
+
+
+@pytest.mark.parametrize("config", [
+    "grid.radius = 1e300\n",             # the form of B_k underflows to 0
+    "dilation.matrix = 1e300 0; 0 2\n",  # likewise, from the matrix
+    "grid.radius = 1e-300\n",            # the form of B_k overflows
+], ids=["radius-1e300", "matrix-1e300", "radius-1e-300"])
+def test_cli_norm_rejects_unresolvable_ball_scales(workdir, capsys, config):
+    # default_krange reaches a ball whose diameter the float range cannot
+    # give: a typed error, with no traceback and no numpy warning
+    (workdir / "f.json").write_text('{"family": "noise", "seed": 1}\n')
+    (workdir / "bad.txt").write_text(config + "grid.resolution = 32\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["norm", "--input", str(workdir / "f.json"),
+                   "--config", str(workdir / "bad.txt")])
+    assert rc == 1 and not caught
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
 
 
 def test_cli_atoms_make_rejects_negative_moment_order(workdir, capsys):

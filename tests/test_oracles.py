@@ -27,13 +27,13 @@ def test_oracles_import_no_norm_code():
 
 
 def _scans(monkeypatch, call):
-    """The (log_fn, slope) pairs that ``call`` hands the dense scanner."""
+    """The (log_fn, gap_slope) pairs that ``call`` hands the dense scanner."""
     seen = []
     scan = oracles._dense_log_max
 
-    def record(log_fn, slope):
-        seen.append((log_fn, slope))
-        return scan(log_fn, slope)
+    def record(log_fn, gap_slope):
+        seen.append((log_fn, gap_slope))
+        return scan(log_fn, gap_slope)
 
     monkeypatch.setattr(oracles, "_dense_log_max", record)
     call()
@@ -62,18 +62,36 @@ _CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, call, tight", _CASES, ids=[c[0] for c in _CASES])
-def test_slope_bound_holds_over_the_scan(monkeypatch, name, call, tight):
-    ((log_fn, slope),) = _scans(monkeypatch, call)
-    # a tenth of the scan's density, from its floor to its top
+def _tenth_scan_slopes(log_fn, gap_slope):
+    """Finite-difference slopes of ``log_fn`` and the bound over each
+    step, at a tenth of the scan's density from its floor to its top."""
     s = np.linspace(math.log(oracles._EPS_LO), math.log(oracles._EPS_HI),
                     (oracles._POINTS - 1) // 10 + 1)
-    fd = np.max(np.abs(np.diff(oracles._evaluate(log_fn, s))) / np.diff(s))
-    assert fd <= slope
+    fd = np.abs(np.diff(oracles._evaluate(log_fn, s))) / np.diff(s)
+    return fd, gap_slope(s[:-1], s[1:])
+
+
+@pytest.mark.parametrize("name, call, tight", _CASES, ids=[c[0] for c in _CASES])
+def test_slope_bound_holds_over_the_scan(monkeypatch, name, call, tight):
+    ((log_fn, gap_slope),) = _scans(monkeypatch, call)
+    fd, bound = _tenth_scan_slopes(log_fn, gap_slope)
+    assert np.all(fd <= bound)
     if tight:
         # uniform terms attain the entropy part; the eps part peaks at
         # 1.10 theta / p near log eps = -2.5, not at its bound's 1.2243
-        assert fd >= 0.85 * slope
+        assert np.max(fd) >= 0.85 * np.max(bound)
+
+
+def test_gap_slope_bound_is_tight_in_every_gap(monkeypatch):
+    # 100 equal terms at theta = 1e-9: the norm term's slope
+    # H e^s / (p (1+e^s)^2), H = ln 100, is the whole slope, and the bound
+    # takes it at each gap's point nearest 0, so it is attained to within
+    # one gap's rise wherever the eps part (about 1e-9) is negligible
+    ((log_fn, gap_slope),) = _scans(monkeypatch, _CASES[2][1])
+    fd, bound = _tenth_scan_slopes(log_fn, gap_slope)
+    big = bound > 1e-6
+    assert np.count_nonzero(big) > 0.5 * bound.size
+    assert np.all(fd[big] >= 0.99 * bound[big])
 
 
 _FULL = [_CASES[i][:2] for i in (0, 1, 4, 6)]
@@ -82,9 +100,9 @@ _FULL = [_CASES[i][:2] for i in (0, 1, 4, 6)]
 @pytest.mark.parametrize("name, call", _FULL, ids=[c[0] for c in _FULL])
 def test_pruned_scan_returns_the_full_scan_float(monkeypatch, name, call):
     # an infinite slope bound rules no gap out
-    ((log_fn, slope),) = _scans(monkeypatch, call)
-    assert oracles._dense_log_max(log_fn, slope).hex() == \
-        oracles._dense_log_max(log_fn, math.inf).hex()
+    ((log_fn, gap_slope),) = _scans(monkeypatch, call)
+    assert oracles._dense_log_max(log_fn, gap_slope).hex() == \
+        oracles._dense_log_max(log_fn, lambda lo, hi: np.full(lo.shape, math.inf)).hex()
 
 
 def test_morrey_reference_matches_partial_sum_sup():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from herzlab import (
     ExponentFunction,
@@ -193,6 +193,51 @@ def test_lux_core_matches_bisection_oracle(seed, size, log10_h, kind):
             assert norms[i] == 0.0
             continue
         top = np.max(vals[sel])
+        assert norms[i] == pytest.approx(
+            top * luxemburg_bisect(vals[sel] / top, p_vals[sel], h), rel=1e-9)
+        assert modular(f.where(sel), norms[i], p) == pytest.approx(1.0, abs=1e-11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       size=st.integers(min_value=1, max_value=80),
+       log10_h=st.floats(min_value=-250, max_value=50),
+       spread=st.floats(min_value=0.0, max_value=30.0),
+       kind=st.sampled_from(["log", "two-piece", "random"]))
+# a case that takes both a shifted sum and a bisection step
+@example(seed=402533603, size=26, log10_h=-43.0, spread=15.0, kind="two-piece")
+def test_lux_core_matches_bisection_oracle_at_extreme_volumes(seed, size, log10_h,
+                                                              spread, kind):
+    # cell volumes over 1e-250..1e50 put log lam far enough from 0 for
+    # the shifted sums, and exponent spreads up to 30 for the bisection
+    # fallback; every norm still solves the modular to 1e-11.  Samples
+    # over 1e-40..1 keep every norm above the subnormal range.
+    rng = np.random.default_rng(seed)
+    n = 4
+    seg = np.concatenate([[0], rng.integers(1, n, size=size)])
+    vals = 10.0 ** rng.uniform(-40, 0, seg.size)
+    vals[rng.uniform(size=seg.size) < 0.1] = 0.0
+    x = rng.uniform(0.0, 50.0, seg.size)
+    q0 = rng.uniform(1.0, 5.0)
+    q1 = q0 + spread
+    p_vals = {"log": ExponentFunction.log_family(q0, q1)(x[:, None]),
+              "two-piece": np.where(x < 25.0, q0, q1),
+              "random": rng.uniform(q0, q1, seg.size)}[kind]
+    spec = GridSpec(radius=10.0 ** log10_h * seg.size / 2, dim=1,
+                    resolution=seg.size)
+    h = spec.cell_volume
+    f = GridFunction(spec, vals)
+    p = ExponentFunction.custom(fn=lambda pts: p_vals, p_minus=q0, p_plus=q1,
+                                at_origin=q0, at_infinity=q1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = lux_core(*contiguous(seg, n, vals, p_vals, h))
+    for i in range(n):
+        sel = seg == i
+        top = np.max(vals[sel], initial=0.0)
+        if top == 0.0:
+            assert norms[i] == 0.0
+            continue
         assert norms[i] == pytest.approx(
             top * luxemburg_bisect(vals[sel] / top, p_vals[sel], h), rel=1e-9)
         assert modular(f.where(sel), norms[i], p) == pytest.approx(1.0, abs=1e-11)
