@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
 from .varlebesgue import ExponentFunction
 
@@ -69,8 +67,6 @@ def parse_config(text: str) -> dict:
 KNOWN_KEYS = frozenset({
     "suite.seed", "suite.out", "suite.families", "suite.alpha_grid",
     "suite.lambda_grid",
-    "tolerance.ball_measure", "tolerance.luxemburg_oracle",
-    "tolerance.holder", "tolerance.ball_product",
     "grid.radius", "grid.resolution", "dilation.matrix",
     "herz.alpha", "herz.p", "herz.q", "herz.theta", "herz.lambda",
     "herz.delta2", "herz.homogeneous", "herz.kmin", "herz.kmax",
@@ -149,32 +145,21 @@ def parse_exponent(text) -> ExponentFunction:
 
 @dataclass
 class SuiteConfig:
-    """Run parameters for the verification suites (``suite.*`` and
-    ``tolerance.*`` keys).
+    """Run parameters for the verification suites (``suite.*`` keys).
 
-    Every emitted report records the seed; a tolerance below the
-    machine-epsilon floor is rejected when the config is built.
+    Every emitted report records the seed.  Each check's bound is written
+    in the check itself, so no config can loosen it.
     """
 
     seed: int = 7
     out_dir: str = "reports"
-    tolerances: dict = field(default_factory=dict)
     families: list = field(default_factory=lambda: [
         "const:2", "const:1.5", "const:4", "log:2,3", "log:3,2"])
     alpha_grid: list = field(default_factory=lambda: [0.1, 0.25, 0.4])
     lambda_grid: list = field(default_factory=lambda: [0.0])
 
-    def __post_init__(self):
-        floor = 4.0 * np.finfo(float).eps
-        for name, value in self.tolerances.items():
-            if not value >= floor:
-                raise ConfigError(f"tolerance {name} = {value:g} below float floor")
-
     def exponent_families(self) -> list:
         return [parse_exponent(text) for text in self.families]
-
-    def tol(self, name: str, default: float) -> float:
-        return self.tolerances.get(name, default)
 
     @staticmethod
     def from_dict(raw: dict) -> "SuiteConfig":
@@ -186,9 +171,7 @@ class SuiteConfig:
                                    ("suite.lambda_grid", "lambda_grid", float_list)):
             if key in raw:
                 fields[name] = config_value(raw, key, convert)
-        tolerances = {key.split(".", 1)[1]: config_value(raw, key, float)
-                      for key in raw if key.startswith("tolerance.")}
-        return SuiteConfig(tolerances=tolerances, **fields)
+        return SuiteConfig(**fields)
 
     @staticmethod
     def from_file(path) -> "SuiteConfig":

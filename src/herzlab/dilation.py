@@ -128,7 +128,8 @@ class Dilation:
                 break
             mid = (lo[rows] + hi[rows]) // 2
             inside = np.empty(rows.size, dtype=bool)
-            for k in np.unique(mid):
+            # a set, not np.unique: its first call imports numpy.ma (10 ms)
+            for k in set(mid.tolist()):
                 sel = mid == k
                 inside[sel] = self._inside(pts[rows[sel]], int(k))
             hi[rows[inside]] = mid[inside]
@@ -179,8 +180,9 @@ class Dilation:
 def make_dilation(matrix) -> Dilation:
     """Validate an expansive matrix and construct its scale geometry.
 
-    Raises NotSquare/BadDim for shape problems and NotExpansive when an
-    eigenvalue magnitude is <= 1.
+    Raises NotSquare/BadDim for shape problems, NotExpansive when an
+    eigenvalue magnitude is <= 1, and UnresolvableScale when an entry,
+    det A or the ellipsoid form leaves the float range.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -188,6 +190,9 @@ def make_dilation(matrix) -> Dilation:
     n = a.shape[0]
     if n not in (1, 2):
         raise BadDim(f"only dimensions 1 and 2 are supported, got {n}")
+    with np.errstate(over="ignore"):
+        if not (np.all(np.isfinite(a)) and math.isfinite(np.linalg.det(a))):
+            raise UnresolvableScale("dilation matrix beyond the float range")
 
     eigmags = np.sort(np.abs(np.linalg.eigvals(a)))
     if eigmags[0] <= 1.0:
@@ -202,7 +207,10 @@ def make_dilation(matrix) -> Dilation:
     power = np.eye(n)
     k = 0
     while True:
-        term = c ** (2 * k) * power.T @ power
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = c ** (2 * k) * power.T @ power
+        if not np.all(np.isfinite(term)):
+            raise UnresolvableScale("ellipsoid form of the matrix beyond the float range")
         m += term
         if k > 0 and np.linalg.norm(term, 2) < _TERM_TOL:
             break
@@ -406,11 +414,13 @@ def _grid_index_map(d: Dilation, axis: np.ndarray) -> np.ndarray:
     g = np.linalg.cholesky(d.ellipsoid_form).T @ np.stack(
         [d.inv_power(int(k)) for k in ks])
     g_max = np.linalg.norm(g, ord=2, axis=(1, 2))
-    with np.errstate(divide="ignore"):  # A^{-k} may underflow to 0
-        log_max = np.log(g_max)
     log_det = 0.5 * math.log(np.linalg.det(d.ellipsoid_form)) + np.array(
         [_log_abs_det(d.inv_power(int(k))) for k in ks])
-    log_min = log_det if d.dim == 1 else log_det - log_max
+    # A^{-k} may underflow to 0 (log_max = log_det = -inf): that ball holds
+    # every cell, and its nan log_min flags no scale as empty
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_max = np.log(g_max)
+        log_min = log_det if d.dim == 1 else log_det - log_max
     log_ext = math.log(span) + 0.5 * math.log(d.dim)  # log max |x|
     # capped so that the inner band level 1 - 3 tol stays positive
     tol = np.exp(np.minimum(log_max + log_ext - log_r0 + np.log1p(np.abs(ks))
@@ -594,16 +604,29 @@ def offset_index_map(d: Dilation, spec: GridSpec) -> np.ndarray:
 def ball_diameter(d: Dilation, k: int) -> float:
     """Euclidean diameter of B_k (twice the largest semiaxis).
 
-    Raises UnresolvableScale where the form of B_k leaves the float
-    range: it overflows (the overflow is expected there and silenced) or
-    its smallest eigenvalue underflows to 0.
+    In 1D the semiaxis is r0 / sqrt(q), q = a^{-2k} M the form of B_k.
+    In 2D it is r0 sqrt(s), s the largest eigenvalue of A^k M^{-1} A^{kT}:
+    the form's smallest eigenvalue would give it too, but the form's
+    condition number grows like the k-th power of the eigenvalue ratio of
+    A, and an eigensolve loses that eigenvalue to rounding (to a
+    nonpositive value on [[1.21875, 1], [0, 2]] at k = 40).
+
+    Raises UnresolvableScale where B_k leaves the float range: the matrix
+    product overflows (expected there and silenced) or underflows to 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        q = d.inv_power(k).T @ d.ellipsoid_form @ d.inv_power(k)
-    smallest = float(np.min(np.linalg.eigvalsh(q))) if np.all(np.isfinite(q)) else 0.0
-    if not smallest > 0.0:
+        if d.dim == 1:
+            form = float((d.inv_power(k).T @ d.ellipsoid_form @ d.inv_power(k))[0, 0])
+            semiaxis = d.radius / math.sqrt(form) if 0.0 < form < math.inf else 0.0
+        else:
+            power = d.inv_power(-k)
+            spread = power @ np.linalg.inv(d.ellipsoid_form) @ power.T
+            top = float(np.max(np.linalg.eigvalsh(spread))) \
+                if np.all(np.isfinite(spread)) else math.inf
+            semiaxis = d.radius * math.sqrt(top) if 0.0 < top < math.inf else 0.0
+    if not 0.0 < semiaxis < math.inf:
         raise UnresolvableScale(f"ball B_{k} beyond the representable scales")
-    return 2.0 * d.radius / math.sqrt(smallest)
+    return 2.0 * semiaxis
 
 
 def parse_matrix(text: str) -> np.ndarray:

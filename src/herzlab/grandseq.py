@@ -222,6 +222,11 @@ def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
     x = np.abs(np.asarray(values, dtype=float))
     if not np.any(x):
         return 0.0, math.inf, 0
+    if params.theta > 1e300 * params.p:
+        # eps = e alone weighs max |x| by e^{theta / (3.7 p)}, past the float
+        # range for any nonzero x once theta / p tops 5.4e3; here even
+        # (theta / P) log eps would overflow
+        raise NormOverflow("a grand sequence norm exceeds the float range")
     log_w = np.broadcast_to(np.asarray(log_weight, dtype=float), x.shape)
     with np.errstate(divide="ignore"):
         log_x = np.log(x)
@@ -249,8 +254,10 @@ def partial_sum_sup(values: np.ndarray, params: GrandSequenceParams,
         def log_value(log_eps: np.ndarray) -> np.ndarray:
             return np.maximum.reduce(weighted(log_eps), axis=-1)
 
+    # a weight past the float range over an all-zero prefix adds nothing
+    prefix = np.maximum.accumulate(x)
     with np.errstate(over="ignore"):
-        limit = np.exp(log_w) * np.maximum.accumulate(x)
+        limit = np.multiply(np.exp(log_w), prefix, where=prefix > 0, out=np.zeros(x.size))
     return _sup_ending(log_value, weighted, limit)
 
 

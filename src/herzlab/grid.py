@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,15 @@ class GridSpec:
             raise BadGrid(f"resolution must be at least 2, got {self.resolution}")
         if not (0 < self.radius < math.inf):
             raise BadGrid(f"radius must be positive and finite, got {self.radius!r}")
+        # a subnormal width rounds the cell centres together
+        try:
+            fits = self.cell_width >= sys.float_info.min and self.cell_volume < math.inf
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise BadGrid(f"radius {self.radius!r} gives {self.resolution} cells a "
+                          f"side of width {self.cell_width!r}, whose width or volume "
+                          f"leaves the normal float range")
 
     @property
     def cell_width(self) -> float:

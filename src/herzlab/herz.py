@@ -78,18 +78,27 @@ class HerzSpaceParams:
     krange: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise BadParams(f"p must be >= 1, got {self.p}")
-        if not self.theta > 0:
-            raise BadParams(f"theta must be positive, got {self.theta}")
-        if self.lambda_morrey < 0:
-            raise BadParams("lambda_morrey must be nonnegative")
+        # P = p (1 + eps) must stay finite over the eps scan, up to 1e6
+        if not 1.0 <= self.p <= 1e300:
+            raise BadParams(f"p must lie in [1, 1e300], got {self.p}")
+        if not 0 < self.theta < math.inf:
+            raise BadParams(f"theta must be positive and finite, got {self.theta}")
+        # the Morrey weights take lam ln b, and ln b < 710 for any float b
+        if not 0 <= self.lambda_morrey <= 1e300:
+            raise BadParams(f"lambda_morrey must lie in [0, 1e300], got {self.lambda_morrey}")
+        a = self.alpha
+        if not all(map(math.isfinite, (a.p_minus, a.p_plus, a.at_origin, a.at_infinity))):
+            raise BadParams(f"alpha must be finite, got {a.name}")
         if not self.q.in_class_p:
-            raise NotInClassP(f"q must be class P, got q^- = {self.q.p_minus:g}")
+            raise NotInClassP(f"q must be class P (1 < q^- <= q^+ <= 1e150), got "
+                              f"q^- = {self.q.p_minus:g}, q^+ = {self.q.p_plus:g}")
         if not 0 < self.delta2 < 1:
             raise BadParams("delta2 must lie in (0, 1)")
         if self.krange is not None and self.krange[0] > self.krange[1]:
             raise BadParams(f"krange must have k_min <= k_max, got {self.krange}")
+        if self.krange is not None and not self.homogeneous and self.krange[1] < 0:
+            raise BadParams(f"the non-homogeneous window starts at k = 0, "
+                            f"past k_max = {self.krange[1]}")
 
     def seq_params(self) -> GrandSequenceParams:
         return GrandSequenceParams(p=self.p, theta=self.theta)
@@ -111,11 +120,12 @@ def _box_corners(spec: GridSpec) -> np.ndarray:
 @per_grid
 def default_krange(d: Dilation, spec: GridSpec) -> tuple[int, int]:
     """Truncation window: k_max the smallest k >= 0 with B_k covering the
-    box, k_min the largest k whose ball diameter is under 4 grid cells."""
-    corners = _box_corners(spec)
-    k_max = 0
-    while not np.all(d.ball_contains(corners, k_max)):
-        k_max += 1
+    box, k_min the largest k whose ball diameter is under 4 grid cells.
+
+    A corner x lies in B_k exactly when k > annulus_index(x); that index
+    is bisected inside the dilation's ``power_window`` and raises
+    ``UnresolvableScale`` beyond it."""
+    k_max = max(0, int(np.max(d.annulus_index(_box_corners(spec)))) + 1)
     limit = 4.0 * spec.cell_width
     k_min = k_max
     while ball_diameter(d, k_min) >= limit:
@@ -194,8 +204,8 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
         return ks, t
 
     w = np.repeat(ks.astype(float), np.diff(bounds))
-    np.multiply(_ordered_exponent(alpha, d, spec, lo, hi), w, out=w)
     with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(_ordered_exponent(alpha, d, spec, lo, hi), w, out=w)
         np.power(d.b, w, out=w)
         np.multiply(vals, w, out=vals)
     if not math.isfinite(np.max(vals, initial=0.0)):
@@ -257,7 +267,10 @@ def _tail_bound(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     rate = alpha_low + 1.0 / params.q.p_plus
     if rate <= 0:
         return math.inf
-    return cap * d.b ** ((k_min - 1) * rate) / (1.0 - d.b ** (-rate))
+    try:  # a bound past the float range, or a b^{-rate} that rounds to 1
+        return cap * d.b ** ((k_min - 1) * rate) / (1.0 - d.b ** (-rate))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 # --- the norms --------------------------------------------------------------

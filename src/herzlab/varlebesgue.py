@@ -103,7 +103,10 @@ class ExponentFunction:
 
     @property
     def in_class_p(self) -> bool:
-        return self.p_minus > 1.0 and math.isfinite(self.p_plus)
+        """1 < p^- and p^+ <= 1e150: the variable-exponent solve sums the
+        terms q^2 exp(a) <= q^2 over the cells, and that sum must stay in
+        the float range."""
+        return self.p_minus > 1.0 and self.p_plus <= 1e150
 
     @property
     def log_holder_constant(self) -> Optional[float]:

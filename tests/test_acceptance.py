@@ -15,35 +15,24 @@ from herzlab import (
     OperatorSpec,
     Sequence,
     atom_make,
-    atom_validate,
-    ball_norm_product,
-    block_decompose,
-    block_reconstruct,
     boundedness_sweep,
     check_quasi_triangle,
-    default_krange,
     grand_herz_norm,
     grand_seq_norm,
     herz_morrey_norm,
     holder_defect,
-    luxemburg_norm,
     make_dilation,
     scale_translate_family,
-    seq_functional,
     size_condition_check,
     sum_check,
     product_check,
 )
+from herzlab import suites
 from herzlab.config import SuiteConfig
 from herzlab.grid import GridFunction, GridSpec
-from herzlab.oracles import (
-    constant_herz_reference,
-    delta_sequence_value,
-    luxemburg_two_piece,
-)
-from herzlab.suites import _grandseq_dense_agreement
+from herzlab.oracles import delta_sequence_value, luxemburg_two_piece
 
-from conftest import annulus_supported_function, herz_params, random_function
+from conftest import herz_params, random_function
 
 
 def _line(num, ok, desc):
@@ -51,20 +40,22 @@ def _line(num, ok, desc):
     assert ok, f"criterion {num}: {desc}"
 
 
+def _check_rows(check, spec, seed=7):
+    """The rows of one suite check on the dyadic line."""
+    return list(check(make_dilation([[2.0]]), spec, np.random.default_rng(seed),
+                      SuiteConfig(seed=seed)))
+
+
 def test_criterion_01_constant_herz_oracle():
     t_start = time.monotonic()
+    # 0.02 relative at 4096 cells, 0.005 at 16384
+    (row,) = _check_rows(suites._herz_constant_oracle,
+                         GridSpec(radius=0.5, dim=1, resolution=4096))
+    ok = row.bound == 0.02 and row.passed
+    rel, ref = row.measured["rel_errors"], row.measured["oracle"]
+
     d = make_dilation([[2.0]])
-    ref = constant_herz_reference(b=2.0, alpha=2.0, q=2.0, p=1.0, theta=1.0)
     params = herz_params(alpha=2.0, p=1.0, q=2.0)
-
-    rel = {}
-    for n, tol in ((4096, 0.02), (16384, 0.005)):
-        spec = GridSpec(radius=0.5, dim=1, resolution=n)
-        f = GridFunction(spec, np.ones(spec.shape))
-        norm, _ = grand_herz_norm(f, d, params)
-        rel[n] = abs(norm - ref) / ref
-    ok = rel[4096] <= 0.02 and rel[16384] <= 0.005
-
     # convergence on a box not aligned with the dyadic balls
     errs = []
     for n in (1000, 4000):
@@ -85,31 +76,24 @@ def test_criterion_01_constant_herz_oracle():
 
 def test_criterion_02_luxemburg_oracle():
     t_start = time.monotonic()
-    orc = luxemburg_two_piece()  # oracle first: algebraic root
-    assert orc["t_agreement"] <= 1e-12
-    spec = GridSpec(radius=2.0, dim=1, resolution=4096)
-    x = spec.points()[..., 0]
-    f = GridFunction(spec, ((x >= 0) & (x < 2)).astype(float))
-    p = ExponentFunction.custom(
-        fn=lambda pts: np.where(pts[..., 0] < 1.0, 2.0, 4.0),
-        p_minus=2.0, p_plus=4.0, at_origin=2.0, at_infinity=4.0)
-    val = luxemburg_norm(f, p)
+    assert luxemburg_two_piece()["t_agreement"] <= 1e-12  # algebraic root
+    (row,) = _check_rows(suites._lebesgue_luxemburg_two_piece,
+                         GridSpec(radius=2.0, dim=1, resolution=4096))
+    val = row.measured["norm"]
     runtime = time.monotonic() - t_start
-    ok = abs(val - orc["norm"]) <= 1e-6 and abs(val - 1.2720) <= 1e-4 \
+    ok = row.bound == 1e-6 and row.passed and abs(val - 1.2720) <= 1e-4 \
         and runtime < 1.0
     _line(2, ok, f"two-piece Luxemburg norm {val:.10f} vs 1.2720196495 "
           f"({runtime:.2f}s)")
 
 
 def test_criterion_03_ball_identity():
-    d = make_dilation([[2.0]])
-    worst = 0.0
-    for pv in (1.5, 2.0, 4.0):
-        p = ExponentFunction.constant(pv)
-        for k in range(-3, 4):
-            spec = GridSpec(radius=2.0 ** (k - 1), dim=1, resolution=1024)
-            worst = max(worst, abs(ball_norm_product(d, k, p, spec) - 1.0))
-    ok = worst <= 1e-3
+    # the boxes are exactly 2^(k-1) on the dyadic line: the product equals
+    # the grid measure to 1e-12, and that measure is 2^k to 1e-3
+    (row,) = _check_rows(suites._lebesgue_ball_product_const,
+                         GridSpec(radius=2.0, dim=1, resolution=1024))
+    worst = row.measured["unit_dev"]
+    ok = row.bound == 1e-12 and row.passed and worst <= 1e-3
     _line(3, ok, f"ball norm-product identity, worst dev {worst:.2e} "
           f"(k in [-3,3], p in {{1.5,2,4}})")
 
@@ -138,31 +122,25 @@ def test_criterion_04_holder_defect():
 
 
 def test_criterion_05_decomposition_round_trip():
-    d = make_dilation([[2.0]])
-    spec = GridSpec(radius=2.0, dim=1, resolution=1024)
-    rng = np.random.default_rng(51)
-    params = herz_params(alpha=0.3, p=1.5, q=2.0)
-    worst_rt = worst_id = 0.0
-    for _ in range(50):
-        f = annulus_supported_function(spec, d, rng, default_krange(d, spec))
-        dec = block_decompose(f, d, params)
-        rec = block_reconstruct(dec)
-        worst_rt = max(worst_rt, float(np.max(np.abs(rec.values - f.values))))
-        norm, _ = grand_herz_norm(f, d, params)
-        worst_id = max(worst_id, abs(seq_functional(dec) - norm))
-    ok = worst_rt <= 1e-12 and worst_id <= 1e-9
+    # 50 functions: round trip within 1e-12, identity within 1e-9, and
+    # every block valid
+    (row,) = _check_rows(suites._herz_decomposition,
+                         GridSpec(radius=2.0, dim=1, resolution=1024), seed=51)
+    worst_rt = row.measured["worst_roundtrip"]
+    worst_id = row.measured["worst_identity"]
+    ok = row.bound == 1e-9 and row.passed
     _line(5, ok, f"decomposition round trip (max {worst_rt:.2e}) and "
           f"coefficient identity (max {worst_id:.2e}) over 50 functions")
 
 
 def test_criterion_06_grand_seq_vs_dense():
-    (row,) = _grandseq_dense_agreement(None, None, np.random.default_rng(61),
-                                       SuiteConfig(seed=61), n_cases=200)
+    (row,) = suites._grandseq_dense_agreement(
+        None, None, np.random.default_rng(61), SuiteConfig(seed=61), n_cases=200)
     worst = row.measured["worst_rel"]
     delta_main = grand_seq_norm(Sequence(np.array([1.0])),
                                 GrandSequenceParams(p=1.0, theta=1.0))
     delta_ref = delta_sequence_value(1.0, 1.0)
-    ok = row.bound == 1e-6 and row.passed and abs(delta_main - delta_ref) <= 1e-6 \
+    ok = row.bound == 1e-13 and row.passed and abs(delta_main - delta_ref) <= 1e-6 \
         and abs(delta_ref - 1.3211) <= 5e-4
     _line(6, ok, f"grand sequence norm vs dense scan over 200 sequences "
           f"(worst rel {worst:.2e}; one-hot {delta_main:.6f})")
@@ -250,31 +228,21 @@ def test_criterion_08_operator_region_stability():
 
 
 def test_criterion_09_atom_suite():
+    (made,) = _check_rows(suites._atoms_make_validate,
+                          GridSpec(radius=2.0, dim=1, resolution=2048))
+    # the Haar atom of B_0 passes order 0 and fails order 1 with first
+    # moment -1/4 to 1e-8
+    (haar,) = _check_rows(suites._atoms_haar_moment,
+                          GridSpec(radius=0.5, dim=1, resolution=2048))
+    moment = haar.measured["moment"]
+    # the Hardy far field is exactly zero, and the check meets far cells
+    big = GridSpec(radius=4.0, dim=1, resolution=1024)
+    (far,) = _check_rows(suites._atoms_size_condition, big)
     d = make_dilation([[2.0]])
     params = herz_params(alpha=0.6, p=1.0, q=2.0, delta2=0.5)
-    spec = GridSpec(radius=2.0, dim=1, resolution=2048)
-    all_ok = True
-    for kind, smax in (("haar", 0), ("bump_corrected", 2)):
-        for k in (-1, 0, 1, 2):
-            for s in range(smax + 1):
-                atom = atom_make(kind, k, s, d, params, spec)
-                rep = atom_validate(atom.data, k, d, params, s)
-                all_ok = all_ok and rep["pass"]
-
-    hspec = GridSpec(radius=0.5, dim=1, resolution=2048)
-    haar_params = herz_params(alpha=0.5, p=1.0, q=2.0, delta2=0.5)
-    haar = atom_make("haar", 0, 0, d, haar_params, hspec)
-    rep0 = atom_validate(haar.data, 0, d, haar_params, 0)
-    rep1 = atom_validate(haar.data, 0, d, haar_params, 1)
-    moment = rep1["moments"]["1"]
-    haar_ok = rep0["pass"] and not rep1["pass"] \
-        and abs(moment + 0.25) <= 1e-8
-
-    big = GridSpec(radius=4.0, dim=1, resolution=1024)
-    hatom = atom_make("haar", 0, 0, d, params, big)
-    rep = size_condition_check(OperatorSpec(kind="hardy"), hatom, d)
-    far_ok = rep["far_field_exact_zero"] and rep["n_triggered"] > 0
-    ok = all_ok and haar_ok and far_ok
+    rep = size_condition_check(OperatorSpec(kind="hardy"),
+                               atom_make("haar", 0, 0, d, params, big), d)
+    ok = made.passed and haar.passed and far.passed and rep["n_triggered"] > 0
     _line(9, ok, f"atoms validate; Haar passes s=0, fails s=1 with moment "
           f"{moment:+.9f}; Hardy far field exactly zero")
 

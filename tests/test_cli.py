@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import tracemalloc
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from herzlab import ExponentFunction, HerzSpaceParams, make_dilation
 from herzlab.cli import main
@@ -50,17 +53,6 @@ def test_parse_exponent():
         parse_exponent("log:2")
     with pytest.raises(ConfigError):
         parse_exponent("spline:1,2,3")
-
-
-def test_suite_config_tolerance_floor():
-    # a sub-floor tolerance is rejected when the config is built, before
-    # any check runs
-    with pytest.raises(ConfigError):
-        SuiteConfig(tolerances={"x": 1e-20})
-    with pytest.raises(ConfigError):
-        SuiteConfig.from_dict({"tolerance.x": 1e-20})
-    assert SuiteConfig().tol("x", 1e-6) == 1e-6
-    assert SuiteConfig.from_dict({"tolerance.x": 1e-3}).tol("x", 1e-6) == 1e-3
 
 
 def test_cli_norm(workdir, capsys):
@@ -383,6 +375,75 @@ def test_cli_norm_rejects_unresolvable_ball_scales(workdir, capsys, config):
     assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def noise_dir(tmp_path_factory):
+    """A directory holding a noise descriptor, shared by the examples."""
+    path = tmp_path_factory.mktemp("noise")
+    (path / "noise.json").write_text('{"family": "noise", "seed": 1}\n')
+    return path
+
+
+_ANY_FLOAT = st.floats()  # extreme finite floats, +-inf, nan, +-0 and negatives
+_FLOAT_KEYS = ["grid.radius", "herz.p", "herz.theta", "herz.lambda", "herz.delta2"]
+
+
+@st.composite
+def _norm_configs(draw):
+    """Config text for ``norm``: a dilation, a grid of at most 64 cells a
+    side, any floats for the scalar keys and exponents, and a window
+    whose ends may be swapped."""
+    x = repr(draw(_ANY_FLOAT))
+    lines = [
+        "dilation.matrix = " + draw(st.sampled_from(
+            ["2", "-3", "2 1; 0 2", "3 0; 1 2", f"{x} 0; 0 2", f"2 {x}; 0 2"])),
+        f"grid.resolution = {draw(st.integers(-2, 64))}",
+    ]
+    for key in draw(st.lists(st.sampled_from(_FLOAT_KEYS), unique=True, max_size=3)):
+        lines.append(f"{key} = {draw(_ANY_FLOAT)!r}")
+    for key in draw(st.lists(st.sampled_from(["herz.alpha", "herz.q"]), unique=True)):
+        ends = draw(st.lists(_ANY_FLOAT, min_size=1, max_size=2))
+        kind = "const" if len(ends) == 1 else "log"
+        lines.append(f"{key} = {kind}:" + ",".join(map(repr, ends)))
+    window = draw(st.none() | st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+    if window is not None:
+        lines += [f"herz.kmin = {window[0]}", f"herz.kmax = {window[1]}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_norm_configs(), space=st.sampled_from(["herz", "herz-morrey"]))
+# a grand norm past the float range, a weight overflowing in b^{k alpha(x)},
+# a tail bound past the float range, one whose b^{-rate} rounds to 1, a
+# Morrey weight past the float range over empty slices, and a grid map
+# whose far scales' A^{-k} underflow to 0
+@example(config="herz.theta = 1.7976931348623157e308\n", space="herz")
+@example(config="dilation.matrix = 2 1; 0 2\ngrid.resolution = 8\n"
+         "herz.alpha = log:1.7976931348623157e308,1e-08\n", space="herz")
+@example(config="dilation.matrix = 3 0; 1 2\ngrid.resolution = 2\ngrid.radius = 1e8\n"
+         "herz.alpha = const:1e8\nherz.kmin = 31\nherz.kmax = 40\n", space="herz")
+@example(config="grid.resolution = 8\nherz.alpha = const:0\nherz.q = const:1e100\n",
+         space="herz")
+@example(config="grid.resolution = 2\ngrid.radius = 0.5\nherz.lambda = 513\n"
+         "herz.kmin = -2\nherz.kmax = 0\n", space="herz-morrey")
+@example(config="dilation.matrix = 2 0; 0 2\ngrid.resolution = 9\ngrid.radius = 2e108\n",
+         space="herz")
+def test_cli_norm_ends_in_a_typed_error_on_any_config(noise_dir, config, space):
+    # whatever the values, norm prints a report or one typed error line:
+    # no traceback, no hang and no numpy warning
+    (noise_dir / "any.txt").write_text(config)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(["norm", "--space", space, "--input", str(noise_dir / "noise.json"),
+                   "--config", str(noise_dir / "any.txt")])
+    assert rc in (0, 1, 2) and not caught, [str(w.message) for w in caught]
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if rc:
+        assert err.splitlines()[-1].startswith(("error:", "config error:", "input error:"))
+
+
 def test_cli_atoms_make_rejects_negative_moment_order(workdir, capsys):
     rc = main(["atoms", "make", "--s", "-1", "--resolution", "64",
                "--out", str(workdir / "atom")])
@@ -501,6 +562,8 @@ def test_suite_config_family_and_grid_knobs(tmp_path):
 
 
 @pytest.mark.parametrize("command, line", [
+    # the checks write their own bounds: a tolerance key is unknown,
+    # whatever its value
     ("verify", "tolerance.holder = abc"),
     ("verify", "tolerance.holder = 1e-20"),
     ("verify", "suite.seed = 1.5x"),

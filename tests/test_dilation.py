@@ -87,6 +87,16 @@ def test_not_expansive_rejected():
         make_dilation([[0.5, 0.0], [0.0, 3.0]])
 
 
+@pytest.mark.parametrize("matrix", [[[math.inf]], [[2.0, -1e300], [0.0, 2.0]],
+                                    [[-1.7976931348623157e308, 0.0], [0.0, 2.0]]])
+def test_matrix_beyond_the_float_range_rejected(matrix):
+    # an entry, det A or the ellipsoid form leaves the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnresolvableScale):
+            make_dilation(matrix)
+
+
 def test_shape_validation():
     with pytest.raises(NotSquare):
         make_dilation(np.ones((2, 3)))

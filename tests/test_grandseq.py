@@ -75,7 +75,7 @@ def test_eps_factor_matches_delta():
 def test_dense_agreement_sweep():
     (row,) = _grandseq_dense_agreement(None, None, np.random.default_rng(8),
                                        SuiteConfig(seed=8))
-    assert row.bound == 1e-6 and row.passed, row.measured
+    assert row.bound == 1e-13 and row.passed, row.measured
 
 
 def test_grid_vs_denser_grid():

@@ -64,7 +64,9 @@ def test_nonfinite_rejected(line_spec):
 
 
 @pytest.mark.parametrize("radius, resolution", [(2.0, 1), (2.0, -4), (0.0, 8),
-                                                (-1.0, 8), (math.nan, 8)])
+                                                (-1.0, 8), (math.nan, 8),
+                                                # cells of subnormal or infinite width
+                                                (5e-324, 2), (1.7976931348623157e308, 8)])
 def test_impossible_grid_rejected(radius, resolution):
     with pytest.raises(ValueError) as info:
         GridSpec(radius=radius, dim=1, resolution=resolution)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from herzlab import (
     ExponentFunction,
@@ -56,6 +56,13 @@ def test_params_validation():
         herz_params(q=ExponentFunction.constant(1.0))
     with pytest.raises(BadParams):
         herz_params(delta2=1.5)
+    # values no norm can take, or whose scan leaves the float range
+    for bad in ({"p": np.nan}, {"p": 1e301}, {"theta": np.inf}, {"lam": np.inf},
+                {"lam": 1e301}, {"alpha": np.inf}, {"homogeneous": False, "krange": (-9, -5)}):
+        with pytest.raises(BadParams):
+            herz_params(**bad)
+    with pytest.raises(NotInClassP):  # q^2 terms beyond the float range
+        herz_params(q=ExponentFunction.log_family(2.0, 1e151))
 
 
 def test_annulus_slices_partition(dyadic, line_spec):
@@ -83,6 +90,23 @@ def test_annulus_slice_cases(dyadic, line_spec):
     # non-homogeneous 0-slice is the whole unit ball
     s_nh = annulus_slice(f, dyadic, 0, nonhomogeneous=True)
     assert s_nh.integral() == pytest.approx(f.integral())
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix=expansive_matrices, log10_radius=st.floats(min_value=-6, max_value=6),
+       resolution=st.sampled_from([8, 33, 64]))
+# the form of B_40 loses its smallest eigenvalue to rounding here
+@example(matrix=[[1.21875, 1.0], [0.0, 2.0]], log10_radius=3.0, resolution=8)
+def test_default_krange_top_matches_linear_scan(matrix, log10_radius, resolution):
+    # reference: the smallest k >= 0 whose ball holds every box corner,
+    # found by stepping k up one at a time
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=10.0 ** log10_radius, dim=d.dim, resolution=resolution)
+    corners = spec.radius * np.array(np.meshgrid(*[[-1.0, 1.0]] * d.dim)).reshape(d.dim, -1).T
+    k_max = 0
+    while not np.all(d.ball_contains(corners, k_max)):
+        k_max += 1
+    assert default_krange(d, spec)[1] == k_max
 
 
 def test_constant_exponent_oracle(dyadic):
@@ -742,6 +766,64 @@ def test_plane_norms_reduce_at_lambda_zero_and_keep_domination(
     tol = 1e-13
     assert grand_herz_norm(f, d, params)[0] <= grand_herz_norm(g, d, params)[0] * (1 + tol)
     assert herz_morrey_norm(f, d, params) <= herz_morrey_norm(g, d, params) * (1 + tol)
+
+
+# (dilation, grid): the dyadic line at 64-512 cells or the shear at 33^2-65^2
+_LINE_OR_SHEAR = st.one_of(
+    st.tuples(st.just([[2.0]]), st.integers(min_value=64, max_value=512)),
+    st.tuples(st.just([[2.0, 1.0], [0.0, 2.0]]), st.integers(min_value=33, max_value=65))
+).map(lambda t: (make_dilation(t[0]), GridSpec(radius=2.0, dim=len(t[0]), resolution=t[1])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(geometry=_LINE_OR_SHEAR,
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       q=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       theta=st.floats(min_value=0.2, max_value=2.0),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_grand_herz_norm_ignores_the_order_inside_each_annulus(geometry, alpha, q, p,
+                                                               theta, seed):
+    # for constant alpha and q a slice norm is b^{k alpha} (h sum v^q)^{1/q}
+    # times max |f|, v = |f| / max |f| over the cells of C_k, so permuting
+    # the cells inside each annulus changes only the order of that sum.
+    # numpy's pairwise sum of n <= 65^2 terms errs by at most about
+    # (log2(n / 8) + 8) ulps, some 2e-15 relative, and the eps supremum
+    # resolves its peak to about 2e-15: 1e-13 relative leaves a wide margin
+    d, spec = geometry
+    rng = np.random.default_rng(seed)
+    f = random_function(spec, rng)
+    idx = annulus_index_map(d, spec).reshape(-1)
+    vals = f.values.reshape(-1).copy()
+    for k in np.unique(idx):
+        cells = np.flatnonzero(idx == k)
+        vals[cells] = vals[rng.permutation(cells)]
+    params = herz_params(alpha=alpha, p=p, q=q, theta=theta)
+    norm = grand_herz_norm(f, d, params)[0]
+    permuted = grand_herz_norm(GridFunction(spec, vals.reshape(spec.shape)), d, params)[0]
+    assert permuted == pytest.approx(norm, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(geometry=_LINE_OR_SHEAR,
+       alpha=exponents(0.0, 1.0),
+       q=exponents(1.0, 3.0, exclude_min=True),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       theta=st.floats(min_value=0.2, max_value=2.0),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_grand_herz_norm_triangle_inequality(geometry, alpha, q, p, theta, seed):
+    # a computed norm is a max over evaluated eps of sums of slice norms,
+    # each a closed form to a few ulps or a Newton solve within its
+    # certified 1e-12: rounding moves each norm by at most about 1e-12
+    # relative.  The inequality is tight only for positively proportional
+    # f and g; independent draws stay far from that (the ratio peaks near
+    # 0.99), so a ratio above 1 + 1e-12 would be a defect, not rounding
+    d, spec = geometry
+    rng = np.random.default_rng(seed)
+    f, g = random_function(spec, rng), random_function(spec, rng)
+    params = HerzSpaceParams(alpha=alpha, p=p, q=q, theta=theta)
+    total = grand_herz_norm(f, d, params)[0] + grand_herz_norm(g, d, params)[0]
+    assert grand_herz_norm(f + g, d, params)[0] <= (1 + 1e-12) * total
 
 
 def test_ordered_log_family_is_the_gather(shear, iso2):

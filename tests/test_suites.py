@@ -17,10 +17,7 @@ from herzlab.grid import GridSpec
     suites._atoms_make_validate,
 ])
 def test_checks_pass_on_the_shear_plane(shear, plane_spec, check):
-    # the sheared balls B_k are ellipses, so the ball product for constant
-    # p is 1 only up to their grid measure: worst |product - 1| is 7.5e-3
-    # at 64^2 (3.1e-3 at 128^2), above the 1e-3 the dyadic line meets
-    cfg = SuiteConfig(tolerances={"ball_product": 1e-2})
+    cfg = SuiteConfig()
     rows = list(check(shear, plane_spec, np.random.default_rng(cfg.seed), cfg))
     assert rows
     for row in rows:
