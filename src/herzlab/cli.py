@@ -3,9 +3,10 @@
 Subcommands: norm, decompose, atoms, sweep, verify, oracle.
 Exit codes: 0 pass, 1 check failure, 2 usage, config or input error.
 
-The verification modules (suites, oracles, reports) are imported by
-the verify and oracle subcommands alone, so the other subcommands'
-processes do not load them.
+The verification modules (suites, oracles) are imported by the verify
+and oracle subcommands alone, so the other subcommands' processes do
+not load them.  Every subcommand writes strict JSON, with non-finite
+floats as null (``jsonout.dumps``).
 
 Outputs are deterministic for a fixed config and seed; per-check
 runtimes are only written when --timings is passed so report files
@@ -49,6 +50,7 @@ from .herz import (
     block_decompose,
     herz_norm_report,
 )
+from .jsonout import dumps
 
 
 def _herz_params(raw: dict) -> HerzSpaceParams:
@@ -117,19 +119,11 @@ def _dilation_from(raw: dict, matrix: str | None = None):
 
 
 def _emit(obj: dict, out: str | Path | None) -> None:
-    text = json.dumps(obj, indent=2, default=_json_default) + "\n"
+    text = dumps(obj, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_default(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.integer, np.floating, np.bool_)):
-        return v.item()
-    raise TypeError(f"not JSON serializable: {type(v)}")
 
 
 # --- subcommands ------------------------------------------------------------

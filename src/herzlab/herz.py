@@ -173,6 +173,11 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     k_min, k_max = params.krange or default_krange(d, spec)
     if not params.homogeneous:
         k_min = 0
+    if params.krange:
+        # a user window past the representable scales would be allocated
+        # in full below: ball_diameter raises UnresolvableScale there
+        ball_diameter(d, k_min)
+        ball_diameter(d, k_max)
     ks = np.arange(k_min, k_max + 1)
 
     # C_k is the run cells[ball(k - 1):ball(k)] of the annulus order, so

@@ -5,9 +5,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Optional
+
+from .jsonout import dumps, json_ready
 
 
 def digest(obj: Any) -> str:
@@ -40,22 +41,13 @@ class VerificationReport:
         return (not self.asserted) or bool(self.passed)
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)
-            if isinstance(v, dict):
-                return {str(k): clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-
         return {
             "check": self.check,
             "reference": self.reference,
             "inputs": self.inputs,
             "seed": self.seed,
-            "measured": clean(self.measured),
-            "bound": clean(self.bound),
+            "measured": json_ready(self.measured),
+            "bound": json_ready(self.bound),
             "passed": self.passed,
             "asserted": self.asserted,
             "runtime_s": round(self.runtime_s, 6),
@@ -65,8 +57,7 @@ class VerificationReport:
 
 def write_json(reports: list[VerificationReport], path) -> None:
     with open(path, "w") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+        fh.write(dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
 
 
 def write_csv_summary(reports: list[VerificationReport], path) -> None:

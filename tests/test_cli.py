@@ -360,10 +360,16 @@ def test_cli_norm_rejects_non_finite_radius(workdir, capsys):
     "grid.radius = 1e300\n",             # the form of B_k underflows to 0
     "dilation.matrix = 1e300 0; 0 2\n",  # likewise, from the matrix
     "grid.radius = 1e-300\n",            # the form of B_k overflows
-], ids=["radius-1e300", "matrix-1e300", "radius-1e-300"])
+    # user windows, checked before any array of their length exists
+    "herz.kmin = -1000000000000\nherz.kmax = -3\n",
+    "herz.kmin = -600\nherz.kmax = -3\n",
+    "herz.kmin = 0\nherz.kmax = 1000000000000\n",
+], ids=["radius-1e300", "matrix-1e300", "radius-1e-300", "window-1e12", "window-600",
+        "window-up-1e12"])
 def test_cli_norm_rejects_unresolvable_ball_scales(workdir, capsys, config):
-    # default_krange reaches a ball whose diameter the float range cannot
-    # give: a typed error, with no traceback and no numpy warning
+    # default_krange or a window end reaches a ball whose diameter the
+    # float range cannot give: a typed error, with no traceback and no
+    # numpy warning
     (workdir / "f.json").write_text('{"family": "noise", "seed": 1}\n')
     (workdir / "bad.txt").write_text(config + "grid.resolution = 32\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -373,6 +379,29 @@ def test_cli_norm_rejects_unresolvable_ball_scales(workdir, capsys, config):
     assert rc == 1 and not caught
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+
+
+def _strict_json(text: str):
+    """json.loads that rejects Infinity, -Infinity and NaN (not RFC 8259)."""
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("config, field", [
+    # every slice of the window is empty: the eps -> infinity limit wins
+    ("grid.radius = 1e-8\ngrid.resolution = 256\nherz.kmin = -100\nherz.kmax = -37\n",
+     "argmax_eps"),
+    # alpha + 1/q^+ < 0 < alpha(0) + 1/q^-: the tail has no finite bound
+    ("herz.alpha = const:-0.4\nherz.q = log:2,3\n", "tail_bound"),
+], ids=["limit-wins", "no-tail-bound"])
+def test_cli_norm_writes_non_finite_values_as_null(workdir, capsys, config, field):
+    (workdir / "bump.json").write_text('{"family": "bump", "center": [0.0], "width": 0.5}\n')
+    (workdir / "c.txt").write_text("dilation.matrix = 2\n" + config)
+    assert main(["norm", "--input", str(workdir / "bump.json"),
+                 "--config", str(workdir / "c.txt")]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep[field] is None and math.isfinite(rep["norm"])
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +420,7 @@ _FLOAT_KEYS = ["grid.radius", "herz.p", "herz.theta", "herz.lambda", "herz.delta
 def _norm_configs(draw):
     """Config text for ``norm``: a dilation, a grid of at most 64 cells a
     side, any floats for the scalar keys and exponents, and a window
-    whose ends may be swapped."""
+    whose ends, up to 1e13 apart, may be swapped."""
     x = repr(draw(_ANY_FLOAT))
     lines = [
         "dilation.matrix = " + draw(st.sampled_from(
@@ -404,7 +433,8 @@ def _norm_configs(draw):
         ends = draw(st.lists(_ANY_FLOAT, min_size=1, max_size=2))
         kind = "const" if len(ends) == 1 else "log"
         lines.append(f"{key} = {kind}:" + ",".join(map(repr, ends)))
-    window = draw(st.none() | st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+    end = st.integers(-40, 40) | st.integers(-10**13, 10**13)
+    window = draw(st.none() | st.tuples(end, end))
     if window is not None:
         lines += [f"herz.kmin = {window[0]}", f"herz.kmax = {window[1]}"]
     return "\n".join(lines) + "\n"
@@ -428,12 +458,12 @@ def _norm_configs(draw):
 @example(config="dilation.matrix = 2 0; 0 2\ngrid.resolution = 9\ngrid.radius = 2e108\n",
          space="herz")
 def test_cli_norm_ends_in_a_typed_error_on_any_config(noise_dir, config, space):
-    # whatever the values, norm prints a report or one typed error line:
-    # no traceback, no hang and no numpy warning
+    # whatever the values, norm prints a strict JSON report or one typed
+    # error line: no traceback, no hang and no numpy warning
     (noise_dir / "any.txt").write_text(config)
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         rc = main(["norm", "--space", space, "--input", str(noise_dir / "noise.json"),
                    "--config", str(noise_dir / "any.txt")])
@@ -442,6 +472,8 @@ def test_cli_norm_ends_in_a_typed_error_on_any_config(noise_dir, config, space):
     assert "Traceback" not in err
     if rc:
         assert err.splitlines()[-1].startswith(("error:", "config error:", "input error:"))
+    else:
+        assert isinstance(_strict_json(out.getvalue())["norm"], float)
 
 
 def test_cli_atoms_make_rejects_negative_moment_order(workdir, capsys):
