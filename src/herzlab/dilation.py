@@ -315,10 +315,11 @@ def per_grid(build):
     Each builder holds at most ``_CACHE_BYTES`` (128 MiB), summed over
     the arrays its entries hold, and drops every entry when a new one
     would pass that; an entry larger than the budget is cached alone.  At
-    1024^2 an annulus order or a log-family exponent holds 8 bytes per
-    cell (8.4 MB), the truncated Riesz plan a real spectrum of 16.8 MB
-    and the shear's maximal plan 46.5 MB, mostly the spectra of the three
-    balls that span the grid.
+    1024^2 an annulus order, a log-family exponent or a log-family
+    alpha's weights hold 8 bytes per cell (8.4 MB), the exponent's
+    per-annulus bounds 16 bytes per annulus, the truncated Riesz plan a
+    real spectrum of 16.8 MB and the shear's maximal plan 46.5 MB, mostly
+    the spectra of the three balls that span the grid.
     """
     cache: dict = {}
     held = 0

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dilation import Dilation, annulus_order, ball_diameter, per_grid
+from .dilation import AnnulusOrder, Dilation, annulus_order, ball_diameter, per_grid
 from .errors import (
     BadParams,
     GridMismatch,
@@ -190,6 +190,7 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
     np.abs(vals, out=vals)
     q = params.q
     q_vals = q.value if q.is_constant else _ordered_exponent(q, d, spec, lo, hi)
+    q_rows = _log_rows(q, d, spec, ks, params.homogeneous)
 
     alpha = params.alpha
     if split or alpha.is_constant:
@@ -199,7 +200,7 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
                    else alpha.value)
         with np.errstate(over="ignore"):
             w = np.power(d.b, ks * alpha_k)
-        t = lux_core(vals, q_vals, spec.cell_volume, bounds)
+        t = lux_core(vals, q_vals, spec.cell_volume, bounds, q_rows)
         # a slice without mass stays 0 whatever its weight
         with np.errstate(over="ignore"):
             np.multiply(t, w, out=t, where=t > 0)
@@ -208,14 +209,18 @@ def slice_norms(f: GridFunction, d: Dilation, params: HerzSpaceParams,
                 "a slice norm b^{k alpha} ||f chi_k|| exceeds the float range")
         return ks, t
 
-    w = np.repeat(ks.astype(float), np.diff(bounds))
+    if alpha.kind == "log":
+        w = ordered_alpha_weights(d, spec, alpha.at_origin, alpha.at_infinity)[lo:hi]
+    else:
+        w = _annulus_weights(d, order, _ordered_exponent(alpha, d, spec, lo, hi), lo, hi)
+    # the non-homogeneous B_0 slice is weighted by b^0 = 1: left as it is
+    start = 0 if params.homogeneous else int(bounds[1])
+    weighted = vals[start:]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(_ordered_exponent(alpha, d, spec, lo, hi), w, out=w)
-        np.power(d.b, w, out=w)
-        np.multiply(vals, w, out=vals)
+        np.multiply(weighted, w[start:], out=weighted)
     if not math.isfinite(np.max(vals, initial=0.0)):
         raise NormOverflow("a weighted sample b^{k alpha} |f| exceeds the float range")
-    return ks, lux_core(vals, q_vals, spec.cell_volume, bounds)
+    return ks, lux_core(vals, q_vals, spec.cell_volume, bounds, q_rows)
 
 
 @per_grid
@@ -231,6 +236,76 @@ def ordered_log_family(d: Dilation, spec: GridSpec, p0: float,
     vals = vals[annulus_order(d, spec).cells]
     vals.setflags(write=False)
     return vals
+
+
+@per_grid
+def ordered_log_bounds(d: Dilation, spec: GridSpec, p0: float,
+                       p_inf: float) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of ``ordered_log_family(d, spec, p0, p_inf)`` over each
+    run of the annulus order, read-only: row 0 over the origin cell, row
+    i >= 1 over the annulus C_{k0 + i}, and (inf, -inf) for a run with no
+    cell.  Cached beside the family at 16 bytes per annulus, so the slice
+    solves run no exponent reduction."""
+    vals = ordered_log_family(d, spec, p0, p_inf)
+    sizes = annulus_order(d, spec).sizes
+    starts = np.concatenate(([0], sizes[:-1]))
+    live = starts < sizes
+    p_lo = np.full(sizes.size, np.inf)
+    p_hi = np.full(sizes.size, -np.inf)
+    # with the empty runs dropped, each start's run ends at the next
+    p_lo[live] = np.minimum.reduceat(vals, starts[live])
+    p_hi[live] = np.maximum.reduceat(vals, starts[live])
+    p_lo.setflags(write=False)
+    p_hi.setflags(write=False)
+    return p_lo, p_hi
+
+
+def _log_rows(e: ExponentFunction, d: Dilation, spec: GridSpec, ks: np.ndarray,
+              homogeneous: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The (min, max) of the exponent e over the slice of each scale in ks,
+    from ``ordered_log_bounds`` for the log family (None for the other
+    kinds, whose bounds ``lux_core`` reduces from the samples).  C_k is
+    the run of row k - k0; the rows of the empty slices outside
+    [k0 + 1, k0 + len(sizes) - 1] are clipped to a neighbour and not read,
+    and the non-homogeneous B_0 slice merges the origin with every
+    annulus k <= 0."""
+    if e.kind != "log":
+        return None
+    p_lo, p_hi = ordered_log_bounds(d, spec, e.at_origin, e.at_infinity)
+    order = annulus_order(d, spec)
+    rows = np.clip(ks - order.k0, 0, order.sizes.size - 1)
+    lo, hi = p_lo[rows], p_hi[rows]
+    if not homogeneous:
+        lo[0], hi[0] = p_lo[:rows[0] + 1].min(), p_hi[:rows[0] + 1].max()
+    return lo, hi
+
+
+def _annulus_weights(d: Dilation, order: AnnulusOrder, alpha_vals: np.ndarray,
+                     lo: int, hi: int) -> np.ndarray:
+    """b^{k alpha(x)} at the cells ``cells[lo:hi]`` of the annulus order,
+    with alpha_vals the samples of alpha there and k each cell's annulus
+    C_k (0 for the origin cell, which lies in no annulus)."""
+    k = np.repeat(np.arange(order.k0, order.k0 + order.sizes.size, dtype=float),
+                  np.diff(order.sizes, prepend=0))
+    k[:order.sizes[0]] = 0.0
+    w = k[lo:hi]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(alpha_vals, w, out=w)
+        np.power(d.b, w, out=w)
+    return w
+
+
+@per_grid
+def ordered_alpha_weights(d: Dilation, spec: GridSpec, a0: float,
+                          a_inf: float) -> np.ndarray:
+    """``_annulus_weights`` of the log-family alpha ``log:a0,a_inf`` over
+    the whole annulus order, read-only.  Cached per (dilation, grid, a0,
+    a_inf) at 8 bytes per cell, so the slice norms multiply by a view."""
+    order = annulus_order(d, spec)
+    w = _annulus_weights(d, order, ordered_log_family(d, spec, a0, a_inf),
+                         0, order.cells.size)
+    w.setflags(write=False)
+    return w
 
 
 def _ordered_exponent(e: ExponentFunction, d: Dilation, spec: GridSpec,

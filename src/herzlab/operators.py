@@ -314,10 +314,13 @@ def apply_operator(spec_op: OperatorSpec, f: GridFunction,
 
 def _norm_ratio(f: GridFunction, tf: GridFunction, d: Dilation,
                 params: HerzSpaceParams) -> float:
-    """||Tf|| / ||f|| in the Herz-Morrey norm, given Tf."""
+    """||Tf|| / ||f|| in the Herz-Morrey norm, given Tf (the identity
+    returns f itself, whose ratio n / n is 1.0 with no second solve)."""
     denom = herz_morrey_norm(f, d, params)
     if denom == 0.0:
         raise ZeroFunction("input norm vanished in the truncation window")
+    if tf is f:
+        return 1.0
     return herz_morrey_norm(tf, d, params) / denom
 
 

@@ -188,8 +188,9 @@ def modular(f: GridFunction, lam: float, p: ExponentFunction) -> float:
 
 def _newton(v: np.ndarray, p_vals: np.ndarray, h: float, p_lo: float,
             p_hi: float) -> float:
-    """Root lam of the modular h sum (v/lam)^p = 1; v >= 0 with max v = 1
-    (may be overwritten) and p_lo <= p_vals <= p_hi.
+    """Root lam of the modular h sum (v/lam)^p = 1; v > 0 with max v = 1
+    (overwritten: ``lux_core`` passes its own scratch, with the zero
+    samples already dropped) and p_lo <= p_vals <= p_hi.
 
     Solves g(t) = log h + log S(t) = 0 for t = log lam, with
     S(t) = sum exp(a - q t) and a = q log v <= 0 over the nonzero samples.
@@ -219,11 +220,7 @@ def _newton(v: np.ndarray, p_vals: np.ndarray, h: float, p_lo: float,
     returns t + s with no further evaluation once that bound is at most
     1e-12.
     """
-    if np.count_nonzero(v) == v.size:  # no zero sample: no copies
-        q, a = p_vals, np.log(v, out=v)
-    else:
-        nz = v > 0
-        q, a = p_vals[nz], np.log(v[nz])
+    q, a = p_vals, np.log(v, out=v)
     a *= q
     log_h = math.log(h)
     # a Newton step s from a point with mean exponent m1 errs by at most
@@ -277,23 +274,33 @@ def _newton(v: np.ndarray, p_vals: np.ndarray, h: float, p_lo: float,
 
 
 def lux_core(abs_vals: np.ndarray, p_vals, h: float,
-             bounds: Optional[np.ndarray] = None) -> np.ndarray:
+             bounds: Optional[np.ndarray] = None,
+             p_rows: Optional[tuple] = None) -> np.ndarray:
     """Luxemburg norms of flat nonnegative samples, one per segment.
 
     Segment i holds the samples ``bounds[i]:bounds[i + 1]``, with
     ``bounds`` nondecreasing from 0 to ``abs_vals.size`` (one segment of
     all samples by default); empty and all-zero segments give 0.
-    ``p_vals`` holds the exponent samples, or one float for a constant
-    exponent.  Each segment is divided by its own max (one scalar divide)
+    ``abs_vals`` is scratch: a contiguous float array that the call
+    overwrites, so a caller passes a fresh one (its gather or its
+    ``np.abs``).  ``p_vals`` holds the exponent samples, or one float for
+    a constant exponent; ``p_rows`` optionally holds their (min, max)
+    over each segment, as two arrays with one row per segment (rows of
+    empty segments are not read), and saves the ``minimum``/
+    ``maximum.reduceat`` over ``p_vals`` that gives them otherwise.
+
+    Each segment is divided in place by its own max (one scalar divide)
     before any power and multiplied back after, so every norm is
     homogeneous at any float scale.  The exponent's per-segment bounds
-    (``minimum``/``maximum.reduceat``) pick the route: a segment with one
-    exponent value takes the closed form (sum v^p h)^{1/p}, in one pass
-    over all segments when every sample is equal; any other nonzero
-    segment goes to ``_newton`` with those bounds, which solves it to a
-    certified 1e-12 in log lam.  A segment's norm equals, bit for bit, a
-    one-segment call on its samples.  Raises NormOverflow for a norm
-    beyond float range.
+    pick the route: a segment with one exponent value takes the closed
+    form (sum v^p h)^{1/p}, in one pass over all segments when every
+    sample is equal; any other nonzero segment goes to ``_newton`` with
+    those bounds, which solves it to a certified 1e-12 in log lam.  One
+    ``minimum.reduceat`` over the divided samples finds the segments
+    holding a zero (a sample may round to 0 in the divide), and only
+    those drop their zero samples before the solve.  A segment's norm
+    equals, bit for bit, a one-segment call on its samples.  Raises
+    NormOverflow for a norm beyond float range.
     """
     if bounds is None:
         bounds = np.array([0, abs_vals.size])
@@ -309,25 +316,37 @@ def lux_core(abs_vals: np.ndarray, p_vals, h: float,
     if np.ndim(p_vals) == 0:
         pc = float(p_vals)
     else:
-        p_lo = np.minimum.reduceat(p_vals, starts)
-        p_hi = np.maximum.reduceat(p_vals, starts)
+        if p_rows is None:
+            p_lo = np.minimum.reduceat(p_vals, starts)
+            p_hi = np.maximum.reduceat(p_vals, starts)
+        else:
+            p_lo, p_hi = p_rows[0][live], p_rows[1][live]
         pc = float(p_lo[0]) if p_lo.min() == p_hi.max() else None
+    for s, e, m in zip(starts.tolist(), ends.tolist(), peak.tolist()):
+        if m > 0:
+            # one view as input and output: numpy then skips its overlap
+            # check, which two views of the same samples would cost
+            seg = abs_vals[s:e]
+            np.divide(seg, m, out=seg)
     if pc is not None:  # one exponent value throughout
-        v = np.empty(abs_vals.shape)
-        for s, e, m in zip(starts.tolist(), ends.tolist(), peak.tolist()):
-            np.divide(abs_vals[s:e], m if m > 0 else 1.0, out=v[s:e])
-        np.power(v, pc, out=v)
-        unit = (np.add.reduceat(v, starts) * h) ** (1.0 / pc)
+        np.power(abs_vals, pc, out=abs_vals)
+        unit = (np.add.reduceat(abs_vals, starts) * h) ** (1.0 / pc)
     else:
         unit = np.zeros(live.size)
+        floor = np.minimum.reduceat(abs_vals, starts)
         for j in np.flatnonzero(peak).tolist():
             s, e = int(starts[j]), int(ends[j])
-            v = abs_vals[s:e] / peak[j]
+            v, q = abs_vals[s:e], p_vals[s:e]
             lo, hi = float(p_lo[j]), float(p_hi[j])
-            # a segment with one exponent value takes the closed form, as
-            # it does on its own (v has max 1, so this call is exact)
-            unit[j] = (lux_core(v, lo, h)[0] if lo == hi
-                       else _newton(v, p_vals[s:e], h, lo, hi))
+            if lo == hi:
+                # a segment with one exponent value takes the closed form,
+                # as it does on its own (v has max 1, so this call is exact)
+                unit[j] = lux_core(v, lo, h)[0]
+                continue
+            if floor[j] == 0.0:
+                nz = v > 0
+                v, q = v[nz], q[nz]
+            unit[j] = _newton(v, q, h, lo, hi)
     with np.errstate(over="ignore"):
         norms[live] = peak * unit
     if not np.all(np.isfinite(norms)):

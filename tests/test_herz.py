@@ -14,6 +14,7 @@ from herzlab import (
     block_reconstruct,
     block_validate,
     default_krange,
+    from_descriptor,
     grand_herz_norm,
     herz_morrey_norm,
     herz_norm_report,
@@ -36,8 +37,8 @@ from herzlab.errors import (
     ZeroFunction,
 )
 from herzlab.grid import GridFunction, GridSpec, zeros
-from herzlab.herz import (_split_morrey_sup, combine_product_params,
-                          ordered_log_family, slice_norms)
+from herzlab.herz import (_split_morrey_sup, combine_product_params, ordered_alpha_weights,
+                          ordered_log_bounds, ordered_log_family, slice_norms)
 from herzlab.oracles import (constant_herz_reference, luxemburg_bisect,
                               morrey_double_sup_reference)
 from herzlab.varlebesgue import lux_core
@@ -727,7 +728,7 @@ def test_slice_norms_match_mask_per_annulus(matrix, half, odd, alpha, q, homogen
             assert t_k == 0.0
             continue
         # the library's own one-segment solve, then the bisection oracle
-        ref = lux_core(v, q_vals[mask], h)[0]
+        ref = lux_core(v.copy(), q_vals[mask], h)[0]
         assert t_k == pytest.approx(ref, rel=1e-13)
         top = np.max(v)
         assert ref == pytest.approx(top * luxemburg_bisect(v / top, q_vals[mask], h),
@@ -846,6 +847,99 @@ def test_ordered_log_family_is_the_gather(shear, iso2):
     assert len({id(a) for a in seen}) == 8
 
 
+# the dyadic line, the shear and [[3,0],[1,2]], each on an even grid and
+# on an odd one, whose origin cell is a run of its own
+_CACHED_GEOMETRIES = [([[2.0]], 256), ([[2.0]], 257),
+                      ([[2.0, 1.0], [0.0, 2.0]], 48), ([[2.0, 1.0], [0.0, 2.0]], 49),
+                      ([[3.0, 0.0], [1.0, 2.0]], 48), ([[3.0, 0.0], [1.0, 2.0]], 49)]
+
+
+@pytest.mark.parametrize("matrix, resolution", _CACHED_GEOMETRIES)
+def test_ordered_log_bounds_are_the_run_reductions(matrix, resolution):
+    # one read-only row per run of the annulus order: minimum/maximum
+    # .reduceat of the ordered family over the nonempty runs, and
+    # (inf, -inf) for an empty one
+    d = make_dilation(matrix)
+    spec = GridSpec(2.0, d.dim, resolution)
+    order = annulus_order(d, spec)
+    starts = np.concatenate(([0], order.sizes[:-1]))
+    live = starts < order.sizes
+    assert live[0] == (resolution % 2 == 1)  # the origin cell
+    for p0, p_inf in ((2.0, 3.0), (3.0, 1.5)):
+        vals = ordered_log_family(d, spec, p0, p_inf)
+        p_lo, p_hi = ordered_log_bounds(d, spec, p0, p_inf)
+        assert p_lo.shape == p_hi.shape == order.sizes.shape
+        assert not (p_lo.flags.writeable or p_hi.flags.writeable)
+        assert np.array_equal(p_lo[live], np.minimum.reduceat(vals, starts[live]))
+        assert np.array_equal(p_hi[live], np.maximum.reduceat(vals, starts[live]))
+        assert np.all(p_lo[~live] == np.inf) and np.all(p_hi[~live] == -np.inf)
+        assert ordered_log_bounds(d, spec, p0, p_inf)[0] is p_lo
+
+
+def _uncached_slice_norms(f, d, params):
+    """The slice norms by the uncached arithmetic: a pointwise weight
+    b^{k alpha(x)} built from the gathered alpha on each call (for a
+    constant alpha the scalar b^{k alpha} after the solve), and the
+    exponent bounds left to lux_core's own reduction."""
+    spec = f.spec
+    k_min, k_max = params.krange or default_krange(d, spec)
+    if not params.homogeneous:
+        k_min = 0
+    ks = np.arange(k_min, k_max + 1)
+    order = annulus_order(d, spec)
+    bounds = order.ball(np.arange(k_min - 1, k_max + 1))
+    if not params.homogeneous:
+        bounds[0] = 0
+    cells = order.cells[bounds[0]:bounds[-1]]
+    bounds = bounds - bounds[0]
+    vals = np.abs(f.values.reshape(-1)[cells])
+    q = params.q
+    q_vals = q.value if q.is_constant else q.on_grid(spec).reshape(-1)[cells]
+    alpha = params.alpha
+    if alpha.is_constant:
+        t = lux_core(vals, q_vals, spec.cell_volume, bounds)
+        np.multiply(t, np.power(d.b, ks * alpha.value), out=t, where=t > 0)
+        return ks, t
+    k = np.repeat(ks.astype(float), np.diff(bounds))
+    alpha_vals = alpha.on_grid(spec).reshape(-1)[cells]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals *= np.power(d.b, alpha_vals * k)
+    return ks, lux_core(vals, q_vals, spec.cell_volume, bounds)
+
+
+@pytest.mark.parametrize("matrix, resolution", _CACHED_GEOMETRIES)
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("wide", [False, True])
+def test_log_alpha_slice_norms_equal_the_uncached_arithmetic(matrix, resolution,
+                                                             homogeneous, wide):
+    # the cached weights b^{k alpha(x)} and exponent bounds give the slice
+    # norms bit for bit; a wide window runs past the map's annuli at both
+    # ends, and the non-homogeneous B_0 slice stays unweighted
+    d = make_dilation(matrix)
+    spec = GridSpec(2.0, d.dim, resolution)
+    rng = np.random.default_rng(resolution)
+    vals = rng.uniform(-1.0, 1.0, spec.shape)
+    vals[rng.uniform(size=spec.shape) < 0.1] = 0.0
+    f = GridFunction(spec, vals)
+    order = annulus_order(d, spec)
+    krange = (order.k0 - 1, order.k0 + order.sizes.size + 1) if wide else None
+    alpha = ExponentFunction.log_family(0.2, -0.3)
+    for q in (ExponentFunction.constant(2.0), ExponentFunction.log_family(2.0, 3.0),
+              ExponentFunction.log_family(3.0, 1.5)):
+        params = HerzSpaceParams(alpha=alpha, p=1.5, q=q, homogeneous=homogeneous,
+                                 krange=krange)
+        ks, t = slice_norms(f, d, params)
+        want_ks, want = _uncached_slice_norms(f, d, params)
+        assert np.array_equal(ks, want_ks) and np.array_equal(t, want)
+        # and likewise for a log q under a constant alpha
+        params = dataclasses.replace(params, alpha=ExponentFunction.constant(0.4))
+        t = slice_norms(f, d, params)[1]
+        assert np.array_equal(t, _uncached_slice_norms(f, d, params)[1])
+    weights = ordered_alpha_weights(d, spec, alpha.at_origin, alpha.at_infinity)
+    assert not weights.flags.writeable and weights.size == spec.resolution ** d.dim
+    assert ordered_alpha_weights(d, spec, alpha.at_origin, alpha.at_infinity) is weights
+
+
 def test_log_report_same_cold_and_warm(shear):
     spec = GridSpec(2.0, 2, 48)
     f = random_function(spec, np.random.default_rng(21))
@@ -873,3 +967,28 @@ def test_warm_log_report_transient_memory(shear):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * n * n
+
+
+def test_warm_log_report_allocates_the_window_and_one_newton_array(shear):
+    # a warm log-q report on noise holds at its peak the gathered window
+    # of |f|, which lux_core normalises in place, and the Newton solve's
+    # one array over its largest segment; the rest are arrays of a few
+    # entries per scale or per eps, which 64 KiB covers (5.3 KB measured).
+    # A per-segment copy of the samples, 0.85 MB here, would not fit
+    n = 512
+    spec = GridSpec(2.0, 2, n)
+    f = from_descriptor(spec, {"family": "noise", "seed": 22})
+    params = herz_params(alpha=0.5, p=1.0, q=ExponentFunction.log_family(2.0, 3.0),
+                         lam=0.1)
+    herz_norm_report(f, shear, params, "herz-morrey")
+    k_min, k_max = default_krange(shear, spec)
+    bounds = annulus_order(shear, spec).ball(np.arange(k_min - 1, k_max + 1))
+    window = 8 * int(bounds[-1] - bounds[0])
+    largest = 8 * int(np.max(np.diff(bounds)))
+    tracemalloc.start()
+    try:
+        herz_norm_report(f, shear, params, "herz-morrey")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= window + largest + 64 * 1024

@@ -194,6 +194,21 @@ def test_op_ratio_identity_exact(dyadic, line_spec):
         op_ratio(ident, zeros(line_spec), dyadic, params)
 
 
+def test_op_ratio_identity_solves_one_norm(dyadic, line_spec, monkeypatch):
+    # the identity returns f itself: its ratio n / n is 1.0 from the one
+    # norm of f, while any other operator solves the norm of Tf as well
+    real = ops.herz_morrey_norm
+    calls = []
+    monkeypatch.setattr(ops, "herz_morrey_norm",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    f = ball_indicator(line_spec, dyadic, 0)
+    params = herz_params(alpha=0.25, p=1.0, q=2.0, lam=0.05, delta2=0.5)
+    assert op_ratio(OperatorSpec(kind="identity"), f, dyadic, params) == 1.0
+    assert len(calls) == 1 and calls[0] is f
+    op_ratio(OperatorSpec(kind="hardy"), f, dyadic, params)
+    assert len(calls) == 3
+
+
 def test_op_ratio_morrey_route(dyadic, line_spec):
     f = ball_indicator(line_spec, dyadic, 0)
     params = herz_params(alpha=0.3, p=1.0, q=2.0, lam=0.05, delta2=0.5)

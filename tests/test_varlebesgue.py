@@ -154,13 +154,47 @@ def test_lux_core_segments_match_separate_calls(seed, size, n_random, kind):
               "two-piece": np.where(x < 1.0, 2.0, 4.0)}[kind]
     h = 0.01
     grouped, _, _, bounds = args = contiguous(seg, n, vals, p_vals, h)
-    norms = lux_core(*args)
+    norms = lux_core(grouped.copy(), *args[1:])
     assert norms.shape == (n,) and norms[0] == 0.0 and norms[1] == 0.0
     if kind == "constant":  # the exponent passed as one number
         assert np.array_equal(lux_core(grouped, 2.5, h, bounds), norms)
     for i in range(n):
         sel = seg == i
         assert norms[i] == lux_core(vals[sel], p_vals[sel], h)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       size=st.integers(min_value=0, max_value=60),
+       kind=st.sampled_from(["constant", "log", "two-piece"]))
+def test_lux_core_input_is_scratch(seed, size, kind):
+    # segment 0 is empty and 1 all zero.  lux_core overwrites only the
+    # samples it is given: on a view into a larger buffer its norms equal,
+    # bit for bit, those of a call on a fresh copy, and the buffer outside
+    # the view is untouched.  The exponent's per-segment (min, max) passed
+    # as rows gives the norms of lux_core's own reduction, and the rows of
+    # empty segments are not read
+    rng = np.random.default_rng(seed)
+    n = 6
+    seg = np.concatenate([[1, 1, 2], rng.integers(3, n, size=size)])
+    vals = rng.uniform(0.0, 1.0, seg.size) * 10.0 ** rng.uniform(-5, 5)
+    vals[rng.uniform(size=seg.size) < 0.2] = 0.0
+    vals[seg == 1] = 0.0
+    x = rng.uniform(-2.0, 2.0, seg.size)
+    p_vals = {"constant": np.full(seg.size, 2.5),
+              "log": ExponentFunction.log_family(2.0, 3.0)(x[:, None]),
+              "two-piece": np.where(x < 1.0, 2.0, 4.0)}[kind]
+    h = 0.01
+    grouped, grouped_p, _, bounds = contiguous(seg, n, vals, p_vals, h)
+    fresh = lux_core(grouped.copy(), grouped_p, h, bounds)
+    buffer = np.concatenate([[7.0, 9.0], grouped, [5.0]])
+    assert np.array_equal(lux_core(buffer[2:-1], grouped_p, h, bounds), fresh)
+    assert buffer[:2].tolist() == [7.0, 9.0] and buffer[-1] == 5.0
+    live = np.diff(bounds) > 0
+    rows = (np.full(n, np.nan), np.full(n, np.nan))
+    rows[0][live] = np.minimum.reduceat(grouped_p, bounds[:-1][live])
+    rows[1][live] = np.maximum.reduceat(grouped_p, bounds[:-1][live])
+    assert np.array_equal(lux_core(grouped.copy(), grouped_p, h, bounds, rows), fresh)
 
 
 @settings(max_examples=100, deadline=None)
