@@ -294,12 +294,12 @@ def lux_core(abs_vals: np.ndarray, p_vals, h: float,
     homogeneous at any float scale.  The exponent's per-segment bounds
     pick the route: a segment with one exponent value takes the closed
     form (sum v^p h)^{1/p}, in one pass over all segments when every
-    sample is equal; any other nonzero segment goes to ``_newton`` with
-    those bounds, which solves it to a certified 1e-12 in log lam.  One
-    ``minimum.reduceat`` over the divided samples finds the segments
-    holding a zero (a sample may round to 0 in the divide), and only
-    those drop their zero samples before the solve.  A segment's norm
-    equals, bit for bit, a one-segment call on its samples.  Raises
+    sample is equal (v^2 as v * v); any other nonzero segment goes to
+    ``_newton`` with those bounds, which solves it to a certified 1e-12
+    in log lam.  One ``minimum.reduceat`` over the divided samples finds
+    the segments holding a zero (a sample may round to 0 in the divide),
+    and only those drop their zero samples before the solve.  A segment's
+    norm equals, bit for bit, a one-segment call on its samples.  Raises
     NormOverflow for a norm beyond float range.
     """
     if bounds is None:
@@ -329,7 +329,11 @@ def lux_core(abs_vals: np.ndarray, p_vals, h: float,
             seg = abs_vals[s:e]
             np.divide(seg, m, out=seg)
     if pc is not None:  # one exponent value throughout
-        np.power(abs_vals, pc, out=abs_vals)
+        if pc == 2.0:
+            # the same floats as np.power(v, 2.0), in fewer cycles
+            np.multiply(abs_vals, abs_vals, out=abs_vals)
+        else:
+            np.power(abs_vals, pc, out=abs_vals)
         unit = (np.add.reduceat(abs_vals, starts) * h) ** (1.0 / pc)
     else:
         unit = np.zeros(live.size)
