@@ -318,8 +318,8 @@ def per_grid(build):
     1024^2 an annulus order, a log-family exponent or a log-family
     alpha's weights hold 8 bytes per cell (8.4 MB), the exponent's
     per-annulus bounds 16 bytes per annulus, the truncated Riesz plan a
-    real spectrum of 16.8 MB and the shear's maximal plan 46.5 MB, mostly
-    the spectra of the three balls that span the grid.
+    real spectrum of 16.8 MB and the shear's maximal plan 87.7 MB, the
+    real spectra of its eleven balls past the direct-sum bound.
     """
     cache: dict = {}
     held = 0

@@ -174,11 +174,8 @@ def _with_spectrum(kern: _Kernel) -> _Kernel:
     return kern._replace(values=None, spectrum=spectrum)
 
 
-def _convolve(f: np.ndarray, kern: _Kernel,
-              f_spectrum: np.ndarray | None = None) -> np.ndarray:
-    """The valid-mode convolution of ``f`` with a cropped kernel;
-    ``f_spectrum``, when given, is ``rfftn(f)`` at the kernel's FFT
-    lengths, and is multiplied in place."""
+def _convolve(f: np.ndarray, kern: _Kernel) -> np.ndarray:
+    """The valid-mode convolution of ``f`` with a ``_with_spectrum`` kernel."""
     out = np.zeros(kern.out_shape)
     if kern.count <= _DIRECT_MAX:
         # entry j of the box, the offset o = j - s, adds its value times
@@ -192,15 +189,22 @@ def _convolve(f: np.ndarray, kern: _Kernel,
                 src.append(slice(i0 - o, i1 - o))
             out[tuple(dst)] += kern.values[q] * f[tuple(src)]
         return out
-    axes = tuple(range(f.ndim))
-    spectrum = np.fft.rfftn(f, kern.shape, axes) if f_spectrum is None else f_spectrum
-    spectrum *= kern.spectrum if kern.spectrum is not None else _spectrum(kern)
-    # irfftn's transforms in its order, the last one only on the rows read
-    for axis in axes[:-1]:
-        spectrum = np.fft.ifft(spectrum, kern.shape[axis], axis)[
-            (slice(None),) * axis + (kern.dst[axis],)]
-    out[kern.dst] = np.fft.irfft(spectrum, kern.shape[-1], axes[-1])[..., kern.dst[-1]]
+    spectrum = np.fft.rfftn(f, kern.shape, tuple(range(f.ndim)))
+    spectrum *= kern.spectrum
+    out[kern.dst] = _inverse(spectrum, kern)
     return out
+
+
+def _inverse(spectrum: np.ndarray, kern: _Kernel) -> np.ndarray:
+    """The outputs ``kern.dst`` of the inverse transform of ``spectrum``
+    at the kernel's FFT lengths, a view; ``spectrum`` is overwritten."""
+    axes = tuple(range(spectrum.ndim))
+    # irfftn's transforms in its order, in place but for the last one,
+    # which runs only on the rows read
+    for axis in axes[:-1]:
+        np.fft.ifft(spectrum, kern.shape[axis], axis, out=spectrum)
+        spectrum = spectrum[(slice(None),) * axis + (kern.dst[axis],)]
+    return np.fft.irfft(spectrum, kern.shape[-1], axes[-1])[..., kern.dst[-1]]
 
 
 def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -221,7 +225,7 @@ def fft_convolve_valid(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise BadParams(f"cannot convolve an input of shape {f.shape} with a kernel "
                         f"of shape {kernel.shape}: the kernel needs the input's rank "
                         f"and at least its length along each axis")
-    return _convolve(f, _crop(kernel, f.shape))
+    return _convolve(f, _with_spectrum(_crop(kernel, f.shape)))
 
 
 @per_grid
@@ -257,14 +261,13 @@ def truncated_riesz_apply(f: GridFunction, d: Dilation,
 @per_grid
 def _maximal_plan(d: Dilation, spec: GridSpec, k_lo: int, k_hi: int) -> tuple:
     """The balls ``off <= k - 1`` of the scales k_lo..k_hi that hold a
-    cell, laid out for ``maximal_apply``: a ball whose box spans the grid
-    along some axis as its spectrum, any other as its cropped boolean
-    mask."""
+    cell, laid out for ``maximal_apply``: a ball past the direct-sum bound
+    as its real spectrum, any other as its cropped boolean mask."""
     off = offset_index_map(d, spec)
     # the origin sentinel is in every ball; a sub-grid ball is clipped
-    balls = (_crop(off <= k - 1, spec.shape) for k in range(k_lo, k_hi + 1))
-    return tuple(_with_spectrum(ball) if max(ball.values.shape) >= spec.resolution else ball
-                 for ball in balls if ball.count)
+    balls = [_crop(off <= k - 1, spec.shape) for k in range(k_lo, k_hi + 1)]
+    del off  # freed before the spectra are built
+    return tuple(_with_spectrum(ball) for ball in balls if ball.count)
 
 
 def maximal_apply(f: GridFunction, d: Dilation,
@@ -276,17 +279,19 @@ def maximal_apply(f: GridFunction, d: Dilation,
     their averages are exact to the rounding of the sum and the one-cell
     ball reproduces |f|; larger balls sum by FFT, to a few ulps of the
     largest value.  The balls are planned once per (dilation, grid,
-    window), those whose box spans the grid as their real spectra, and
-    balls of equal FFT lengths share one transform of |f| per call.  For
-    a Euclidean comparison pass the isotropic dilation b^{1/n} I: its
-    balls B_k are the centred intervals or discs of volume b^k.
+    window), those past the direct-sum bound as their real spectra.  Balls
+    of equal FFT lengths share one transform of |f| per call, and each
+    inverse runs in place, so beside |f| and the maximum a call holds
+    about one transform and one inverse output at a time.  For a Euclidean
+    comparison pass the isotropic dilation b^{1/n} I: its balls B_k are
+    the centred intervals or discs of volume b^k.
     """
     spec = f.spec
     absf = np.abs(f.values)
     best = absf.copy()  # cell-scale average is |f| itself
     # the balls grow with k, so those of equal FFT lengths are adjacent:
     # they share one transform of |f|, which the last of them multiplies
-    # in place and the others copy
+    # in place and the others out of place
     runs = itertools.groupby(_maximal_plan(d, spec, *krange),
                              lambda ball: ball.shape if ball.count > _DIRECT_MAX else None)
     axes = tuple(range(absf.ndim))
@@ -294,10 +299,15 @@ def maximal_apply(f: GridFunction, d: Dilation,
         run = list(run)
         shared = None if lengths is None else np.fft.rfftn(absf, lengths, axes)
         for i, ball in enumerate(run, 1):
-            avg = _convolve(absf, ball, shared if shared is None or i == len(run)
-                            else shared.copy())
+            if shared is None:
+                avg, dst = _convolve(absf, ball), ()
+            else:
+                out = shared if i == len(run) else None
+                avg, dst = _inverse(np.multiply(shared, ball.spectrum, out=out), ball), ball.dst
             avg /= ball.count
-            np.maximum(best, avg, out=best)
+            # outside dst an FFT ball's average is 0, at most |f|
+            np.maximum(best[dst], avg, out=best[dst])
+        shared = out = avg = None  # dropped before the next run's transform
     return GridFunction(spec, best)
 
 

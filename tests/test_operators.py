@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,22 +423,12 @@ def test_fft_convolve_valid_rejects_kernels_it_cannot_take(shape, kshape):
 
 def test_operator_plans_keep_real_spectra(shear):
     spec = GridSpec(2.0, 2, 256)
-    riesz = ops._riesz_plan(shear, spec, 0.25)
-    assert riesz.values is None and riesz.spectrum.dtype == np.float64
-    assert riesz.spectrum.nbytes == 512 * 257 * 8
-    # the maximal plan keeps the spectra of the balls whose box spans the
-    # grid along some axis, and the masks of the others
-    kr = default_krange(shear, spec)
-    off = offset_index_map(shear, spec)
-    boxes = [ops._crop(off <= k - 1, spec.shape) for k in range(kr[0], kr[1] + 1)]
-    spans = [max(box.values.shape) >= 256 for box in boxes if box.count]
-    plan = ops._maximal_plan(shear, spec, *kr)
-    assert [ball.spectrum is not None for ball in plan] == spans
-    assert sum(spans) == 3
-    assert all(ball.values is None for ball in plan if ball.spectrum is not None)
+    assert ops._riesz_plan(shear, spec, 0.25).spectrum.nbytes == 512 * 257 * 8
+    plan = ops._maximal_plan(shear, spec, *default_krange(shear, spec))
+    assert sum(ball.count > ops._DIRECT_MAX for ball in plan) == 9
     # every ball and Riesz kernel past the direct-sum bound is centred and
-    # equal to its point reflection, so none takes a complex spectrum,
-    # kept or per call
+    # equal to its point reflection, and its plan keeps its real spectrum
+    # and no mask; every other ball keeps its mask and no spectrum
     for matrix, dim, res in [([[2.0]], 1, 1024), ([[2.0, 1.0], [0.0, 2.0]], 2, 128),
                              ([[2.0, 1.0], [0.0, 2.0]], 2, 256),
                              ([[3.0, 0.0], [1.0, 2.0]], 2, 65)]:
@@ -445,11 +436,12 @@ def test_operator_plans_keep_real_spectra(shear):
         spec = GridSpec(radius=2.0, dim=dim, resolution=res)
         kernels = [*ops._maximal_plan(d, spec, *default_krange(d, spec)),
                    ops._riesz_plan(d, spec, 0.25), ops._riesz_plan(d, spec, 1.0)]
-        fft = [kern for kern in kernels if kern.count > ops._DIRECT_MAX]
-        assert fft
-        for kern in fft:
-            spectrum = ops._spectrum(kern) if kern.spectrum is None else kern.spectrum
-            assert spectrum.dtype == np.float64
+        fft = [kern.count > ops._DIRECT_MAX for kern in kernels]
+        assert any(fft)
+        assert [kern.spectrum is not None for kern in kernels] == fft
+        assert [kern.values is None for kern in kernels] == fft
+        assert all(kern.spectrum.dtype == np.float64
+                   for kern in kernels if kern.spectrum is not None)
 
 
 def test_maximal_transforms_f_once_per_fft_length(shear, monkeypatch):
@@ -504,6 +496,56 @@ def test_riesz_plan_matches_its_kernel(matrix, dim, res):
     expect = fft_convolve_valid(f.values, kernel) * spec.cell_volume
     for _ in range(2):  # the second call reads the plan of the first at the latest
         assert np.array_equal(truncated_riesz_apply(f, d, 0.25).values, expect)
+
+
+@pytest.mark.parametrize("matrix, dim, res", [
+    ([[2.0]], 1, 1024),
+    ([[2.0, 1.0], [0.0, 2.0]], 2, 128),
+    ([[3.0, 0.0], [1.0, 2.0]], 2, 65),
+], ids=["dyadic-1024", "shear-128", "lower-65"])
+def test_maximal_plan_matches_its_balls(matrix, dim, res):
+    d = make_dilation(matrix)
+    spec = GridSpec(radius=2.0, dim=dim, resolution=res)
+    f = random_function(spec, np.random.default_rng(res))
+    kr = default_krange(d, spec)
+    off = offset_index_map(d, spec)
+    absf = np.abs(f.values)
+    expect = absf.copy()
+    for k in range(kr[0], kr[1] + 1):
+        ball = off <= k - 1
+        if ball.any():
+            avg = fft_convolve_valid(absf, ball.astype(float)) / np.count_nonzero(ball)
+            np.maximum(expect, avg, out=expect)
+    for _ in range(2):  # the second call reads the plan of the first at the latest
+        assert np.array_equal(maximal_apply(f, d, kr).values, expect)
+
+
+def test_warm_maximal_holds_few_transients(shear):
+    spec = GridSpec(2.0, 2, 256)
+    f = random_function(spec, np.random.default_rng(41))
+    kr = default_krange(shear, spec)
+    maximal_apply(f, shear, kr)  # plans the balls
+    plan = ops._maximal_plan(shear, spec, *kr)
+    n = spec.resolution
+    rows, cols = max((ball.shape for ball in plan if ball.spectrum is not None), key=math.prod)
+    half = cols // 2 + 1
+    # What a call must hold at once: |f| and the running maximum (n^2
+    # floats each), one transform of |f| at the largest FFT lengths
+    # (rows x half complex) and one inverse output.  The inverse's n x
+    # cols real output is no larger than the n x half complex first stage
+    # of the forward transform, which is live beside that transform while
+    # it is built, so n x half complex bounds both.  numpy's iterator adds
+    # one buffer of getbufsize() complex entries, and 16 KiB covers the
+    # Python objects of a call.
+    bound = 2 * n * n * 8 + rows * half * 16 + n * half * 16 + np.getbufsize() * 16 + 16384
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        maximal_apply(f, shear, kr)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def ball_sum_maximal(f, d, krange):
