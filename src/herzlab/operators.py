@@ -407,6 +407,13 @@ def scale_translate_family(seeds: list[GridFunction], d: Dilation,
     return out
 
 
+def admissible(alpha: float, lam: float, delta2: float) -> bool:
+    """Whether the cell (alpha, lambda) lies in the region of the
+    boundedness statements: 0 < alpha < delta2, and lambda = 0 or
+    2 lambda < alpha."""
+    return bool((0 < alpha < delta2) and (lam == 0 or 2 * lam < alpha))
+
+
 def boundedness_sweep(t_spec: OperatorSpec, d: Dilation,
                       alpha_grid, lambda_grid,
                       family: list[GridFunction], *,
@@ -439,5 +446,5 @@ def boundedness_sweep(t_spec: OperatorSpec, d: Dilation,
         "lambda": lam,
         "family_size": len(family),
         "sup_ratio": sup,
-        "admissible": bool((0 < alpha < delta2) and (lam == 0 or 2 * lam < alpha)),
+        "admissible": admissible(alpha, lam, delta2),
     } for (alpha, lam), sup in zip(cells, sups)]

@@ -150,10 +150,20 @@ def _dense_log_max(log_fn, gap_slope) -> float:
     no value exceeds the larger end value plus the gap's slope bound
     times G / 2, so a gap is scanned in full only where that, plus a
     rounding margin of 1e-9 (1 + the largest finite coarse magnitude),
-    reaches M; the margin is millions of ulps of the terms any computed
-    value sums.  Any value the skipped gaps hold lies below M, so the
-    first maximal point, and the returned float, are those of the full
-    scan.
+    reaches M.  Where every computed value lies within that margin of
+    its exact value, any value the skipped gaps hold lies below M, so
+    the first maximal point, and the returned float, are those of the
+    full scan.
+
+    That holds for :func:`grand_seq_dense`: its values sum
+    (theta/P) log eps, the top log entry and a log-sum-exp, each computed
+    to a few ulps and no larger than a few times 1 + max |value|, so the
+    margin is millions of their ulps.  It is not argued for
+    :func:`constant_herz_reference` near alpha + 1/q = 0, where
+    ``log1p(-exp(-P log r))`` rounds like 1/(P log r): at b = 2, q = 2
+    and p = theta = 1 the values are off by about 1e-10 at
+    alpha + 1/q = 1e-6 and 1e-8 at 1e-8, near the margin itself.  Nor is
+    it argued for :func:`morrey_double_sup_reference`.
     """
     s = np.linspace(math.log(_EPS_LO), math.log(_EPS_HI), _POINTS)
     coarse = np.append(np.arange(0, _POINTS - 1, _STRIDE), _POINTS - 1)

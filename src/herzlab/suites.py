@@ -130,7 +130,7 @@ def _geometry_examples(d, spec, rng, cfg):
                {"seed": cfg.seed}, {"halfwidth": halfwidth, "w": d.w}, None, ok)
 
 
-def _geometry_matrix(d, spec, rng, cfg):
+def _geometry_matrix(d, spec, rng, cfg, homogeneity_points=1000):
     """Quasi-triangle, homogeneity, nesting and ball-measure rows of one
     of the named matrices."""
     name = next(k for k, mat in _MATRICES.items() if np.array_equal(mat, d.matrix))
@@ -142,7 +142,7 @@ def _geometry_matrix(d, spec, rng, cfg):
                {"seed": cfg.seed, "matrix": name},
                {"max_ratio": rep["max_ratio"]}, rep["bound"], rep["pass"])
 
-    pts = rng.uniform(-2, 2, size=(1000, d.dim))
+    pts = rng.uniform(-2, 2, size=(homogeneity_points, d.dim))
     pts = pts[np.any(np.abs(pts) > 1e-9, axis=1)]
     exact = np.array_equal(d.annulus_index(pts @ d.matrix.T),
                            d.annulus_index(pts) + 1)
@@ -152,8 +152,8 @@ def _geometry_matrix(d, spec, rng, cfg):
                bool(exact))
 
     gpts = spec.points().reshape(-1, d.dim)
-    nested = all(not np.any(d.ball_contains(gpts, k) & ~d.ball_contains(gpts, k + 1))
-                 for k in range(-3, 3))
+    balls = [d.ball_contains(gpts, k) for k in range(-3, 4)]
+    nested = all(not np.any(inner & ~outer) for inner, outer in zip(balls, balls[1:]))
     yield _row(f"geometry.nesting.{name}",
                "membership in B_k implies membership in B_{k+1}",
                {"matrix": name}, {"nested": nested}, None, bool(nested))
@@ -235,13 +235,13 @@ def _lebesgue_homogeneity(d, spec, rng, cfg):
                    {"seed": cfg.seed}, 1e-12, worst=worst_mono)
 
 
-def _lebesgue_holder_defect(d, spec, rng, cfg):
+def _lebesgue_holder_defect(d, spec, rng, cfg, pairs_per_family=200):
     min_defect = math.inf
     n_pairs = 0
     for fam in cfg.exponent_families():
         if not fam.in_class_p:
             continue
-        for _ in range(200):
+        for _ in range(pairs_per_family):
             a = _random_function(spec, rng)
             b = _random_function(spec, rng)
             min_defect = min(min_defect, holder_defect(a, b, fam))
@@ -436,7 +436,9 @@ def _seeded_herz_function(spec: GridSpec, d, rng, krange) -> GridFunction:
             amp = float(rng.uniform(-2, 2))
             vals = np.where(idx == k - 1, amp * rng.uniform(0.5, 1.0, spec.shape), vals)
     if not np.any(vals):
-        vals = np.where(idx == kmax - 1, 1.0, vals)
+        # the outermost annulus of the window that holds cells: C_kmax is
+        # empty when the box corners lie on the boundary of B_{kmax - 1}
+        vals = np.where(idx == min(kmax - 1, int(idx.max())), 1.0, vals)
     return GridFunction(spec, vals)
 
 
@@ -611,14 +613,14 @@ def _algebra_sum(d, spec, rng, cfg):
                    {"seed": cfg.seed, "n": 500}, 1.0 + 1e-6, max_ratio=worst)
 
 
-def _algebra_product(d, spec, rng, cfg):
+def _algebra_product(d, spec, rng, cfg, n_pairs=500):
     worst = _worst_ratio(
-        spec, rng, 500,
+        spec, rng, n_pairs,
         lambda f, g: product_check(f, g, d, _ALGEBRA_P1, _ALGEBRA_P2))
     yield _at_most("algebra.product",
                    "product norms factor with constant 1 for constant "
                    "exponents",
-                   {"seed": cfg.seed, "n": 500}, 1.0 + 1e-6, max_ratio=worst)
+                   {"seed": cfg.seed, "n": n_pairs}, 1.0 + 1e-6, max_ratio=worst)
 
 
 def _algebra_product_m3(d, spec, rng, cfg):
@@ -735,39 +737,52 @@ def _operators_identity_ratio(d, spec, rng, cfg):
                {"vals": vals}, None, all(v == 1.0 for v in vals))
 
 
-def _operators_hardy_sweep(d, spec, rng, cfg):
-    """The Hardy sweep and the maximal comparison share the seed functions."""
+def _sweep_seeds(spec: GridSpec) -> list[GridFunction]:
+    """Seed functions of the Hardy sweep: the unit interval, a Gaussian
+    and the shell 1/2 <= |x| < 1, in the first coordinate."""
     x = spec.points()[..., 0]
-    seeds = [
-        GridFunction(spec, (np.abs(x) < 0.5).astype(float)),
-        GridFunction(spec, np.exp(-8 * x**2)),
-        GridFunction(spec, ((np.abs(x) >= 0.5) & (np.abs(x) < 1.0)).astype(float)),
-    ]
+    return [GridFunction(spec, (np.abs(x) < 0.5).astype(float)),
+            GridFunction(spec, np.exp(-8 * x**2)),
+            GridFunction(spec, ((np.abs(x) >= 0.5) & (np.abs(x) < 1.0)).astype(float))]
+
+
+def _operators_hardy_sweep(d, spec, rng, cfg, family_sizes=(8, 32), cells=None):
+    """Hardy sweep growth over ``cells``, a list of (alpha, lambda) pairs,
+    by default every cell of the config's alpha and lambda grids."""
+    seeds = _sweep_seeds(spec)
     hardy = ops.OperatorSpec(kind="hardy")
-    small = ops.scale_translate_family(seeds, d, 8, seed=cfg.seed)
-    large = ops.scale_translate_family(seeds, d, 32, seed=cfg.seed)
-    rows_small = ops.boundedness_sweep(hardy, d, cfg.alpha_grid,
-                                       cfg.lambda_grid, small, delta2=0.5)
-    rows_large = ops.boundedness_sweep(hardy, d, cfg.alpha_grid,
-                                       cfg.lambda_grid, large, delta2=0.5)
+    if cells is None:
+        inputs = {"seed": cfg.seed, "alphas": cfg.alpha_grid,
+                  "lambdas": cfg.lambda_grid}
+        cells = [(alpha, lam) for alpha in cfg.alpha_grid for lam in cfg.lambda_grid]
+    else:
+        inputs = {"seed": cfg.seed, "cells": cells}
+
+    def sweep(size):
+        family = ops.scale_translate_family(seeds, d, size, seed=cfg.seed)
+        return [row for alpha, lam in cells for row in
+                ops.boundedness_sweep(hardy, d, [alpha], [lam], family, delta2=0.5)]
+
+    rows_small, rows_large = map(sweep, family_sizes)
     admissible_growth = [
         rl["sup_ratio"] / rs["sup_ratio"]
         for rs, rl in zip(rows_small, rows_large) if rs["admissible"]]
     growth = max(admissible_growth) if admissible_growth else 1.0
     yield _row("operators.hardy_sweep",
                "family-sup ratios stay stable inside the admissible region "
-               "as the family quadruples",
-               {"seed": cfg.seed, "alphas": cfg.alpha_grid,
-                "lambdas": cfg.lambda_grid},
+               "as the family quadruples", inputs,
                {"growth": growth, "sups": [r["sup_ratio"] for r in rows_large]},
                1.5, growth < 1.5,
                note="cells outside the region are recorded, not asserted")
 
+
+def _operators_maximal_compare(d, spec, rng, cfg):
+    gauss = _sweep_seeds(spec)[1]
     kr = default_krange(d, spec)
-    mf_a = ops.maximal_apply(seeds[1], d, kr)
+    mf_a = ops.maximal_apply(gauss, d, kr)
     # the isotropic dilation's balls B_k are the round balls of volume b^k
     iso = make_dilation(d.b ** (1 / d.dim) * np.eye(d.dim))
-    mf_e = ops.maximal_apply(seeds[1], iso, kr)
+    mf_e = ops.maximal_apply(gauss, iso, kr)
     ratio = float(np.max(mf_a.values) / np.max(mf_e.values))
     yield _row("operators.maximal_compare",
                "anisotropic vs Euclidean maximal averages (diagnostic)",
@@ -948,7 +963,7 @@ _SUITES = {
     "operators": _on_line(512, _operators_sublinearity, _operators_homogeneity,
                           _operators_size_hardy, _operators_size_riesz,
                           _operators_identity_ratio, _operators_hardy_sweep,
-                          _operators_lq_ratio),
+                          _operators_maximal_compare, _operators_lq_ratio),
     "atoms": _on_line(2048, _atoms_make_validate)
     + _on_line(2048, _atoms_haar_moment, radius=0.5)
     + _on_line(2048, _atoms_mollifier)

@@ -827,6 +827,61 @@ def test_grand_herz_norm_triangle_inequality(geometry, alpha, q, p, theta, seed)
     assert grand_herz_norm(f + g, d, params)[0] <= (1 + 1e-12) * total
 
 
+@settings(max_examples=25, deadline=None)
+@given(geometry=_LINE_OR_SHEAR,
+       alpha=exponents(0.0, 1.0),
+       q=exponents(1.0, 3.0, exclude_min=True),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       theta=st.floats(min_value=0.2, max_value=2.0),
+       homogeneous=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**31))
+# this seed skips every annulus of the 64-cell line that holds cells
+@example(geometry=(make_dilation([[2.0]]), GridSpec(radius=2.0, dim=1, resolution=64)),
+         alpha=ExponentFunction.constant(0.0), q=ExponentFunction.constant(2.0),
+         p=1.0, theta=1.0, homogeneous=False, seed=6032)
+def test_block_round_trip_and_coefficient_identity(geometry, alpha, q, p, theta,
+                                                   homogeneous, seed):
+    # a block stores f * (1/t_k) and the reconstruction multiplies it by
+    # t_k: three roundings, so each cell comes back within
+    # (1 + 2^-53)^3 - 1 < 4 * 2^-53 of |f|.  The coefficient functional
+    # and the norm are one partial-sum supremum of the same slice norms,
+    # the norm's with log weights -0 * L ln b = -0.0, which add exactly,
+    # so the two agree to the bit
+    d, spec = geometry
+    f = annulus_supported_function(spec, d, np.random.default_rng(seed),
+                                   default_krange(d, spec))
+    params = HerzSpaceParams(alpha=alpha, p=p, q=q, theta=theta, homogeneous=homogeneous)
+    dec = block_decompose(f, d, params)
+    err = np.abs(block_reconstruct(dec).values - f.values)
+    assert np.all(err <= 4 * 2.0**-53 * np.abs(f.values))
+    assert seq_functional(dec) == grand_herz_norm(f, d, params)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(geometry=_LINE_OR_SHEAR,
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       q=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       theta=st.floats(min_value=0.2, max_value=2.0),
+       lam=st.floats(min_value=0.01, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_split_morrey_form_lies_in_its_band(geometry, alpha, q, p, theta, lam, seed):
+    # for constant alpha the split weights are the direct ones, so both
+    # forms take the sup over eps and L of the same slice norms t_j: the
+    # direct form of the l^P norm of t_j over j <= L, the split form, for
+    # L > 0, of the sum of the norms over j < 0 and over 0 <= j <= L,
+    # which lies between that and twice it.  Each computed norm is the exp
+    # of a log-space sum of at most 12 terms over a window of at most 10
+    # scales, each term under 100 in magnitude (|log eps| <= 37, |log t_j|
+    # at the top of a sum below 50), so rounding moves it by under
+    # 12 * 100 * 2^-53 < 2e-13 relative: the ratio is in [1, 2] to 1e-12
+    d, spec = geometry
+    f = random_function(spec, np.random.default_rng(seed))
+    params = herz_params(alpha=alpha, p=p, q=q, theta=theta, lam=lam)
+    ratio = split_norm(f, d, params) / herz_morrey_norm(f, d, params)
+    assert 1.0 - 1e-12 <= ratio <= 2.0 * (1.0 + 1e-12)
+
+
 def test_ordered_log_family_is_the_gather(shear, iso2):
     # one read-only entry per (dilation, grid, family), equal to the
     # uncached gather of on_grid into annulus order

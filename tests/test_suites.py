@@ -8,12 +8,21 @@ from herzlab.grid import GridSpec
 
 
 @pytest.mark.parametrize("check", [
+    suites._lebesgue_const_agreement,
+    suites._lebesgue_homogeneity,
     suites._lebesgue_holder_defect,
     suites._lebesgue_ball_product_const,
+    suites._lebesgue_product_norm,
     suites._herz_decomposition,
+    suites._herz_split_morrey_band,
+    suites._herz_nonhomog_decomposition,
     suites._algebra_sum,
     suites._algebra_product,
+    suites._algebra_product_m3,
+    suites._operators_sublinearity,
+    suites._operators_homogeneity,
     suites._operators_size_hardy,
+    suites._operators_identity_ratio,
     suites._atoms_make_validate,
 ])
 def test_checks_pass_on_the_shear_plane(shear, plane_spec, check):
