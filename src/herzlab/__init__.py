@@ -60,6 +60,7 @@ from .operators import (
     maximal_apply,
     op_ratio,
     scale_translate_family,
+    sweep_seeds,
     truncated_riesz_apply,
 )
 from .varlebesgue import (

@@ -308,16 +308,12 @@ def _cmd_sweep(args) -> int:
     lams = _parse_range("--lambda", getattr(args, "lambda"))
     params = _herz_params(raw)
 
-    r = spec.radii()
-    seeds = [
-        GridFunction(spec, (r < 0.5).astype(float)),
-        GridFunction(spec, np.exp(-8.0 * r**2)),
-        GridFunction(spec, ((r >= 0.5) & (r < 1.0)).astype(float)),
-    ]
+    seeds = ops.sweep_seeds(spec)
     family = ops.scale_translate_family(seeds, d, scales * len(seeds), seed=args.seed)
 
     t_spec = ops.OperatorSpec(kind=args.operator, cutoff=args.cutoff)
-    rows = ops.boundedness_sweep(t_spec, d, alphas, lams, family, p=params.p, q=params.q,
+    cells = [(alpha, lam) for alpha in alphas for lam in lams]
+    rows = ops.boundedness_sweep(t_spec, d, cells, family, p=params.p, q=params.q,
                                  theta=params.theta, delta2=params.delta2)
 
     out = Path(args.out or "sweep.csv")

@@ -12,9 +12,9 @@ Three computable probes plus the identity:
 * ``maximal_apply``: discrete Hardy-Littlewood maximal averages over
   the dilation balls.
 
-``boundedness_sweep`` estimates family-sup norm ratios over a parameter
-grid and marks the admissible region; constants are recorded, never
-asserted.
+``boundedness_sweep`` estimates family-sup norm ratios on listed
+(alpha, lambda) cells and marks the admissible region; constants are
+recorded, never asserted.  ``sweep_seeds`` are its callers' seeds.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "maximal_apply",
     "op_ratio",
     "boundedness_sweep",
+    "sweep_seeds",
 ]
 
 
@@ -176,8 +177,8 @@ def _with_spectrum(kern: _Kernel) -> _Kernel:
 
 def _convolve(f: np.ndarray, kern: _Kernel) -> np.ndarray:
     """The valid-mode convolution of ``f`` with a ``_with_spectrum`` kernel."""
-    out = np.zeros(kern.out_shape)
     if kern.count <= _DIRECT_MAX:
+        out = np.zeros(kern.out_shape)
         # entry j of the box, the offset o = j - s, adds its value times
         # f[i - o] to out[i], in raster order; a one-entry unit kernel copies f
         for q in zip(*np.nonzero(kern.values)):
@@ -191,7 +192,10 @@ def _convolve(f: np.ndarray, kern: _Kernel) -> np.ndarray:
         return out
     spectrum = np.fft.rfftn(f, kern.shape, tuple(range(f.ndim)))
     spectrum *= kern.spectrum
-    out[kern.dst] = _inverse(spectrum, kern)
+    valid = _inverse(spectrum, kern)
+    del spectrum  # freed before the output is allocated
+    out = np.zeros(kern.out_shape)
+    out[kern.dst] = valid
     return out
 
 
@@ -254,7 +258,8 @@ def truncated_riesz_apply(f: GridFunction, d: Dilation,
     kernel's spectrum is planned once per (dilation, grid, cutoff).
     """
     spec = f.spec
-    conv = _convolve(f.values, _riesz_plan(d, spec, cutoff)) * spec.cell_volume
+    conv = _convolve(f.values, _riesz_plan(d, spec, cutoff))
+    conv *= spec.cell_volume
     return GridFunction(spec, conv)
 
 
@@ -375,6 +380,15 @@ def _shift_cells(values: np.ndarray, shift) -> np.ndarray:
     return out
 
 
+def sweep_seeds(spec: GridSpec) -> list[GridFunction]:
+    """The radial seeds of the operator sweeps: the ball |x| < 1/2, the
+    Gaussian exp(-8|x|^2) and the shell 1/2 <= |x| < 1."""
+    r = spec.radii()
+    return [GridFunction(spec, (r < 0.5).astype(float)),
+            GridFunction(spec, np.exp(-8.0 * r**2)),
+            GridFunction(spec, ((r >= 0.5) & (r < 1.0)).astype(float))]
+
+
 def scale_translate_family(seeds: list[GridFunction], d: Dilation,
                            size: int, seed: int = 0) -> list[GridFunction]:
     """Deterministic scale/translate closure of seed functions.
@@ -414,25 +428,22 @@ def admissible(alpha: float, lam: float, delta2: float) -> bool:
     return bool((0 < alpha < delta2) and (lam == 0 or 2 * lam < alpha))
 
 
-def boundedness_sweep(t_spec: OperatorSpec, d: Dilation,
-                      alpha_grid, lambda_grid,
+def boundedness_sweep(t_spec: OperatorSpec, d: Dilation, cells,
                       family: list[GridFunction], *,
                       p: float = 1.0,
                       q: ExponentFunction = ExponentFunction.constant(2.0),
                       theta: float = 1.0,
                       delta2: float = 0.5) -> list[dict]:
-    """Family-sup of the norm ratio per (alpha, lambda) cell.
+    """Family-sup of the norm ratio per (alpha, lambda) pair of ``cells``,
+    one row each in their order; EmptyGrid on no cells or functions.
 
     T is applied once per function; every cell reads its ratio from the
-    same (f, Tf) pair.  Admissible region per the boundedness statements:
-    0 < alpha < delta2 with lambda = 0, or 0 < 2 lambda < alpha.  Inside
-    the region the sup should stabilize as the family grows; outside it
-    is diagnostic only.
+    same (f, Tf) pair.  Inside the region of ``admissible`` the sup
+    should stabilize as the family grows; outside it is diagnostic only.
     """
-    lambdas = [float(lam) for lam in lambda_grid]
-    cells = [(float(alpha), lam) for alpha in alpha_grid for lam in lambdas]
+    cells = [(float(alpha), float(lam)) for alpha, lam in cells]
     if not cells or not family:
-        raise EmptyGrid("sweep needs nonempty grids and family")
+        raise EmptyGrid("sweep needs nonempty cells and family")
     params = [HerzSpaceParams(alpha=ExponentFunction.constant(alpha), p=p, q=q,
                               theta=theta, lambda_morrey=lam, delta2=delta2)
               for alpha, lam in cells]

@@ -737,19 +737,10 @@ def _operators_identity_ratio(d, spec, rng, cfg):
                {"vals": vals}, None, all(v == 1.0 for v in vals))
 
 
-def _sweep_seeds(spec: GridSpec) -> list[GridFunction]:
-    """Seed functions of the Hardy sweep: the unit interval, a Gaussian
-    and the shell 1/2 <= |x| < 1, in the first coordinate."""
-    x = spec.points()[..., 0]
-    return [GridFunction(spec, (np.abs(x) < 0.5).astype(float)),
-            GridFunction(spec, np.exp(-8 * x**2)),
-            GridFunction(spec, ((np.abs(x) >= 0.5) & (np.abs(x) < 1.0)).astype(float))]
-
-
 def _operators_hardy_sweep(d, spec, rng, cfg, family_sizes=(8, 32), cells=None):
     """Hardy sweep growth over ``cells``, a list of (alpha, lambda) pairs,
     by default every cell of the config's alpha and lambda grids."""
-    seeds = _sweep_seeds(spec)
+    seeds = ops.sweep_seeds(spec)
     hardy = ops.OperatorSpec(kind="hardy")
     if cells is None:
         inputs = {"seed": cfg.seed, "alphas": cfg.alpha_grid,
@@ -760,8 +751,7 @@ def _operators_hardy_sweep(d, spec, rng, cfg, family_sizes=(8, 32), cells=None):
 
     def sweep(size):
         family = ops.scale_translate_family(seeds, d, size, seed=cfg.seed)
-        return [row for alpha, lam in cells for row in
-                ops.boundedness_sweep(hardy, d, [alpha], [lam], family, delta2=0.5)]
+        return ops.boundedness_sweep(hardy, d, cells, family, delta2=0.5)
 
     rows_small, rows_large = map(sweep, family_sizes)
     admissible_growth = [
@@ -777,7 +767,7 @@ def _operators_hardy_sweep(d, spec, rng, cfg, family_sizes=(8, 32), cells=None):
 
 
 def _operators_maximal_compare(d, spec, rng, cfg):
-    gauss = _sweep_seeds(spec)[1]
+    gauss = ops.sweep_seeds(spec)[1]
     kr = default_krange(d, spec)
     mf_a = ops.maximal_apply(gauss, d, kr)
     # the isotropic dilation's balls B_k are the round balls of volume b^k

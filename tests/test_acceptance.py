@@ -39,6 +39,7 @@ from herzlab import (
     make_dilation,
     scale_translate_family,
     size_condition_check,
+    sweep_seeds,
 )
 from herzlab import suites
 from herzlab.config import SuiteConfig
@@ -194,9 +195,9 @@ def test_criterion_08_operator_region_stability():
     in_region = all(admissible(alpha, lam, 0.5) for alpha, lam in cells)
 
     d = make_dilation([[2.0]])
-    small = scale_translate_family(suites._sweep_seeds(spec), d, 12, seed=81)
+    small = scale_translate_family(sweep_seeds(spec), d, 12, seed=81)
     ident_rows = boundedness_sweep(OperatorSpec(kind="identity"), d,
-                                   alphas, [0.0], small, delta2=0.5)
+                                   [(alpha, 0.0) for alpha in alphas], small, delta2=0.5)
     ident_exact = all(r["sup_ratio"] == 1.0 for r in ident_rows)
     ok = sweep.bound == 1.5 and sweep.passed and in_region and ident_exact
     _line(8, ok, f"Hardy-operator sweep stable under family quadrupling "

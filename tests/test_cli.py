@@ -180,10 +180,11 @@ def test_cli_sweep_reads_norm_keys(workdir, monkeypatch):
     got = [line.split(",")[3] for line in
            (workdir / "sweep.csv").read_text().strip().splitlines()[1:]]
     hardy, d = ops.OperatorSpec(kind="hardy"), make_dilation([[2.0]])
-    want = ops.boundedness_sweep(hardy, d, [0.1, 0.2], [0.0], families[0], p=3.0,
+    cells = [(0.1, 0.0), (0.2, 0.0)]
+    want = ops.boundedness_sweep(hardy, d, cells, families[0], p=3.0,
                                  q=ExponentFunction.log_family(2.0, 3.0), theta=0.5)
     assert got == [repr(row["sup_ratio"]) for row in want]
-    default = ops.boundedness_sweep(hardy, d, [0.1, 0.2], [0.0], families[0])
+    default = ops.boundedness_sweep(hardy, d, cells, families[0])
     assert got != [repr(row["sup_ratio"]) for row in default]
 
 

@@ -15,10 +15,13 @@ from herzlab import (
     maximal_apply,
     op_ratio,
     scale_translate_family,
+    sweep_seeds,
     truncated_riesz_apply,
 )
 from herzlab import dilation
 from herzlab import operators as ops
+from herzlab import suites
+from herzlab.config import SuiteConfig
 from herzlab.dilation import (
     ORIGIN_INDEX,
     annulus_index_map,
@@ -236,22 +239,19 @@ def test_boundedness_sweep_stability(dyadic, line_spec):
     alphas = [0.1, 0.25, 0.4]
     small = scale_translate_family(seeds, dyadic, 8, seed=12)
     large = scale_translate_family(seeds, dyadic, 32, seed=12)
-    rows_s = boundedness_sweep(hardy, dyadic, alphas, [0.0], small, delta2=0.5)
-    rows_l = boundedness_sweep(hardy, dyadic, alphas, [0.0], large, delta2=0.5)
+    cells = [(alpha, 0.0) for alpha in alphas]
+    rows_s = boundedness_sweep(hardy, dyadic, cells, small, delta2=0.5)
+    rows_l = boundedness_sweep(hardy, dyadic, cells, large, delta2=0.5)
     for rs, rl in zip(rows_s, rows_l):
         assert rl["sup_ratio"] <= rs["sup_ratio"] * 1.5
         assert rl["sup_ratio"] >= rs["sup_ratio"] - 1e-12  # nested family
         assert rs["admissible"]
     with pytest.raises(EmptyGrid):
-        boundedness_sweep(hardy, dyadic, [], [0.0], small)
+        boundedness_sweep(hardy, dyadic, [], small)
 
 
 def sweep_family(d, spec, size):
-    r = spec.radii()
-    seeds = [GridFunction(spec, (r < 0.5).astype(float)),
-             GridFunction(spec, np.exp(-8.0 * r**2)),
-             GridFunction(spec, ((r >= 0.5) & (r < 1.0)).astype(float))]
-    return scale_translate_family(seeds, d, size, seed=14)
+    return scale_translate_family(sweep_seeds(spec), d, size, seed=14)
 
 
 @pytest.mark.parametrize("matrix,resolution", [([[2.0]], 512),
@@ -263,9 +263,9 @@ def test_sweep_cells_are_family_max_of_op_ratio(matrix, resolution, kind):
     d = make_dilation(matrix)
     family = sweep_family(d, GridSpec(radius=2.0, dim=d.dim, resolution=resolution), 6)
     t_spec = OperatorSpec(kind=kind, cutoff=0.25)
-    rows = boundedness_sweep(t_spec, d, [0.1, 0.3], [0.0, 0.05], family, delta2=0.5)
-    assert [(r["alpha"], r["lambda"]) for r in rows] == [
-        (0.1, 0.0), (0.1, 0.05), (0.3, 0.0), (0.3, 0.05)]
+    cells = [(0.1, 0.0), (0.1, 0.05), (0.3, 0.0), (0.3, 0.05)]
+    rows = boundedness_sweep(t_spec, d, cells, family, delta2=0.5)
+    assert [(r["alpha"], r["lambda"]) for r in rows] == cells
     for row in rows:
         params = herz_params(alpha=row["alpha"], p=1.0, q=2.0, lam=row["lambda"],
                              delta2=0.5)
@@ -282,22 +282,33 @@ def test_sweep_applies_operator_once_per_function(dyadic, line_spec, monkeypatch
 
     monkeypatch.setattr(ops, "apply_operator", counted)
     family = sweep_family(dyadic, line_spec, 6)
-    boundedness_sweep(OperatorSpec(kind="hardy"), dyadic, [0.1, 0.2, 0.3],
-                      [0.0, 0.05, 0.1], family)
+    cells = [(alpha, lam) for alpha in (0.1, 0.2, 0.3) for lam in (0.0, 0.05, 0.1)]
+    boundedness_sweep(OperatorSpec(kind="hardy"), dyadic, cells, family)
     assert len(calls) == len(family)
+    # the suite's sweep on criterion 08's cells, which are no product
+    # grid: once per function of each family, whatever the cell count
+    calls.clear()
+    sizes = (12, 48)
+    alphas = [frac * 0.5 for frac in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    cells = [(alpha, lam) for alpha in alphas for lam in (0.0, alpha / 4.0)]
+    cfg = SuiteConfig(seed=81)
+    (row,) = suites._operators_hardy_sweep(dyadic, line_spec, None, cfg,
+                                           family_sizes=sizes, cells=cells)
+    assert len(row.measured["sups"]) == 18
+    assert len(calls) == sum(sizes)
 
 
 def test_sweep_rejects_zero_function(dyadic, line_spec):
     family = sweep_family(dyadic, line_spec, 3) + [zeros(line_spec)]
     with pytest.raises(ZeroFunction):
-        boundedness_sweep(OperatorSpec(kind="hardy"), dyadic, [0.2], [0.0], family)
+        boundedness_sweep(OperatorSpec(kind="hardy"), dyadic, [(0.2, 0.0)], family)
 
 
 def test_sweep_region_flags(dyadic, line_spec):
     seeds = [ball_indicator(line_spec, dyadic, 0)]
     fam = scale_translate_family(seeds, dyadic, 3, seed=13)
     rows = boundedness_sweep(OperatorSpec(kind="identity"), dyadic,
-                             [0.2], [0.0, 0.05, 0.2], fam, delta2=0.5)
+                             [(0.2, 0.0), (0.2, 0.05), (0.2, 0.2)], fam, delta2=0.5)
     flags = {r["lambda"]: r["admissible"] for r in rows}
     assert flags[0.0] and flags[0.05]
     assert not flags[0.2]  # 2 lambda = 0.4 >= alpha

@@ -23,6 +23,7 @@ from herzlab.grid import GridSpec
     suites._operators_homogeneity,
     suites._operators_size_hardy,
     suites._operators_identity_ratio,
+    suites._operators_hardy_sweep,
     suites._atoms_make_validate,
 ])
 def test_checks_pass_on_the_shear_plane(shear, plane_spec, check):
